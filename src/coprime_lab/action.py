@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping
 
 from . import fastset
@@ -20,7 +21,7 @@ from .errors import (
 )
 from .groups import Group, generated_subgroup, subgroup_conjugate_sets, sylow_subgroup
 from .perms import Perm
-from .series import is_nilpotent
+from .series import _is_prime, is_nilpotent
 
 
 class Automorphism:
@@ -120,7 +121,7 @@ class Automorphism:
 
 @dataclass(frozen=True)
 class ASubgroupDescriptor:
-    """A subgroup B <= A described by exponent vectors spanning it."""
+    """A subgroup B <= A described by its reduced row-echelon basis."""
 
     p: int
     k: int
@@ -129,10 +130,8 @@ class ASubgroupDescriptor:
 
     @classmethod
     def from_vectors(cls, p: int, k: int, vectors: Iterable) -> "ASubgroupDescriptor":
-        span = _span(p, k, [tuple(int(c) % p for c in v) for v in vectors])
-        dim = round(math.log(len(span), p))
-        basis = _reduced_basis(p, k, span)
-        return cls(p=p, k=k, vectors=basis, codim=k - dim)
+        basis = _reduced_basis(p, k, [tuple(int(c) % p for c in v) for v in vectors])
+        return cls(p=p, k=k, vectors=basis, codim=k - len(basis))
 
     @classmethod
     def full(cls, p: int, k: int) -> "ASubgroupDescriptor":
@@ -143,35 +142,31 @@ class ASubgroupDescriptor:
     def generated_by(cls, p: int, k: int, vector) -> "ASubgroupDescriptor":
         return cls.from_vectors(p, k, [vector])
 
+    @cached_property
+    def _elements(self) -> frozenset[tuple[int, ...]]:
+        return _span(self.p, self.k, self.vectors)
+
     def span_elements(self) -> frozenset[tuple[int, ...]]:
-        return _span(self.p, self.k, list(self.vectors))
+        return self._elements
 
     def key(self) -> frozenset[tuple[int, ...]]:
-        return self.span_elements()
+        return self._elements
 
     def contains_vector(self, v) -> bool:
-        return tuple(v) in self.span_elements()
+        return tuple(v) in self._elements
 
 
-def _span(p: int, k: int, vectors: list[tuple[int, ...]]) -> frozenset[tuple[int, ...]]:
-    zero = tuple(0 for _ in range(k))
-    span = {zero}
-    frontier = [zero]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in vectors:
-                w = tuple((a + b) % p for a, b in zip(u, v))
-                if w not in span:
-                    span.add(w)
-                    nxt.append(w)
-        frontier = nxt
+def _span(p: int, k: int, basis) -> frozenset[tuple[int, ...]]:
+    """All p^dim linear combinations of the basis vectors."""
+    span = [tuple(0 for _ in range(k))]
+    for b in basis:
+        span = [tuple((x + c * y) % p for x, y in zip(v, b)) for c in range(p) for v in span]
     return frozenset(span)
 
 
-def _reduced_basis(p: int, k: int, span: frozenset[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
-    """Row-reduced echelon basis of a subspace given by its element set."""
-    rows = [list(v) for v in sorted(span) if any(v)]
+def _reduced_basis(p: int, k: int, vectors) -> tuple[tuple[int, ...], ...]:
+    """Row-reduced echelon basis of the subspace spanned by the given vectors."""
+    rows = [list(v) for v in vectors if any(v)]
     basis: list[list[int]] = []
     pivot_cols: list[int] = []
     for col in range(k):
@@ -201,27 +196,25 @@ def _reduced_basis(p: int, k: int, span: frozenset[tuple[int, ...]]) -> tuple[tu
 
 
 def all_subspaces(p: int, k: int) -> list[ASubgroupDescriptor]:
-    """Every subspace of (Z/p)^k, ordered by ascending codimension."""
-    zero = tuple(0 for _ in range(k))
-    all_vectors = [v for v in itertools.product(range(p), repeat=k)]
-    seen: dict[frozenset, ASubgroupDescriptor] = {}
-    trivial = ASubgroupDescriptor.from_vectors(p, k, [])
-    seen[frozenset({zero})] = trivial
-    frontier = [trivial]
-    while frontier:
-        nxt = []
-        for desc in frontier:
-            span = desc.span_elements()
-            for v in all_vectors:
-                if v in span:
-                    continue
-                bigger = ASubgroupDescriptor.from_vectors(p, k, list(desc.vectors) + [v])
-                key = bigger.key()
-                if key not in seen:
-                    seen[key] = bigger
-                    nxt.append(bigger)
-        frontier = nxt
-    return sorted(seen.values(), key=lambda d: (d.codim, d.vectors))
+    """Every subspace of (Z/p)^k, p prime, each once in its canonical basis.
+
+    Subspaces are enumerated directly as reduced row-echelon matrices: a
+    pivot set of each size d, then every value in Z/p for the entries right
+    of a pivot and outside the pivot columns.  ``vectors`` is therefore the
+    basis that ``from_vectors`` would produce.  The list is sorted by
+    (codim, vectors): ascending codimension, ties broken by the basis rows.
+    """
+    out = []
+    for d in range(k + 1):
+        for pivots in itertools.combinations(range(k), d):
+            free = [(r, c) for r, pc in enumerate(pivots) for c in range(pc + 1, k) if c not in pivots]
+            for values in itertools.product(range(p), repeat=len(free)):
+                rows = [[1 if c == pc else 0 for c in range(k)] for pc in pivots]
+                for (r, c), x in zip(free, values):
+                    rows[r][c] = x
+                basis = tuple(tuple(row) for row in rows)
+                out.append(ASubgroupDescriptor(p=p, k=k, vectors=basis, codim=k - d))
+    return sorted(out, key=lambda d: (d.codim, d.vectors))
 
 
 class ActionSetup:
@@ -237,7 +230,7 @@ class ActionSetup:
         basis = tuple(basis)
         if k < 1 or len(basis) != k:
             raise ValidationError(f"need exactly k={k} basis automorphisms, got {len(basis)}")
-        if p < 2:
+        if not _is_prime(p):
             raise ValidationError(f"p must be a prime, got {p}")
         for auto in basis:
             if auto.source is not G:

@@ -134,8 +134,13 @@ class _Recorder:
         self.report.checks[name] = result
         return result
 
-    def record(self, name: str, status: CheckStatus, detail: str = "") -> CheckResult:
+    def record(
+        self, name: str, status: CheckStatus, detail: str = "", since: float | None = None
+    ) -> CheckResult:
+        """Stores a step decided outside ``run``, timed from ``since`` (a perf_counter value)."""
         result = CheckResult(status, detail=detail)
+        if since is not None:
+            result.wall_ms = round((time.perf_counter() - since) * 1000.0, 3)
         self.report.checks[name] = result
         return result
 
@@ -349,20 +354,22 @@ def verify_derived_theorem(
     )
     rec = _Recorder(report)
 
+    start = time.perf_counter()
     c, why = _centralizer_hypothesis(ctx, lambda C: derived_term(C, d))
     if c is None:
-        rec.record("hypothesis-centralizers", CheckStatus.HYPOTHESIS_NOT_MET, why)
+        rec.record("hypothesis-centralizers", CheckStatus.HYPOTHESIS_NOT_MET, why, since=start)
         return report
     report.hypothesis_c = c
-    rec.record("hypothesis-centralizers", CheckStatus.PASS, f"c = {c}")
+    rec.record("hypothesis-centralizers", CheckStatus.PASS, f"c = {c}", since=start)
 
+    start = time.perf_counter()
     Gd = derived_term(setup.G, d)
     cls = nilpotency_class(Gd)
     if cls is None:
-        rec.record("conclusion-nilpotent", CheckStatus.FAIL, "G^(d) is not nilpotent")
+        rec.record("conclusion-nilpotent", CheckStatus.FAIL, "G^(d) is not nilpotent", since=start)
         return report
     report.conclusion_class = cls
-    rec.record("conclusion-nilpotent", CheckStatus.PASS, f"class {cls}")
+    rec.record("conclusion-nilpotent", CheckStatus.PASS, f"class {cls}", since=start)
 
     degree_needed = max(d, 1, min(ctx.max_degree or 0, A_SPECIAL_DEGREE_CEILING))
     families = ctx.a_families(degree_needed)
@@ -407,20 +414,22 @@ def verify_gamma_theorem(
     )
     rec = _Recorder(report)
 
+    start = time.perf_counter()
     c, why = _centralizer_hypothesis(ctx, lambda C: lcs_term(C, depth))
     if c is None:
-        rec.record("hypothesis-centralizers", CheckStatus.HYPOTHESIS_NOT_MET, why)
+        rec.record("hypothesis-centralizers", CheckStatus.HYPOTHESIS_NOT_MET, why, since=start)
         return report
     report.hypothesis_c = c
-    rec.record("hypothesis-centralizers", CheckStatus.PASS, f"c = {c}")
+    rec.record("hypothesis-centralizers", CheckStatus.PASS, f"c = {c}", since=start)
 
+    start = time.perf_counter()
     target = lcs_term(setup.G, depth)
     cls = nilpotency_class(target)
     if cls is None:
-        rec.record("conclusion-nilpotent", CheckStatus.FAIL, "gamma_{k-2}(G) is not nilpotent")
+        rec.record("conclusion-nilpotent", CheckStatus.FAIL, "gamma_{k-2}(G) is not nilpotent", since=start)
         return report
     report.conclusion_class = cls
-    rec.record("conclusion-nilpotent", CheckStatus.PASS, f"class {cls}")
+    rec.record("conclusion-nilpotent", CheckStatus.PASS, f"class {cls}", since=start)
 
     families = ctx.gamma_families(max(depth, 1, min(ctx.max_degree or 0, GAMMA_DEGREE_CEILING)))
     report.params["family-members"] = family_at(families, depth).member_count()

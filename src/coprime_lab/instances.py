@@ -25,6 +25,7 @@ from .errors import (
 )
 from .groups import Group
 from .perms import Perm
+from .series import _is_prime
 
 SCHEMA_VERSION = 1
 
@@ -313,17 +314,6 @@ def _mat_inverse(A, q):
     return [row[n:] for row in M]
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
 def _order_p_scalar(p: int, q: int) -> int:
     for x in range(2, q):
         if pow(x, p, q) == 1:
@@ -530,6 +520,8 @@ def setup_from_dict(data: dict, cap=None, where: str = "instance") -> ActionSetu
         k = int(data["k"])
     except (KeyError, TypeError, ValueError):
         fail("p/k", "missing or non-integer")
+    if not _is_prime(p):
+        fail("p", f"must be a prime, got {p}")
     group = data.get("group")
     if not isinstance(group, dict) or "degree" not in group or "generators" not in group:
         fail("group", "expected an object with degree and generators")

@@ -126,6 +126,10 @@ def _prime_factors(n: int) -> list[int]:
     return out
 
 
+def _is_prime(n: int) -> bool:
+    return n > 1 and _prime_factors(n) == [n]
+
+
 def o_r(G: Group, r: int) -> Group:
     """The largest normal r-subgroup: intersection of all Sylow r-subgroups."""
     P = sylow_subgroup(G, r)

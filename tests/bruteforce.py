@@ -8,6 +8,8 @@ that desk-scale orders stay fast).
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from coprime_lab.perms import Perm
@@ -152,3 +154,59 @@ def brute_fixed_elements(group, autos: list[dict[Perm, Perm]]) -> set[Perm]:
     """Elements fixed by every tabulated automorphism."""
     els = group.elements()
     return {x for x in els if all(t[x] == x for t in autos)}
+
+
+def brute_span(p: int, k: int, vectors) -> frozenset[tuple[int, ...]]:
+    """Closure of {0} under adding the given vectors mod p, plain BFS."""
+    zero = (0,) * k
+    span = {zero}
+    frontier = [zero]
+    while frontier:
+        new_frontier = []
+        for u in frontier:
+            for v in vectors:
+                w = tuple((a + b) % p for a, b in zip(u, v))
+                if w not in span:
+                    span.add(w)
+                    new_frontier.append(w)
+        frontier = new_frontier
+    return frozenset(span)
+
+
+def brute_echelon_basis(span) -> tuple[tuple[int, ...], ...]:
+    """Reduced row-echelon basis of a subspace, read off its element set.
+
+    The pivots are the leading positions of the nonzero elements; the row of
+    pivot c is the one element with a 1 at c and a 0 at every other pivot.
+    """
+    pivots = sorted({next(i for i, x in enumerate(v) if x) for v in span if any(v)})
+    return tuple(
+        next(v for v in span if v[c] == 1 and all(v[q] == 0 for q in pivots if q != c))
+        for c in pivots
+    )
+
+
+def brute_all_subspaces(p: int, k: int) -> list[tuple[tuple[tuple[int, ...], ...], int]]:
+    """Every subspace of (Z/p)^k as (echelon basis, codim), sorted by (codim, basis).
+
+    Span-closure BFS: from {0}, extend each subspace found by every vector
+    outside it, and keep each new element set once.
+    """
+    all_vectors = list(itertools.product(range(p), repeat=k))
+    trivial = frozenset({(0,) * k})
+    seen = {trivial: ()}
+    frontier = [trivial]
+    while frontier:
+        new_frontier = []
+        for span in frontier:
+            for v in all_vectors:
+                if v in span:
+                    continue
+                gens = seen[span] + (v,)
+                bigger = brute_span(p, k, gens)
+                if bigger not in seen:
+                    seen[bigger] = gens
+                    new_frontier.append(bigger)
+        frontier = new_frontier
+    found = [(brute_echelon_basis(span), k - len(gens)) for span, gens in seen.items()]
+    return sorted(found, key=lambda entry: (entry[1], entry[0]))

@@ -6,6 +6,7 @@ from coprime_lab.action import (
     ASubgroupDescriptor,
     ActionSetup,
     Automorphism,
+    _reduced_basis,
     all_subspaces,
     check_fg1_quotient,
     check_fg2_generation,
@@ -20,7 +21,7 @@ from coprime_lab.groups import Group, group_from_generators
 from coprime_lab.perms import Perm
 from coprime_lab.series import nilpotency_class
 
-from bruteforce import brute_automorphism_table, brute_fixed_elements
+from bruteforce import brute_all_subspaces, brute_automorphism_table, brute_fixed_elements
 
 
 def heisenberg27():
@@ -72,6 +73,13 @@ def test_trivial_action_valid():
     assert report.ok, report.problems
 
 
+@pytest.mark.parametrize("p", [0, 1, 4, 6, 9])
+def test_non_prime_p_rejected(p):
+    G = heisenberg27()
+    with pytest.raises(ValidationError, match="prime"):
+        trivial_action(G, p, 2)
+
+
 def test_coprimality_violation_flagged():
     setup = trivial_action(heisenberg27(), 3, 1)
     report = validate_setup(setup)
@@ -111,11 +119,40 @@ def test_maximal_subgroup_counts():
     assert len(maximal_subgroups(trivial_action(G5, 3, 2))) == 4
 
 
+def gaussian_binomial(k, d, p):
+    num = den = 1
+    for i in range(d):
+        num *= p ** (k - i) - 1
+        den *= p ** (i + 1) - 1
+    return num // den
+
+
 def test_all_subspaces_counts():
     # subspace counts of F_2^3: 1 + 7 + 7 + 1
     assert len(all_subspaces(2, 3)) == 16
     # F_3^2: 1 + 4 + 1
     assert len(all_subspaces(3, 2)) == 6
+    for p, k in [(2, 5), (2, 6), (3, 4), (5, 3)]:
+        codims = [B.codim for B in all_subspaces(p, k)]
+        assert codims == sorted(codims)
+        for codim in range(k + 1):
+            assert codims.count(codim) == gaussian_binomial(k, k - codim, p)
+
+
+@pytest.mark.parametrize("p,k", [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3), (5, 2), (7, 2)])
+def test_all_subspaces_matches_brute(p, k):
+    assert [(B.vectors, B.codim) for B in all_subspaces(p, k)] == brute_all_subspaces(p, k)
+
+
+@pytest.mark.parametrize("p,k", [(2, 5), (2, 6), (3, 4), (5, 3)])
+def test_all_subspaces_canonical_and_distinct(p, k):
+    subspaces = all_subspaces(p, k)
+    for B in subspaces:
+        span = B.span_elements()
+        assert len(span) == p ** (k - B.codim)
+        assert _reduced_basis(p, k, sorted(span)) == B.vectors
+        assert ASubgroupDescriptor.from_vectors(p, k, span) == B
+    assert len({B.key() for B in subspaces}) == len(subspaces)
 
 
 # ------------------------------------------------------------ fixed points

@@ -61,6 +61,8 @@ def test_verify_derived_trivial_action_class_matches():
         "sylow-generation",
         "key-commutator-relation",
     }
+    # the steps stored by record() are timed as well as those run by run()
+    assert all(report.checks[name].wall_ms > 0 for name in ("hypothesis-centralizers", "conclusion-nilpotent"))
 
 
 def test_verify_derived_preconditions():
@@ -74,6 +76,7 @@ def test_verify_gamma_trivial_action():
     # k = 3: gamma_1(C_G(a)) = C_G(a) = G, abelian
     assert report.status == "pass"
     assert report.conclusion_class == 1
+    assert all(report.checks[name].wall_ms > 0 for name in ("hypothesis-centralizers", "conclusion-nilpotent"))
 
 
 def test_verify_gamma_requires_k3():

@@ -300,6 +300,16 @@ def test_load_rejects_coprimality_violation(tmp_path):
         load_instance(path)
 
 
+def test_load_rejects_non_prime_p(tmp_path):
+    setup = build_setup(preset_entries("smoke")[0][1])
+    data = setup_to_dict(setup)
+    data["p"] = 4  # coprime to |G| = 27, and every basis automorphism has order dividing 4
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(InstanceFormatError, match=": p: must be a prime"):
+        load_instance(path)
+
+
 def test_load_rejects_non_homomorphism(tmp_path):
     setup = build_setup(preset_entries("smoke")[1][1])
     data = setup_to_dict(setup)
