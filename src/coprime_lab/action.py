@@ -3,6 +3,10 @@
 A is never represented as a permutation group; it lives as exponent vectors
 in (Z/p)^k together with a homomorphism into Aut(G) given by k commuting
 basis automorphisms of order dividing p.
+
+G is indexed once by ``G.sorted_elements()``, so index order is sort order.
+Every automorphism is an index array over it, and centralizers, fixed points
+and fixed cosets are found by masking arrays of indices.
 """
 
 from __future__ import annotations
@@ -12,6 +16,8 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping
+
+import numpy as np
 
 from . import fastset
 from .errors import (
@@ -27,10 +33,12 @@ from .series import _is_prime, is_nilpotent
 class Automorphism:
     """A group automorphism given by images of the generators.
 
-    The full element map is tabulated on first use by extending over the
-    Cayley graph; the extension verifies the homomorphism property on every
-    (element, generator) edge and bijectivity, so a malformed image map is
-    rejected with a ValidationError.
+    The full map is tabulated on first use as an int32 index array ``T``
+    over ``E = source.sorted_elements()``: ``E[T[i]]`` is the image of
+    ``E[i]``, and index order is sort order, so composing is a gather.  The
+    table is extended over the Cayley graph; the extension verifies the
+    homomorphism property on every (element, generator) edge and
+    bijectivity, so a malformed image map is rejected with a ValidationError.
     """
 
     __slots__ = ("source", "images", "_table")
@@ -43,69 +51,75 @@ class Automorphism:
                 raise ValidationError("images must cover every generator of the source group")
             img[g] = images[g]
         self.images = img
-        self._table: dict[Perm, Perm] | None = None
+        self._table: np.ndarray | None = None
 
     @classmethod
     def identity(cls, source: Group) -> "Automorphism":
-        return cls._from_table(source, {x: x for x in source.elements()})
+        return cls._from_table(source, np.arange(source.order, dtype=np.int32))
 
     @classmethod
-    def _from_table(cls, source: Group, table: dict[Perm, Perm]) -> "Automorphism":
+    def _from_table(cls, source: Group, table: np.ndarray) -> "Automorphism":
         auto = cls.__new__(cls)
         auto.source = source
-        auto.images = {g: table[g] for g in source.generators}
+        elements, index = source.sorted_elements(), source.element_index()
+        auto.images = {g: elements[table[index[g]]] for g in source.generators}
         auto._table = table
         return auto
 
     @property
-    def table(self) -> dict[Perm, Perm]:
+    def table(self) -> np.ndarray:
         if self._table is None:
             self._table = self._build_table()
         return self._table
 
-    def _build_table(self) -> dict[Perm, Perm]:
+    def _build_table(self) -> np.ndarray:
         source = self.source
         for g, img in self.images.items():
             if not source.contains(img):
                 raise ValidationError("a generator image lies outside the source group")
+        index = source.element_index()
+        table = [-1] * len(index)
         ident = Perm.identity(source.degree)
-        table = {ident: ident}
-        frontier = [ident]
+        table[index[ident]] = index[ident]
+        frontier = [(ident, ident)]
         pairs = list(self.images.items())
         while frontier:
             next_frontier = []
-            for x in frontier:
-                tx = table[x]
+            for x, tx in frontier:
                 for g, img in pairs:
                     y = x * g
                     ty = tx * img
-                    known = table.get(y)
-                    if known is None:
-                        table[y] = ty
-                        next_frontier.append(y)
-                    elif known != ty:
+                    i, j = index[y], index[ty]
+                    known = table[i]
+                    if known < 0:
+                        table[i] = j
+                        next_frontier.append((y, ty))
+                    elif known != j:
                         raise ValidationError("generator images do not define a homomorphism")
             frontier = next_frontier
-        if len(table) != source.order:
+        if -1 in table:
             raise InternalCheckError("automorphism table does not cover the group")
-        if len(set(table.values())) != len(table):
+        if len(set(table)) != len(table):
             raise ValidationError("generator images define a non-bijective endomorphism")
-        return table
+        return np.array(table, dtype=np.int32)
 
     def apply(self, x: Perm) -> Perm:
-        return self.table[x]
+        source = self.source
+        return source.sorted_elements()[self.table[source.element_index()[x]]]
 
     def then(self, other: "Automorphism") -> "Automorphism":
         """Composite: apply self, then other."""
-        t_other = other.table
-        table = {x: t_other[y] for x, y in self.table.items()}
-        return Automorphism._from_table(self.source, table)
+        return Automorphism._from_table(self.source, other.table[self.table])
 
     def power(self, n: int) -> "Automorphism":
+        """The n-fold composite, by repeated squaring of the table."""
         base = self.table
-        table = {x: x for x in base}
-        for _ in range(n):
-            table = {x: base[y] for x, y in table.items()}
+        table = np.arange(len(base), dtype=np.int32)
+        while n:
+            if n & 1:
+                table = base[table]
+            base = base[base]
+            n >>= 1
         return Automorphism._from_table(self.source, table)
 
     def is_identity(self) -> bool:
@@ -115,8 +129,7 @@ class Automorphism:
         return all(other.images[g] == img for g, img in self.images.items())
 
     def preserves_set(self, elements: frozenset[Perm]) -> bool:
-        table = self.table
-        return all(table[x] in elements for x in elements)
+        return all(self.apply(x) in elements for x in elements)
 
 
 @dataclass(frozen=True)
@@ -241,7 +254,7 @@ class ActionSetup:
         self.basis = basis
         self._phi_cache: dict[tuple[int, ...], Automorphism] = {}
         self._fixed_cache: dict[frozenset, Group] = {}
-        self._coset_cache: dict[frozenset, tuple[dict, list]] = {}
+        self._coset_cache: dict[frozenset, tuple[np.ndarray, np.ndarray]] = {}
 
     def zero_vector(self) -> tuple[int, ...]:
         return tuple(0 for _ in range(self.k))
@@ -262,20 +275,13 @@ class ActionSetup:
         cached = self._phi_cache.get(vector)
         if cached is not None:
             return cached
-        table: dict[Perm, Perm] | None = None
+        table = np.arange(self.G.order, dtype=np.int32)
         for exp, base in zip(vector, self.basis):
             for _ in range(exp):
-                bt = base.table
-                table = dict(bt) if table is None else {x: bt[y] for x, y in table.items()}
-        if table is None:
-            auto = Automorphism.identity(self.G)
-        else:
-            auto = Automorphism._from_table(self.G, table)
+                table = base.table[table]
+        auto = Automorphism._from_table(self.G, table)
         self._phi_cache[vector] = auto
         return auto
-
-    def table(self, vector) -> dict[Perm, Perm]:
-        return self.phi(vector).table
 
     def is_invariant_set(self, elements: frozenset[Perm]) -> bool:
         return all(base.preserves_set(elements) for base in self.basis)
@@ -284,10 +290,10 @@ class ActionSetup:
         if H.degree != self.G.degree:
             return False
         elements = H.elements()
-        return all(base.table[g] in elements for base in self.basis for g in H.generators)
+        return all(base.apply(g) in elements for base in self.basis for g in H.generators)
 
     def orbit_of_element(self, x: Perm) -> frozenset[Perm]:
-        return frozenset(self.table(u)[x] for u in self.all_vectors())
+        return frozenset(self.phi(u).apply(x) for u in self.all_vectors())
 
 
 @dataclass
@@ -303,28 +309,19 @@ def validate_setup(setup: ActionSetup) -> SetupReport:
     problems: list[str] = []
     if math.gcd(setup.G.order, setup.p) != 1:
         problems.append(f"|G| = {setup.G.order} is divisible by p = {setup.p}")
-    tables = []
+    valid = []
     for j, base in enumerate(setup.basis):
         try:
-            tables.append(base.table)
+            base.table
+            valid.append((j, base))
         except ValidationError as exc:
             problems.append(f"basis automorphism {j}: {exc}")
-            tables.append(None)
-    for j, base in enumerate(setup.basis):
-        if tables[j] is None:
-            continue
+    for j, base in valid:
         if not base.power(setup.p).is_identity():
             problems.append(f"basis automorphism {j} has order not dividing p = {setup.p}")
-    for i in range(setup.k):
-        if tables[i] is None:
-            continue
-        for j in range(i + 1, setup.k):
-            if tables[j] is None:
-                continue
-            ij = setup.basis[i].then(setup.basis[j])
-            ji = setup.basis[j].then(setup.basis[i])
-            if not ij.agrees_with(ji):
-                problems.append(f"basis automorphisms {i} and {j} do not commute")
+    for (i, a), (j, b) in itertools.combinations(valid, 2):
+        if not a.then(b).agrees_with(b.then(a)):
+            problems.append(f"basis automorphisms {i} and {j} do not commute")
     if not setup.phi(setup.zero_vector()).is_identity():
         problems.append("phi(0) is not the identity automorphism")
     return SetupReport(ok=not problems, problems=problems)
@@ -364,17 +361,23 @@ def fixed_subgroup(setup: ActionSetup, B: ASubgroupDescriptor) -> Group:
     cached = setup._fixed_cache.get(key)
     if cached is not None:
         return cached
-    tables = [setup.table(u) for u in B.vectors]
-    fixed = [x for x in setup.G.sorted_elements() if all(t[x] == x for t in tables)]
-    result = Group.from_elements(setup.G.degree, fixed, cap=setup.G.cap)
+    G = setup.G
+    fixed = np.arange(G.order)
+    for u in B.vectors:
+        fixed = fixed[setup.phi(u).table[fixed] == fixed]
+    result = Group.from_elements(G.degree, map(G.sorted_elements().__getitem__, fixed), cap=G.cap)
     setup._fixed_cache[key] = result
     return result
 
 
 def fixed_elements_in(setup: ActionSetup, B: ASubgroupDescriptor, elements: Iterable[Perm]) -> list[Perm]:
-    """Elements of the given collection fixed by every phi(u), u in B."""
-    tables = [setup.table(u) for u in B.vectors]
-    return [x for x in sorted(elements) if all(t[x] == x for t in tables)]
+    """Elements of the given collection fixed by every phi(u), u in B, sorted (index order is sort order)."""
+    index = setup.G.element_index()
+    idx = np.sort(np.fromiter(map(index.__getitem__, elements), dtype=np.intp))
+    for u in B.vectors:
+        idx = idx[setup.phi(u).table[idx] == idx]
+    ordered = setup.G.sorted_elements()
+    return [ordered[i] for i in idx]
 
 
 def _require_invariant_normal(setup: ActionSetup, N: Group) -> None:
@@ -386,34 +389,35 @@ def _require_invariant_normal(setup: ActionSetup, N: Group) -> None:
         raise PreconditionError("N is not A-invariant")
 
 
-def _coset_index_map(setup: ActionSetup, N: Group) -> tuple[dict[Perm, int], list[Perm]]:
+def _coset_index_map(setup: ActionSetup, N: Group) -> tuple[np.ndarray, np.ndarray]:
+    """Coset labels over G's index, and the index of each coset's least element."""
     key = N.elements()
     cached = setup._coset_cache.get(key)
     if cached is not None:
         return cached
-    coset_of: dict[Perm, int] = {}
-    reps: list[Perm] = []
-    for x in setup.G.sorted_elements():
-        if x in coset_of:
-            continue
-        cid = len(reps)
-        reps.append(x)
-        for n in key:
-            coset_of[x * n] = cid
-    setup._coset_cache[key] = (coset_of, reps)
-    return coset_of, reps
+    index = setup.G.element_index()
+    labels = [-1] * len(index)
+    reps: list[int] = []
+    for x, i in index.items():
+        if labels[i] < 0:
+            for n in key:
+                labels[index[x * n]] = len(reps)
+            reps.append(i)
+    result = (np.array(labels, dtype=np.intp), np.array(reps, dtype=np.intp))
+    setup._coset_cache[key] = result
+    return result
 
 
 def check_fg1_quotient(setup: ActionSetup, N: Group, B: ASubgroupDescriptor) -> bool:
     """Fixed points in G/N equal the image of C_G(B): C_{G/N}(B) = C_G(B)N/N."""
     _require_invariant_normal(setup, N)
-    coset_of, reps = _coset_index_map(setup, N)
-    tables = [setup.table(u) for u in B.vectors]
-    fixed_below = {
-        cid for cid, rep in enumerate(reps) if all(coset_of[t[rep]] == cid for t in tables)
-    }
-    image = {coset_of[c] for c in fixed_subgroup(setup, B).elements()}
-    return fixed_below == image
+    labels, reps = _coset_index_map(setup, N)
+    fixed_below = np.arange(len(reps))
+    for u in B.vectors:
+        fixed_below = fixed_below[labels[setup.phi(u).table[reps[fixed_below]]] == fixed_below]
+    index = setup.G.element_index()
+    image = np.unique(labels[list(map(index.__getitem__, fixed_subgroup(setup, B).elements()))])
+    return np.array_equal(fixed_below, image)
 
 
 def check_fg2_generation(setup: ActionSetup, H: Group) -> bool:
@@ -457,11 +461,13 @@ def invariant_sylow(setup: ActionSetup, H: Group, r: int) -> Group:
 def induced_action_on_quotient(setup: ActionSetup, N: Group) -> ActionSetup:
     """The induced setup on a faithful permutation representation of G/N."""
     _require_invariant_normal(setup, N)
-    coset_of, reps = _coset_index_map(setup, N)
+    labels, reps = _coset_index_map(setup, N)
+    labels, index = labels.tolist(), setup.G.element_index()
+    reps = list(map(setup.G.sorted_elements().__getitem__, reps))
     degree = max(len(reps), 1)
 
     def coset_perm(g: Perm) -> Perm:
-        return Perm._raw(tuple(coset_of[rep * g] for rep in reps))
+        return Perm._raw(tuple(labels[index[rep * g]] for rep in reps))
 
     gen_images = {g: coset_perm(g) for g in setup.G.generators}
     quotient = Group(degree, list(gen_images.values()), cap=setup.G.cap)
@@ -474,7 +480,7 @@ def induced_action_on_quotient(setup: ActionSetup, N: Group) -> ActionSetup:
         for g, q in gen_images.items():
             if q not in kept:
                 continue
-            img = coset_perm(base.table[g])
+            img = coset_perm(base.apply(g))
             if q in images and images[q] != img:
                 raise InternalCheckError("induced automorphism is not well-defined on cosets")
             images[q] = img

@@ -6,6 +6,7 @@ import argparse
 import csv
 import os
 import sys
+from collections import Counter
 from pathlib import Path
 
 from .harness import (
@@ -56,6 +57,10 @@ def _cmd_gen(args) -> int:
 
 def _cmd_check(args) -> int:
     entries = _collect_entries(args)
+    duplicates = sorted(i for i, n in Counter(i for i, _ in entries).items() if n > 1)
+    if duplicates:
+        print(f"check: duplicate instance ids {duplicates} would overwrite each other's reports", file=sys.stderr)
+        return 2
     options = SuiteOptions(
         mode=args.mode,
         d=args.d if args.d is not None else _default_d(args.preset),
@@ -131,6 +136,8 @@ def main(argv=None) -> int:
     report.add_argument("--out", default=None, help="output directory")
 
     args = parser.parse_args(argv)
+    if args.command != "report" and args.jobs < 1:
+        parser.error(f"argument --jobs: must be at least 1, got {args.jobs}")
     if args.command == "gen":
         return _cmd_gen(args)
     if args.command == "check":

@@ -167,7 +167,7 @@ class Group:
     only when the order fits under the enumeration cap.
     """
 
-    __slots__ = ("degree", "generators", "cap", "_chain", "_elements", "_sorted")
+    __slots__ = ("degree", "generators", "cap", "_chain", "_elements", "_sorted", "_index")
 
     def __init__(self, degree: int, generators: Iterable = (), cap: int | None = None):
         if not isinstance(degree, int) or degree < 1:
@@ -192,6 +192,7 @@ class Group:
         self._chain = chain
         self._elements: frozenset[Perm] | None = None
         self._sorted: list[Perm] | None = None
+        self._index: dict[Perm, int] | None = None
 
     @classmethod
     def trivial(cls, degree: int, cap: int | None = None) -> "Group":
@@ -218,6 +219,7 @@ class Group:
         group._chain = chain
         group._elements = elements
         group._sorted = None
+        group._index = None
         return group
 
     @property
@@ -252,6 +254,12 @@ class Group:
         if self._sorted is None:
             self._sorted = sorted(self.elements())
         return self._sorted
+
+    def element_index(self) -> dict[Perm, int]:
+        """Each element's position in ``sorted_elements()``: index order is sort order."""
+        if self._index is None:
+            self._index = {x: i for i, x in enumerate(self.sorted_elements())}
+        return self._index
 
     @property
     def is_trivial(self) -> bool:
@@ -333,6 +341,7 @@ def normal_closure(generators: Iterable[Perm], ambient: Group) -> Group:
     result._chain = chain
     result._elements = None
     result._sorted = None
+    result._index = None
     return result
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -571,8 +572,9 @@ def run_suite(entries: list[tuple[str, object]], options: SuiteOptions | None = 
                 }
             )
     reports: list[CheckReport] = []
-    if options.jobs > 1 and len(payloads) > 1:
-        with ProcessPoolExecutor(max_workers=options.jobs) as pool:
+    workers = _worker_count(options.jobs, len(payloads))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             for result in pool.map(_run_payload_safe, payloads):
                 reports.extend(_report_from_dict(d) for d in result)
     else:
@@ -580,6 +582,11 @@ def run_suite(entries: list[tuple[str, object]], options: SuiteOptions | None = 
             reports.extend(_report_from_dict(d) for d in _run_payload_safe(payload))
     reports.sort(key=lambda r: (r.instance, r.mode))
     return SuiteResult(reports=reports)
+
+
+def _worker_count(jobs: int, payloads: int) -> int:
+    """Worker processes for a suite: no more than the jobs asked, the CPUs or the payloads."""
+    return max(1, min(jobs, os.cpu_count() or 1, payloads))
 
 
 def _run_payload_safe(payload: dict) -> list[dict]:

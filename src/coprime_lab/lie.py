@@ -390,15 +390,16 @@ class LieAction:
         cached = self._maps.get(u)
         if cached is not None:
             return cached
-        table = self.setup.table(u)
+        auto = self.setup.phi(u)
         out = []
         for w in range(1, self.ring.class_ + 1):
             section = self.ring.component(w)
             images = []
             for rep in section.basis:
-                moved = table.get(rep)
-                if moved is None:
-                    raise InternalCheckError("the action does not preserve the ring's group")
+                try:
+                    moved = auto.apply(rep)
+                except KeyError:
+                    raise InternalCheckError("the action does not preserve the ring's group") from None
                 try:
                     images.append(section.decompose(moved))
                 except ContainmentError:

@@ -150,6 +150,19 @@ def brute_automorphism_table(group, gen_images: dict[Perm, Perm]) -> dict[Perm, 
     return table
 
 
+def brute_action_tables(group, basis_images: list[dict[Perm, Perm]], p: int) -> dict[tuple, dict[Perm, Perm]]:
+    """phi(u) for every exponent vector u, composed from left-extended basis tables."""
+    basis = [brute_automorphism_table(group, images) for images in basis_images]
+    out = {}
+    for u in itertools.product(range(p), repeat=len(basis)):
+        table = {x: x for x in basis[0]}
+        for base, exp in zip(basis, u):
+            for _ in range(exp):
+                table = {x: base[y] for x, y in table.items()}
+        out[u] = table
+    return out
+
+
 def brute_fixed_elements(group, autos: list[dict[Perm, Perm]]) -> set[Perm]:
     """Elements fixed by every tabulated automorphism."""
     els = group.elements()

@@ -1,15 +1,18 @@
 """Tests for the coprime action machinery."""
 
+import numpy as np
 import pytest
 
 from coprime_lab.action import (
     ASubgroupDescriptor,
     ActionSetup,
     Automorphism,
+    _coset_index_map,
     _reduced_basis,
     all_subspaces,
     check_fg1_quotient,
     check_fg2_generation,
+    fixed_elements_in,
     fixed_subgroup,
     induced_action_on_quotient,
     invariant_sylow,
@@ -18,10 +21,22 @@ from coprime_lab.action import (
 )
 from coprime_lab.errors import PreconditionError, ValidationError
 from coprime_lab.groups import Group, group_from_generators
+from coprime_lab.harness import find_invariant_normal_subgroups, random_invariant_subgroups
+from coprime_lab.instances import build_setup, preset_entries
 from coprime_lab.perms import Perm
 from coprime_lab.series import nilpotency_class
 
-from bruteforce import brute_all_subspaces, brute_automorphism_table, brute_fixed_elements
+from bruteforce import (
+    brute_action_tables,
+    brute_all_subspaces,
+    brute_automorphism_table,
+    brute_fixed_elements,
+    brute_span,
+)
+
+ORACLE_INSTANCES = [
+    "smoke-01-gl-q3n3", "smoke-02-heis-diag-c5", "smoke-03-c3-c5-c7", "p2k3-01-gl-q3n3", "p3k3-01-gl-q7n3",
+]
 
 
 def heisenberg27():
@@ -53,6 +68,10 @@ def swap_setup():
     a, b = G.generators
     swap = Automorphism(G, {a: b, b: a})
     return ActionSetup(G, 2, 1, [swap])
+
+
+def preset_setup(instance_id):
+    return build_setup(dict(preset_entries(instance_id.split("-")[0]))[instance_id])
 
 
 def swap_and_invert_setup():
@@ -101,12 +120,41 @@ def test_non_homomorphism_rejected():
         Automorphism(G, {t: v, v: v}).table
 
 
+def test_image_outside_group_rejected():
+    G = heisenberg27()
+    t, v = G.generators
+    with pytest.raises(ValidationError, match="outside the source group"):
+        # a transposition lies outside the odd-order group
+        Automorphism(G, {t: Perm.from_cycles(9, (0, 1)), v: v}).table
+
+
+def test_non_bijective_endomorphism_rejected():
+    G = heisenberg27()
+    ident = Perm.identity(9)
+    with pytest.raises(ValidationError, match="non-bijective"):
+        Automorphism(G, {g: ident for g in G.generators}).table
+
+
 def test_automorphism_table_against_brute():
     G = heisenberg27()
     t, v = G.generators
     alpha = Automorphism(G, {t: t.inverse(), v: v.inverse()})
     brute = brute_automorphism_table(G, alpha.images)
-    assert alpha.table == brute
+    assert len(brute) == G.order
+    assert all(alpha.apply(x) == brute[x] for x in G.elements())
+
+
+def test_power_matches_repeated_then():
+    setup = preset_setup("smoke-02-heis-diag-c5")
+    c7 = group_from_generators(7, [Perm.from_cycles(7, tuple(range(7)))])
+    (r,) = c7.generators
+    cases = [(setup.phi(u), setup.p) for u in setup.nonzero_vectors()]
+    cases.append((Automorphism(c7, {r: r**3}), 7))  # order 6
+    for alpha, p in cases:
+        acc = Automorphism.identity(alpha.source)
+        for n in range(2 * p + 2):
+            assert np.array_equal(alpha.power(n).table, acc.table), n
+            acc = acc.then(alpha)
 
 
 # ------------------------------------------------------------ subgroups of A
@@ -176,7 +224,7 @@ def test_fixed_subgroup_swap_is_diagonal():
     B = ASubgroupDescriptor.full(2, 1)
     fixed = fixed_subgroup(setup, B)
     assert fixed.order == 3
-    oracle = brute_fixed_elements(setup.G, [setup.basis[0].table])
+    oracle = brute_fixed_elements(setup.G, [brute_automorphism_table(setup.G, setup.basis[0].images)])
     assert fixed.elements() == frozenset(oracle)
 
 
@@ -315,3 +363,62 @@ def test_induced_action_quotient_by_factor():
     assert fixed_subgroup(q, ASubgroupDescriptor.generated_by(2, 2, (1, 0))).order == 3
     assert fixed_subgroup(q, ASubgroupDescriptor.generated_by(2, 2, (0, 1))).is_trivial
     assert check_fg1_quotient(setup, N, ASubgroupDescriptor.generated_by(2, 2, (0, 1)))
+
+
+# ------------------------------------------ index kernel against brute force
+
+
+@pytest.fixture(scope="module", params=ORACLE_INSTANCES)
+def oracle_case(request):
+    """A preset setup and phi(u) for every u, tabulated independently as dicts."""
+    setup = preset_setup(request.param)
+    tables = brute_action_tables(setup.G, [auto.images for auto in setup.basis], setup.p)
+    return setup, tables
+
+
+def span_tables(setup, tables, B):
+    return [tables[u] for u in brute_span(setup.p, setup.k, B.vectors)]
+
+
+def test_phi_apply_matches_brute(oracle_case):
+    setup, tables = oracle_case
+    elements = setup.G.elements()
+    for u, table in tables.items():
+        assert len(table) == setup.G.order
+        auto = setup.phi(u)
+        assert all(auto.apply(x) == table[x] for x in elements), u
+
+
+def test_fixed_subgroup_matches_brute(oracle_case):
+    setup, tables = oracle_case
+    for B in all_subspaces(setup.p, setup.k):
+        oracle = brute_fixed_elements(setup.G, span_tables(setup, tables, B))
+        assert fixed_subgroup(setup, B).elements() == frozenset(oracle), B
+
+
+def test_fixed_elements_in_matches_brute(oracle_case):
+    setup, tables = oracle_case
+    subspaces = maximal_subgroups(setup) + [ASubgroupDescriptor.full(setup.p, setup.k)]
+    for seed in (0, 1):
+        for H in random_invariant_subgroups(setup, seed=seed):
+            for B in subspaces:
+                autos = span_tables(setup, tables, B)
+                oracle = sorted(x for x in H.elements() if all(t[x] == x for t in autos))
+                assert fixed_elements_in(setup, B, H.elements()) == oracle
+
+
+def test_fg1_matches_brute_coset_check(oracle_case):
+    setup, tables = oracle_case
+    G = setup.G
+    ordered = G.sorted_elements()
+    for N in find_invariant_normal_subgroups(setup, seed=0):
+        coset_of = {x: frozenset(x * n for n in N.elements()) for x in G.elements()}
+        cosets = set(coset_of.values())
+        labels, reps = _coset_index_map(setup, N)
+        assert [ordered[i] for i in reps] == sorted(min(c) for c in cosets)
+        assert all(coset_of[x] == coset_of[ordered[reps[labels[i]]]] for i, x in enumerate(ordered))
+        for B in maximal_subgroups(setup):
+            autos = span_tables(setup, tables, B)
+            fixed = {c for c in cosets if all(frozenset(t[x] for x in c) == c for t in autos)}
+            image = {coset_of[x] for x in brute_fixed_elements(G, autos)}
+            assert check_fg1_quotient(setup, N, B) == (fixed == image)

@@ -1,6 +1,7 @@
 """Tests for the harness reports, the suite runner, and the CLI."""
 
 import json
+import os
 
 import pytest
 
@@ -12,6 +13,7 @@ from coprime_lab.harness import (
     CheckReport,
     CheckResult,
     SuiteOptions,
+    _worker_count,
     aggregate_rows,
     find_invariant_normal_subgroups,
     random_invariant_subgroups,
@@ -20,7 +22,7 @@ from coprime_lab.harness import (
     verify_derived_theorem,
     verify_gamma_theorem,
 )
-from coprime_lab.instances import build_setup, preset_entries
+from coprime_lab.instances import build_setup, preset_entries, save_instance
 from coprime_lab.perms import Perm
 from coprime_lab.status import CheckStatus
 
@@ -197,3 +199,38 @@ def test_cli_check_preset_exit_zero(tmp_path, capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "0 failed" in out
+
+
+def test_cli_check_rejects_duplicate_instance_ids(tmp_path, capsys):
+    name, spec = preset_entries("smoke")[0]
+    paths = []
+    for sub in ("a", "b"):
+        (tmp_path / sub).mkdir()
+        paths.append(str(save_instance(build_setup(spec), tmp_path / sub / "x.json")))
+    preset_file = str(save_instance(build_setup(spec), tmp_path / f"{name}.json"))
+    out = tmp_path / "reports"
+    for argv, dup in (
+        (["--instances", *paths], "x"),
+        (["--preset", "smoke", "--instances", preset_file], name),
+    ):
+        rc = cli_main(["check", *argv, "--jobs", "1", "--d", "0", "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "duplicate instance ids" in err and repr(dup) in err
+    assert not out.exists()
+
+
+def test_worker_count_is_clamped():
+    cpus = os.cpu_count() or 1
+    assert _worker_count(10_000, 3) == min(3, cpus)
+    assert _worker_count(10_000, 10_000) == cpus
+    assert _worker_count(1, 10_000) == 1
+    assert _worker_count(4, 0) == 1
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_cli_rejects_jobs_below_one(jobs, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["check", "--preset", "smoke", "--jobs", jobs])
+    assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err

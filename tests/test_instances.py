@@ -310,6 +310,18 @@ def test_load_rejects_non_prime_p(tmp_path):
         load_instance(path)
 
 
+def test_load_rejects_large_prime_p_by_order(tmp_path):
+    # a prime far above every automorphism order: the order check squares
+    # the table rather than composing it p times
+    setup = build_setup(preset_entries("smoke")[0][1])
+    data = setup_to_dict(setup)
+    data["p"] = 1_000_003
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(InstanceFormatError, match="order not dividing p = 1000003"):
+        load_instance(path)
+
+
 def test_load_rejects_non_homomorphism(tmp_path):
     setup = build_setup(preset_entries("smoke")[1][1])
     data = setup_to_dict(setup)
