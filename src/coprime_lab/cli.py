@@ -87,8 +87,9 @@ def _cmd_check(args) -> int:
                 )
         if args.format in ("csv", "both"):
             (out / "summary.csv").write_text(summary_csv(rows))
-    failed = [r for r in result.reports if r.failed]
-    print(f"{len(result.reports)} reports, {len(failed)} failed")
+    failed = sum(r.failed for r in result.reports)
+    errored = sum(r.status == "error" for r in result.reports)
+    print(f"{len(result.reports)} reports, {failed} failed, {errored} errored")
     return result.exit_code
 
 

@@ -172,8 +172,7 @@ class Group:
     def __init__(self, degree: int, generators: Iterable = (), cap: int | None = None):
         if not isinstance(degree, int) or degree < 1:
             raise ValidationError(f"group degree must be a positive integer, got {degree!r}")
-        self.degree = degree
-        self.cap = enumeration_cap(cap)
+        cap = enumeration_cap(cap)
         gens: list[Perm] = []
         seen: set[Perm] = set()
         for g in generators:
@@ -185,14 +184,21 @@ class Group:
                 continue
             seen.add(g)
             gens.append(g)
-        self.generators = tuple(gens)
         chain = _Chain(degree)
         for g in gens:
             chain.extend(g)
+        self._fill(degree, cap, gens, chain)
+
+    def _fill(self, degree: int, cap: int, generators, chain: _Chain, elements=None) -> "Group":
+        """Sets every slot; the one place that does, for each way a group is built."""
+        self.degree = degree
+        self.cap = cap
+        self.generators = tuple(generators)
         self._chain = chain
-        self._elements: frozenset[Perm] | None = None
+        self._elements: frozenset[Perm] | None = elements
         self._sorted: list[Perm] | None = None
         self._index: dict[Perm, int] | None = None
+        return self
 
     @classmethod
     def trivial(cls, degree: int, cap: int | None = None) -> "Group":
@@ -203,9 +209,6 @@ class Group:
         """Build a group from its full element set (must be closed)."""
         elements = frozenset(elements)
         target = len(elements)
-        group = cls.__new__(cls)
-        group.degree = degree
-        group.cap = enumeration_cap(cap)
         chain = _Chain(degree)
         gens: list[Perm] = []
         for x in sorted(elements):
@@ -215,12 +218,7 @@ class Group:
             raise ValidationError(
                 f"element set of size {target} is not closed (generated order {chain.order()})"
             )
-        group.generators = tuple(gens)
-        group._chain = chain
-        group._elements = elements
-        group._sorted = None
-        group._index = None
-        return group
+        return cls.__new__(cls)._fill(degree, enumeration_cap(cap), gens, chain, elements)
 
     @property
     def order(self) -> int:
@@ -334,15 +332,7 @@ def normal_closure(generators: Iterable[Perm], ambient: Group) -> Group:
             if chain.extend(c):
                 gens.append(c)
                 queue.append(c)
-    result = Group.__new__(Group)
-    result.degree = ambient.degree
-    result.cap = ambient.cap
-    result.generators = tuple(gens)
-    result._chain = chain
-    result._elements = None
-    result._sorted = None
-    result._index = None
-    return result
+    return Group.__new__(Group)._fill(ambient.degree, ambient.cap, gens, chain)
 
 
 def commutator_subgroup(H: Group, K: Group, ambient: Group) -> Group:
@@ -407,7 +397,7 @@ def sylow_subgroup(G: Group, r: int) -> Group:
         return Group.trivial(G.degree, cap=G.cap)
     if G.order == target:
         return G
-    r_elements = [x for x in G.sorted_elements() if _r_part(x.order(), r) == x.order()]
+    r_elements = [x for x in G.sorted_elements() if _r_part(n := x.order(), r) == n]
     # unique-Sylow fast path: all r-elements form the subgroup
     if len(r_elements) == target:
         try:

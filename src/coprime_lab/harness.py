@@ -4,8 +4,9 @@ Each instance yields up to three reports (lemma suite, derived-theorem suite,
 gamma-theorem suite).  A report carries the instance parameters, the
 hypothesis class bound c, the conclusion class when established, and a
 per-check status map; any ``fail`` status marks the whole report failed.
-Hypothesis failures (some centralizer term not nilpotent) classify the
-report as hypothesis-not-met, never as a failure.
+A check that hits a resource limit or crashes is an ``error``, not a
+failure.  Hypothesis failures (some centralizer term not nilpotent) classify
+the report as hypothesis-not-met, never as a failure.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import random
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .action import (
     ASubgroupDescriptor,
@@ -29,7 +31,7 @@ from .action import (
     maximal_subgroups,
     validate_setup,
 )
-from .errors import CoprimeLabError, PreconditionError
+from .errors import CapacityError, CoprimeLabError, GenerationError, PreconditionError
 from .groups import Group, normal_closure
 from .instances import FamilySpec, build_setup, load_instance
 from .lie import (
@@ -91,6 +93,10 @@ class CheckReport:
         return any(c.status is CheckStatus.FAIL for c in self.checks.values())
 
     @property
+    def errored(self) -> bool:
+        return any(c.status is CheckStatus.ERROR for c in self.checks.values())
+
+    @property
     def hypothesis_met(self) -> bool:
         return not any(c.status is CheckStatus.HYPOTHESIS_NOT_MET for c in self.checks.values())
 
@@ -98,6 +104,8 @@ class CheckReport:
     def status(self) -> str:
         if self.failed:
             return "fail"
+        if self.errored:
+            return "error"
         if not self.hypothesis_met:
             return "hypothesis-not-met"
         return "pass"
@@ -116,7 +124,12 @@ class CheckReport:
 
 
 class _Recorder:
-    """Runs one named check, timing it and capturing errors as failures."""
+    """Runs one named check, timing it and capturing what it raises.
+
+    ``PreconditionError`` makes it not-applicable; ``CapacityError``,
+    ``GenerationError`` and exceptions from outside the package make it an
+    error; any other package error is a failure.
+    """
 
     def __init__(self, report: CheckReport):
         self.report = report
@@ -127,8 +140,10 @@ class _Recorder:
             value = thunk()
         except PreconditionError as exc:
             result = CheckResult(CheckStatus.NOT_APPLICABLE, detail=str(exc))
-        except CoprimeLabError as exc:
-            result = CheckResult(CheckStatus.FAIL, detail=f"{type(exc).__name__}: {exc}")
+        except Exception as exc:
+            failure = isinstance(exc, CoprimeLabError) and not isinstance(exc, (CapacityError, GenerationError))
+            status = CheckStatus.FAIL if failure else CheckStatus.ERROR
+            result = CheckResult(status, detail=f"{type(exc).__name__}: {exc}")
         else:
             result = _coerce(value)
         result.wall_ms = round((time.perf_counter() - start) * 1000.0, 3)
@@ -166,32 +181,26 @@ class InstanceContext:
         self.instance_id = instance_id
         self.seed = seed
         self.max_degree = max_degree
-        self._cache: dict = {}
+        self._families: dict = {}
 
-    def _get(self, key, thunk):
-        if key not in self._cache:
-            self._cache[key] = thunk()
-        return self._cache[key]
-
-    @property
+    @cached_property
     def nilpotent(self) -> bool:
-        return self._get("nilpotent", lambda: nilpotency_class(self.setup.G) is not None)
+        return nilpotency_class(self.setup.G) is not None
 
-    @property
+    @cached_property
     def lie_ring(self):
-        return self._get("lie_ring", lambda: lie_ring_of(self.setup.G, seed=self.seed))
+        return lie_ring_of(self.setup.G, seed=self.seed)
 
-    @property
+    @cached_property
     def lie_action(self):
-        return self._get("lie_action", lambda: induced_a_action(self.lie_ring, self.setup))
+        return induced_a_action(self.lie_ring, self.setup)
 
-    def a_families(self, max_degree: int):
-        return self._get(("a_families", max_degree), lambda: a_special_lattice(self.setup, max_degree))
-
-    def gamma_families(self, max_degree: int):
-        return self._get(
-            ("gamma_families", max_degree), lambda: gamma_a_special_lattice(self.setup, max_degree)
-        )
+    def families(self, build, max_degree: int):
+        """``build(setup, max_degree)`` for a special-lattice builder, once per builder and degree."""
+        key = (build, max_degree)
+        if key not in self._families:
+            self._families[key] = build(self.setup, max_degree)
+        return self._families[key]
 
     def centralizer(self, vector) -> Group:
         B = ASubgroupDescriptor.generated_by(self.setup.p, self.setup.k, vector)
@@ -298,8 +307,8 @@ def lemma_report(ctx: InstanceContext) -> CheckReport:
         rec.run("centralizer-transfer", transfer)
 
         def span(mode):
-            families = ctx.a_families(0) if mode == "pairwise" else ctx.gamma_families(1)
-            members = family_at(families, 0 if mode == "pairwise" else 1).members
+            build, degree = (a_special_lattice, 0) if mode == "pairwise" else (gamma_a_special_lattice, 1)
+            members = family_at(ctx.families(build, degree), degree).members
             subspaces = [
                 lie_subring_of_subgroup(ctx.lie_ring, setup.G, H) for H in members
             ]
@@ -322,17 +331,35 @@ def lemma_report(ctx: InstanceContext) -> CheckReport:
 # ------------------------------------------------------------ theorem suites
 
 
-def _centralizer_hypothesis(ctx: InstanceContext, term) -> tuple[int | None, str]:
-    """Max class of term(C_G(a)) over a in A^#, or None when not all nilpotent."""
+def _hypothesis_and_conclusion(ctx: InstanceContext, rec: _Recorder, term, name: str):
+    """Records the centralizer hypothesis on ``term`` and the conclusion for ``term(G)``.
+
+    The hypothesis holds with c = max class of term(C_G(a)) over a in A^#
+    (at least 1) when every such term is nilpotent; the conclusion holds when
+    term(G), called ``name`` in the report, is nilpotent.  Returns (c,
+    term(G)), or None when either does not hold and the suite stops.
+    """
+    start = time.perf_counter()
     worst = 0
     for a in ctx.setup.nonzero_vectors():
-        C = ctx.centralizer(a)
-        T = term(C)
-        cls = nilpotency_class(T)
+        cls = nilpotency_class(term(ctx.centralizer(a)))
         if cls is None:
-            return None, f"centralizer term at a={a} is not nilpotent"
+            detail = f"centralizer term at a={a} is not nilpotent"
+            rec.record("hypothesis-centralizers", CheckStatus.HYPOTHESIS_NOT_MET, detail, since=start)
+            return None
         worst = max(worst, cls)
-    return max(worst, 1), ""
+    c = rec.report.hypothesis_c = max(worst, 1)
+    rec.record("hypothesis-centralizers", CheckStatus.PASS, f"c = {c}", since=start)
+
+    start = time.perf_counter()
+    target = term(ctx.setup.G)
+    cls = nilpotency_class(target)
+    if cls is None:
+        rec.record("conclusion-nilpotent", CheckStatus.FAIL, f"{name} is not nilpotent", since=start)
+        return None
+    rec.report.conclusion_class = cls
+    rec.record("conclusion-nilpotent", CheckStatus.PASS, f"class {cls}", since=start)
+    return c, target
 
 
 def verify_derived_theorem(
@@ -354,26 +381,13 @@ def verify_derived_theorem(
         params={**ctx.base_params(), "d": d},
     )
     rec = _Recorder(report)
-
-    start = time.perf_counter()
-    c, why = _centralizer_hypothesis(ctx, lambda C: derived_term(C, d))
-    if c is None:
-        rec.record("hypothesis-centralizers", CheckStatus.HYPOTHESIS_NOT_MET, why, since=start)
+    established = _hypothesis_and_conclusion(ctx, rec, lambda H: derived_term(H, d), "G^(d)")
+    if established is None:
         return report
-    report.hypothesis_c = c
-    rec.record("hypothesis-centralizers", CheckStatus.PASS, f"c = {c}", since=start)
-
-    start = time.perf_counter()
-    Gd = derived_term(setup.G, d)
-    cls = nilpotency_class(Gd)
-    if cls is None:
-        rec.record("conclusion-nilpotent", CheckStatus.FAIL, "G^(d) is not nilpotent", since=start)
-        return report
-    report.conclusion_class = cls
-    rec.record("conclusion-nilpotent", CheckStatus.PASS, f"class {cls}", since=start)
+    c, Gd = established
 
     degree_needed = max(d, 1, min(ctx.max_degree or 0, A_SPECIAL_DEGREE_CEILING))
-    families = ctx.a_families(degree_needed)
+    families = ctx.families(a_special_lattice, degree_needed)
     report.params["family-members"] = family_at(families, d).member_count()
 
     rec.run("aspecial-containment", lambda: check_aspecial_containment(families))
@@ -414,30 +428,18 @@ def verify_gamma_theorem(
         params={**ctx.base_params(), "gamma-degree": depth},
     )
     rec = _Recorder(report)
-
-    start = time.perf_counter()
-    c, why = _centralizer_hypothesis(ctx, lambda C: lcs_term(C, depth))
-    if c is None:
-        rec.record("hypothesis-centralizers", CheckStatus.HYPOTHESIS_NOT_MET, why, since=start)
+    established = _hypothesis_and_conclusion(ctx, rec, lambda H: lcs_term(H, depth), "gamma_{k-2}(G)")
+    if established is None:
         return report
-    report.hypothesis_c = c
-    rec.record("hypothesis-centralizers", CheckStatus.PASS, f"c = {c}", since=start)
+    c, _ = established
 
-    start = time.perf_counter()
-    target = lcs_term(setup.G, depth)
-    cls = nilpotency_class(target)
-    if cls is None:
-        rec.record("conclusion-nilpotent", CheckStatus.FAIL, "gamma_{k-2}(G) is not nilpotent", since=start)
-        return report
-    report.conclusion_class = cls
-    rec.record("conclusion-nilpotent", CheckStatus.PASS, f"class {cls}", since=start)
-
-    families = ctx.gamma_families(max(depth, 1, min(ctx.max_degree or 0, GAMMA_DEGREE_CEILING)))
+    degree_needed = max(depth, 1, min(ctx.max_degree or 0, GAMMA_DEGREE_CEILING))
+    families = ctx.families(gamma_a_special_lattice, degree_needed)
     report.params["family-members"] = family_at(families, depth).member_count()
 
     def degree1_matches():
         gamma_deg1 = {m.element_key() for m in family_at(families, 1).members}
-        a_deg0 = {m.element_key() for m in family_at(ctx.a_families(0), 0).members}
+        a_deg0 = {m.element_key() for m in family_at(ctx.families(a_special_lattice, 0), 0).members}
         return gamma_deg1 == a_deg0
 
     rec.run("gamma-degree1-matches-aspecial0", degree1_matches)
@@ -470,7 +472,10 @@ class SuiteResult:
 
     @property
     def exit_code(self) -> int:
-        return 1 if any(r.failed for r in self.reports) else 0
+        """1 if any report failed, else 2 if any errored, else 0."""
+        if any(r.failed for r in self.reports):
+            return 1
+        return 2 if any(r.errored for r in self.reports) else 0
 
     def summary_rows(self) -> list[dict]:
         rows = []
@@ -546,31 +551,19 @@ def _report_from_dict(data: dict) -> CheckReport:
 
 
 def run_suite(entries: list[tuple[str, object]], options: SuiteOptions | None = None) -> SuiteResult:
-    """Run every instance; per-instance errors become failed reports, never aborts.
+    """Run every instance; an instance that cannot run gets an error report, never aborts.
 
     ``entries`` pairs an instance id with either a FamilySpec or a file path.
     """
     options = options or SuiteOptions()
     payloads = []
     for instance_id, source in entries:
+        payload = {"instance_id": instance_id, "options": options.__dict__}
         if isinstance(source, FamilySpec):
-            payloads.append(
-                {
-                    "kind": "spec",
-                    "instance_id": instance_id,
-                    "spec": source.to_dict(),
-                    "options": options.__dict__,
-                }
-            )
+            payload.update(kind="spec", spec=source.to_dict())
         else:
-            payloads.append(
-                {
-                    "kind": "file",
-                    "instance_id": instance_id,
-                    "path": str(source),
-                    "options": options.__dict__,
-                }
-            )
+            payload.update(kind="file", path=str(source))
+        payloads.append(payload)
     reports: list[CheckReport] = []
     workers = _worker_count(options.jobs, len(payloads))
     if workers > 1:
@@ -597,7 +590,7 @@ def _run_payload_safe(payload: dict) -> list[dict]:
             instance=payload["instance_id"], mode="error", params={}
         )
         report.checks["instance-run"] = CheckResult(
-            CheckStatus.FAIL, detail=f"{type(exc).__name__}: {exc}"
+            CheckStatus.ERROR, detail=f"{type(exc).__name__}: {exc}"
         )
         return [report.to_dict()]
 

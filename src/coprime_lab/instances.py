@@ -29,6 +29,11 @@ from .series import _is_prime
 
 SCHEMA_VERSION = 1
 
+# a loaded instance's A = (Z/p)^k may have at most this many subspaces, since
+# the degree-bound checks enumerate them all; (2,7), (3,6) and (5,5) fit,
+# (2,8) has 417,199
+MAX_SUBSPACES = 100_000
+
 
 # ------------------------------------------------------------------ blocks
 
@@ -270,30 +275,8 @@ def _mat_identity(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def _mat_invertible(A, q):
-    n = len(A)
-    M = [row[:] for row in A]
-    rank = 0
-    for col in range(n):
-        pivot = None
-        for r in range(rank, n):
-            if M[r][col] % q:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        M[rank], M[pivot] = M[pivot], M[rank]
-        inv = pow(M[rank][col], -1, q)
-        M[rank] = [(c * inv) % q for c in M[rank]]
-        for r in range(n):
-            if r != rank and M[r][col] % q:
-                f = M[r][col]
-                M[r] = [(a - f * b) % q for a, b in zip(M[r], M[rank])]
-        rank += 1
-    return rank == n
-
-
 def _mat_inverse(A, q):
+    """Inverse of A over Z/q by Gauss-Jordan elimination, or None when A is singular."""
     n = len(A)
     M = [row[:] + ident_row[:] for row, ident_row in zip(A, _mat_identity(n))]
     for col in range(n):
@@ -303,7 +286,7 @@ def _mat_inverse(A, q):
                 pivot = r
                 break
         if pivot is None:
-            raise GenerationError("matrix is singular")
+            return None
         M[col], M[pivot] = M[pivot], M[col]
         inv = pow(M[col][col], -1, q)
         M[col] = [(c * inv) % q for c in M[col]]
@@ -369,9 +352,9 @@ def gen_gl_module(q: int, n: int, p: int, k: int, seed: int = 0, cap=None) -> Ac
     rng = random.Random(seed)
     while True:
         T = [[rng.randrange(q) for _ in range(n)] for _ in range(n)]
-        if _mat_invertible(T, q):
+        T_inv = _mat_inverse(T, q)
+        if T_inv is not None:
             break
-    T_inv = _mat_inverse(T, q)
     mats = [_mat_mult(_mat_mult(T_inv, M, q), T, q) for M in mats]
 
     degree = n * q
@@ -507,6 +490,15 @@ def save_instance(setup: ActionSetup, path) -> Path:
     return path
 
 
+def _subspace_count(p: int, k: int) -> int:
+    """Number of subspaces of (Z/p)^k: the sum over d of the Gaussian binomials [k, d]_p."""
+    total, binomial = 0, 1
+    for d in range(k + 1):
+        total += binomial
+        binomial = binomial * (p ** (k - d) - 1) // (p ** (d + 1) - 1)
+    return total
+
+
 def setup_from_dict(data: dict, cap=None, where: str = "instance") -> ActionSetup:
     def fail(location, message):
         raise InstanceFormatError(f"{where}: {location}: {message}")
@@ -522,6 +514,8 @@ def setup_from_dict(data: dict, cap=None, where: str = "instance") -> ActionSetu
         fail("p/k", "missing or non-integer")
     if not _is_prime(p):
         fail("p", f"must be a prime, got {p}")
+    if k < 1:
+        fail("k", f"must be at least 1, got {k}")
     group = data.get("group")
     if not isinstance(group, dict) or "degree" not in group or "generators" not in group:
         fail("group", "expected an object with degree and generators")
@@ -578,6 +572,9 @@ def setup_from_dict(data: dict, cap=None, where: str = "instance") -> ActionSetu
     report = validate_setup(setup)
     if not report.ok:
         fail("action", "; ".join(report.problems))
+    # checked after the action, so that a p that does not fit it is reported as such
+    if _subspace_count(p, k) > MAX_SUBSPACES:
+        fail("k", f"(Z/{p})^{k} has {_subspace_count(p, k)} subspaces, more than {MAX_SUBSPACES}")
     # any extra exponent-vector stanzas must agree with the composed action
     for vec, img_map in parsed.items():
         if sum(vec) == 0 or vec in {tuple(1 if i == j else 0 for i in range(k)) for j in range(k)}:

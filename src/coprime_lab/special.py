@@ -30,6 +30,12 @@ from .status import CheckStatus
 
 DEFAULT_MEMBER_CEILING = 512
 
+# each kind's series term w(H, i), and the largest codim of a witness B <= A at degree i
+_KIND_TERM_AND_CODIM = {
+    "a-special": (derived_term, lambda i: 2**i),
+    "gamma-a-special": (lcs_term, lambda i: i),
+}
+
 
 @dataclass(frozen=True)
 class SpecialFamily:
@@ -44,93 +50,63 @@ class SpecialFamily:
         return len(self.members)
 
 
-def _base_family(setup: ActionSetup, kind: str, degree: int) -> SpecialFamily:
-    members: list[Group] = []
-    provenance: list[tuple] = []
-    seen: set[frozenset] = set()
-    for j, A_j in enumerate(maximal_subgroups(setup)):
-        C = fixed_subgroup(setup, A_j)
-        key = C.elements()
-        if key in seen:
-            continue
-        seen.add(key)
-        members.append(C)
-        provenance.append(("cent", j))
-    return SpecialFamily(kind=kind, degree=degree, members=tuple(members), provenance=tuple(provenance))
+def _lattice(setup: ActionSetup, kind: str, base_degree: int, max_degree: int, member_ceiling: int, steps):
+    """Families of degrees base_degree..max_degree of one recursion.
+
+    The base family is the C_G(A_j).  At each later degree, ``steps(prev,
+    cents)`` yields (M, recipe) pairs built from the previous members ``prev``
+    and the centralizers ``cents``; each M meets every C_G(A_n), and each new
+    element set keeps the first recipe, with n appended.
+    """
+    if setup.k < 2:
+        raise PreconditionError("special families need rank k >= 2")
+    cents = [fixed_subgroup(setup, A_j) for A_j in maximal_subgroups(setup)]
+    base: dict[frozenset, tuple[Group, tuple]] = {}
+    for j, C in enumerate(cents):
+        base.setdefault(C.elements(), (C, ("cent", j)))
+    members, recipes = zip(*base.values())
+    families = [SpecialFamily(kind, base_degree, members, recipes)]
+    for degree in range(base_degree + 1, max_degree + 1):
+        candidates: dict[frozenset, tuple] = {}
+        for M, recipe in steps(families[-1].members, cents):
+            m_elements = M.elements()
+            for n, C in enumerate(cents):
+                key = m_elements & C.elements()
+                if key not in candidates:
+                    candidates[key] = (*recipe, n)
+        if len(candidates) > member_ceiling:
+            raise CapacityError(
+                f"{kind} degree {degree} would have {len(candidates)} members (ceiling {member_ceiling})"
+            )
+        members = tuple(Group.from_elements(setup.G.degree, key, cap=setup.G.cap) for key in candidates)
+        families.append(SpecialFamily(kind, degree, members, tuple(candidates.values())))
+    return families
 
 
 def a_special_lattice(
     setup: ActionSetup, max_degree: int, member_ceiling: int = DEFAULT_MEMBER_CEILING
 ) -> list[SpecialFamily]:
     """Families of degrees 0..max_degree for the pairwise-commutator recursion."""
-    if setup.k < 2:
-        raise PreconditionError("special families need rank k >= 2")
-    cents = [fixed_subgroup(setup, A_j) for A_j in maximal_subgroups(setup)]
-    families = [_base_family(setup, "a-special", 0)]
-    for degree in range(1, max_degree + 1):
-        prev = families[-1].members
-        candidates: dict[frozenset, tuple] = {}
+
+    def steps(prev, cents):
         for a in range(len(prev)):
             for b in range(a, len(prev)):
-                M = commutator_subgroup(prev[a], prev[b], setup.G)
-                m_elements = M.elements()
-                for j, C in enumerate(cents):
-                    key = m_elements & C.elements()
-                    if key not in candidates:
-                        candidates[key] = ("comm-cent", a, b, j)
-        if len(candidates) > member_ceiling:
-            raise CapacityError(
-                f"a-special degree {degree} would have {len(candidates)} members (ceiling {member_ceiling})"
-            )
-        members = tuple(
-            Group.from_elements(setup.G.degree, key, cap=setup.G.cap) for key in candidates
-        )
-        families.append(
-            SpecialFamily(
-                kind="a-special",
-                degree=degree,
-                members=members,
-                provenance=tuple(candidates.values()),
-            )
-        )
-    return families
+                yield commutator_subgroup(prev[a], prev[b], setup.G), ("comm-cent", a, b)
+
+    return _lattice(setup, "a-special", 0, max_degree, member_ceiling, steps)
 
 
 def gamma_a_special_lattice(
     setup: ActionSetup, max_degree: int, member_ceiling: int = DEFAULT_MEMBER_CEILING
 ) -> list[SpecialFamily]:
     """Families of degrees 1..max_degree for the centralizer-bracket recursion."""
-    if setup.k < 2:
-        raise PreconditionError("special families need rank k >= 2")
-    cents = [fixed_subgroup(setup, A_j) for A_j in maximal_subgroups(setup)]
-    families = [_base_family(setup, "gamma-a-special", 1)]
-    for degree in range(2, max_degree + 1):
-        prev = families[-1].members
-        candidates: dict[frozenset, tuple] = {}
+
+    def steps(prev, cents):
         for a in range(len(prev)):
             for j, C in enumerate(cents):
-                M = commutator_subgroup(prev[a], C, setup.G)
-                m_elements = M.elements()
-                for n, Cn in enumerate(cents):
-                    key = m_elements & Cn.elements()
-                    if key not in candidates:
-                        candidates[key] = ("comm-cent-cent", a, j, n)
-        if len(candidates) > member_ceiling:
-            raise CapacityError(
-                f"gamma-a-special degree {degree} would have {len(candidates)} members (ceiling {member_ceiling})"
-            )
-        members = tuple(
-            Group.from_elements(setup.G.degree, key, cap=setup.G.cap) for key in candidates
-        )
-        families.append(
-            SpecialFamily(
-                kind="gamma-a-special",
-                degree=degree,
-                members=members,
-                provenance=tuple(candidates.values()),
-            )
-        )
-    return families
+                yield commutator_subgroup(prev[a], C, setup.G), ("comm-cent-cent", a, j)
+
+    return _lattice(setup, "gamma-a-special", 1, max_degree, member_ceiling, steps)
 
 
 def family_at(families: list[SpecialFamily], degree: int) -> SpecialFamily:
@@ -153,11 +129,8 @@ def check_aspecial_generation(setup: ActionSetup, families: list[SpecialFamily])
     """<members of degree i> equals G^(i) (a-special) or gamma_i(G) (gamma)."""
     for family in families:
         generated = generated_subgroup(setup.G.degree, family.members, cap=setup.G.cap)
-        if family.kind == "a-special":
-            target = derived_term(setup.G, family.degree)
-        else:
-            target = lcs_term(setup.G, family.degree)
-        if not generated.same_subgroup(target):
+        term, _ = _KIND_TERM_AND_CODIM[family.kind]
+        if not generated.same_subgroup(term(setup.G, family.degree)):
             return False
     return True
 
@@ -175,14 +148,10 @@ def check_aspecial_degree_bound(setup: ActionSetup, families: list[SpecialFamily
     any_applicable = False
     for family in families:
         i = family.degree
-        if family.kind == "a-special":
-            if 2**i > setup.k - 1:
-                continue
-            max_codim = 2**i
-        else:
-            if i > setup.k - 1:
-                continue
-            max_codim = i
+        _, codim_bound = _KIND_TERM_AND_CODIM[family.kind]
+        max_codim = codim_bound(i)
+        if max_codim > setup.k - 1:
+            continue
         any_applicable = True
         for member in family.members:
             if not _degree_bound_witness(setup, member, family.kind, i, max_codim, subspaces, term_cache):
@@ -205,12 +174,8 @@ def _degree_bound_witness(
         cache_key = (B.key(), kind, degree)
         target = term_cache.get(cache_key)
         if target is None:
-            C = fixed_subgroup(setup, B)
-            if kind == "a-special":
-                target = derived_term(C, degree)
-            else:
-                target = lcs_term(C, degree)
-            term_cache[cache_key] = target
+            term, _ = _KIND_TERM_AND_CODIM[kind]
+            target = term_cache[cache_key] = term(fixed_subgroup(setup, B), degree)
         if member.is_subgroup_of(target):
             return True
     return False

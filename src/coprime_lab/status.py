@@ -8,3 +8,4 @@ class CheckStatus(str, Enum):
     FAIL = "fail"
     NOT_APPLICABLE = "not-applicable"
     HYPOTHESIS_NOT_MET = "hypothesis-not-met"
+    ERROR = "error"  # a resource limit, an unrealisable family or a crash: no verdict

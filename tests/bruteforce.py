@@ -223,3 +223,33 @@ def brute_all_subspaces(p: int, k: int) -> list[tuple[tuple[tuple[int, ...], ...
         frontier = new_frontier
     found = [(brute_echelon_basis(span), k - len(gens)) for span, gens in seen.items()]
     return sorted(found, key=lambda entry: (entry[1], entry[0]))
+
+
+def brute_special_lattice(cents: list, kind: str, max_degree: int) -> list[list[tuple[frozenset, tuple]]]:
+    """Both recursive centralizer-commutator families, over plain element sets.
+
+    ``cents`` holds the element sets of the C_G(A_j), in the order of the
+    maximal subgroups A_j.  Returns one list of (element set, recipe) pairs per
+    degree: 0..max_degree for "a-special" and 1..max_degree for
+    "gamma-a-special".  Each new element set keeps the first recipe found.
+    """
+    cents = [frozenset(C) for C in cents]
+    base: dict[frozenset, tuple] = {}
+    for j, C in enumerate(cents):
+        base.setdefault(C, ("cent", j))
+    families = [list(base.items())]
+    first = 1 if kind == "a-special" else 2
+    for _ in range(first, max_degree + 1):
+        prev = [elements for elements, _ in families[-1]]
+        found: dict[frozenset, tuple] = {}
+        if kind == "a-special":
+            brackets = [((a, b), prev[a], prev[b]) for a in range(len(prev)) for b in range(a, len(prev))]
+        else:
+            brackets = [((a, j), prev[a], C) for a in range(len(prev)) for j, C in enumerate(cents)]
+        tag = "comm-cent" if kind == "a-special" else "comm-cent-cent"
+        for pair, left, right in brackets:
+            M = brute_commutator_subgroup(left, right)
+            for n, C in enumerate(cents):
+                found.setdefault(frozenset(M) & C, (tag, *pair, n))
+        families.append(list(found.items()))
+    return families

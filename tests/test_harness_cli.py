@@ -7,12 +7,20 @@ import pytest
 
 from coprime_lab.action import ActionSetup, Automorphism
 from coprime_lab.cli import main as cli_main
-from coprime_lab.errors import PreconditionError
+from coprime_lab.errors import (
+    CapacityError,
+    ContainmentError,
+    GenerationError,
+    InternalCheckError,
+    PreconditionError,
+)
 from coprime_lab.groups import group_from_generators
 from coprime_lab.harness import (
     CheckReport,
     CheckResult,
     SuiteOptions,
+    SuiteResult,
+    _Recorder,
     _worker_count,
     aggregate_rows,
     find_invariant_normal_subgroups,
@@ -121,17 +129,73 @@ def test_run_suite_smoke_preset_passes():
 def test_failed_report_drives_exit_code():
     report = CheckReport(instance="x", mode="derived", params={})
     report.checks["boom"] = CheckResult(CheckStatus.FAIL, detail="injected")
-    from coprime_lab.harness import SuiteResult
-
     assert SuiteResult(reports=[report]).exit_code == 1
     assert report.status == "fail"
 
 
 def test_suite_captures_instance_errors():
+    # an instance that cannot run gives no verdict: an error, not a failure
     result = run_suite([("broken", "/nonexistent/path.json")])
-    assert result.exit_code == 1
+    assert result.exit_code == 2
     assert result.reports[0].mode == "error"
-    assert result.reports[0].failed
+    assert result.reports[0].status == "error"
+    assert not result.reports[0].failed
+
+
+@pytest.mark.parametrize(
+    "raised, status",
+    [
+        (CapacityError("over the cap"), CheckStatus.ERROR),
+        (GenerationError("no such family"), CheckStatus.ERROR),
+        (ZeroDivisionError("crash"), CheckStatus.ERROR),
+        (InternalCheckError("a bug"), CheckStatus.FAIL),
+        (ContainmentError("outside G"), CheckStatus.FAIL),
+        (PreconditionError("not this k"), CheckStatus.NOT_APPLICABLE),
+    ],
+)
+def test_recorder_maps_each_exception_to_a_status(raised, status):
+    report = CheckReport(instance="x", mode="lemmas", params={})
+
+    def check():
+        raise raised
+
+    _Recorder(report).run("boom", check)
+    _Recorder(report).run("fine", lambda: True)  # one check's exception does not stop the next
+    assert report.checks["boom"].status is status
+    assert report.checks["fine"].status is CheckStatus.PASS
+
+
+def test_report_status_and_exit_code_precedence():
+    def report_with(*statuses):
+        report = CheckReport(instance="x", mode="derived", params={})
+        for n, status in enumerate(statuses):
+            report.checks[f"c{n}"] = CheckResult(status)
+        return report
+
+    S = CheckStatus
+    cases = [
+        ((S.PASS, S.HYPOTHESIS_NOT_MET, S.ERROR, S.FAIL), "fail", 1),
+        ((S.PASS, S.HYPOTHESIS_NOT_MET, S.ERROR), "error", 2),
+        ((S.PASS, S.HYPOTHESIS_NOT_MET, S.NOT_APPLICABLE), "hypothesis-not-met", 0),
+        ((S.PASS, S.NOT_APPLICABLE), "pass", 0),
+    ]
+    for statuses, status, code in cases:
+        report = report_with(*statuses)
+        assert report.status == status
+        assert SuiteResult(reports=[report]).exit_code == code
+    # one failed report outranks an errored one in the suite's exit code
+    assert SuiteResult(reports=[report_with(S.ERROR), report_with(S.FAIL)]).exit_code == 1
+
+
+def test_cli_check_capacity_limit_is_an_error_not_a_failure(capsys):
+    rc = cli_main(["check", "--preset", "smoke", "--cap", "100", "--jobs", "1", "--seed", "0", "--d", "0"])
+    assert rc == 2
+    lines = capsys.readouterr().out.splitlines()
+    statuses = {line.split()[0]: line.split("status=")[1].split()[0] for line in lines if "status=" in line}
+    assert statuses["smoke-02-heis-diag-c5"] == statuses["smoke-03-c3-c5-c7"] == "error"
+    assert statuses["smoke-01-gl-q3n3"] == "pass"
+    assert "fail" not in statuses.values()
+    assert lines[-1] == "5 reports, 0 failed, 2 errored"
 
 
 def test_summary_and_aggregate_rows():

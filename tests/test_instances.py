@@ -6,13 +6,19 @@ import pytest
 
 from coprime_lab.action import (
     ASubgroupDescriptor,
+    ActionSetup,
+    Automorphism,
+    all_subspaces,
     fixed_subgroup,
     maximal_subgroups,
     validate_setup,
 )
 from coprime_lab.errors import GenerationError, InstanceFormatError, ValidationError
+from coprime_lab.groups import group_from_generators
 from coprime_lab.instances import (
+    MAX_SUBSPACES,
     FamilySpec,
+    _subspace_count,
     build_setup,
     extraspecial_group,
     gen_coordinate_permutation,
@@ -27,6 +33,7 @@ from coprime_lab.instances import (
     setup_to_dict,
     spec_id,
 )
+from coprime_lab.perms import Perm
 from coprime_lab.series import is_nilpotent, nilpotency_class
 
 from bruteforce import mulclose
@@ -308,6 +315,41 @@ def test_load_rejects_non_prime_p(tmp_path):
     path.write_text(json.dumps(data))
     with pytest.raises(InstanceFormatError, match=": p: must be a prime"):
         load_instance(path)
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_load_rejects_k_below_one(tmp_path, k):
+    data = setup_to_dict(build_setup(preset_entries("smoke")[0][1]))
+    data["k"] = k
+    data["action"] = {}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(InstanceFormatError, match=": k: must be at least 1"):
+        load_instance(path)
+
+
+def test_subspace_count_matches_enumeration():
+    for p, k in [(2, 1), (2, 4), (2, 5), (3, 3), (3, 4), (5, 2), (5, 3), (7, 2)]:
+        assert _subspace_count(p, k) == len(all_subspaces(p, k)), (p, k)
+    assert [_subspace_count(2, k) for k in range(9)] == [1, 2, 5, 16, 67, 374, 2825, 29212, 417199]
+
+
+def trivial_action_file(tmp_path, p, k):
+    """A rank-k trivial action on C_11, saved as an instance file."""
+    G = group_from_generators(11, [Perm.from_cycles(11, tuple(range(11)))])
+    return save_instance(ActionSetup(G, p, k, [Automorphism.identity(G)] * k), tmp_path / f"p{p}k{k}.json")
+
+
+@pytest.mark.parametrize("p, k", [(2, 7), (3, 6), (5, 5)])
+def test_load_accepts_subspace_lattices_under_the_bound(tmp_path, p, k):
+    assert _subspace_count(p, k) <= MAX_SUBSPACES
+    assert load_instance(trivial_action_file(tmp_path, p, k)).k == k
+
+
+@pytest.mark.parametrize("p, k", [(2, 8), (3, 7), (7, 5)])
+def test_load_rejects_too_many_subspaces(tmp_path, p, k):
+    with pytest.raises(InstanceFormatError, match=rf": k: \(Z/{p}\)\^{k} has {_subspace_count(p, k)} subspaces"):
+        load_instance(trivial_action_file(tmp_path, p, k))
 
 
 def test_load_rejects_large_prime_p_by_order(tmp_path):

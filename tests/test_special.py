@@ -2,9 +2,10 @@
 
 import pytest
 
-from coprime_lab.action import ActionSetup, Automorphism
+from coprime_lab.action import ActionSetup, Automorphism, maximal_subgroups
 from coprime_lab.errors import PreconditionError
 from coprime_lab.groups import center, group_from_generators
+from coprime_lab.instances import build_setup, preset_entries
 from coprime_lab.perms import Perm
 from coprime_lab.series import derived_term, lcs_term
 from coprime_lab.special import (
@@ -19,6 +20,8 @@ from coprime_lab.special import (
     family_to_json,
     gamma_a_special_lattice,
 )
+
+from bruteforce import brute_action_tables, brute_fixed_elements, brute_span, brute_special_lattice
 
 
 def heisenberg27():
@@ -96,7 +99,6 @@ def test_members_are_invariant_and_deduplicated():
 
 
 def test_family_size_bounds_and_generated_normality():
-    from coprime_lab.action import maximal_subgroups
     from coprime_lab.groups import generated_subgroup
 
     setup = heis_diag_setup()
@@ -170,3 +172,41 @@ def test_family_json_roundtrip():
     assert data["degree"] == 1
     assert len(data["members"]) == len(fams[1].members)
     assert all("recipe" in m and "order" in m for m in data["members"])
+
+
+# ------------------------------------------------ both lattices against brute force
+
+# the last two have non-trivial members at every computed degree
+ORACLE_INSTANCES = [
+    "smoke-01-gl-q3n3", "smoke-02-heis-diag-c5", "smoke-03-c3-c5-c7", "p2k3-01-gl-q3n3", "p3k3-01-gl-q7n3",
+    "p2k3-08-wreath-c5", "p2k3-11-frob21-c5-c5",
+]
+
+
+@pytest.fixture(scope="module", params=ORACLE_INSTANCES)
+def oracle_lattice_case(request):
+    """A preset setup and its C_G(A_j), computed from dict tables of phi(u)."""
+    setup = build_setup(dict(preset_entries(request.param.split("-")[0]))[request.param])
+    tables = brute_action_tables(setup.G, [auto.images for auto in setup.basis], setup.p)
+    cents = [
+        brute_fixed_elements(setup.G, [tables[u] for u in brute_span(setup.p, setup.k, A_j.vectors)])
+        for A_j in maximal_subgroups(setup)
+    ]
+    return setup, cents
+
+
+@pytest.mark.parametrize(
+    "kind, build, max_degree",
+    [("a-special", a_special_lattice, 2), ("gamma-a-special", gamma_a_special_lattice, 3)],
+)
+def test_lattice_matches_brute(oracle_lattice_case, kind, build, max_degree):
+    setup, cents = oracle_lattice_case
+    families = build(setup, max_degree)
+    oracle = brute_special_lattice(cents, kind, max_degree)
+    first = 0 if kind == "a-special" else 1
+    assert [f.degree for f in families] == list(range(first, max_degree + 1))
+    assert len(oracle) == len(families)
+    for family, expected in zip(families, oracle):
+        assert family.kind == kind
+        assert [m.elements() for m in family.members] == [elements for elements, _ in expected], family.degree
+        assert list(family.provenance) == [recipe for _, recipe in expected], family.degree
