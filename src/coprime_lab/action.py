@@ -159,14 +159,8 @@ class ASubgroupDescriptor:
     def _elements(self) -> frozenset[tuple[int, ...]]:
         return _span(self.p, self.k, self.vectors)
 
-    def span_elements(self) -> frozenset[tuple[int, ...]]:
-        return self._elements
-
     def key(self) -> frozenset[tuple[int, ...]]:
         return self._elements
-
-    def contains_vector(self, v) -> bool:
-        return tuple(v) in self._elements
 
 
 def _span(p: int, k: int, basis) -> frozenset[tuple[int, ...]]:

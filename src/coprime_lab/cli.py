@@ -24,7 +24,6 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--preset", action="append", default=[], help="named preset (repeatable)")
     parser.add_argument("--seed", type=int, default=0, help="seed for randomized sub-checks")
     parser.add_argument("--cap", type=int, default=None, help="enumeration cap override")
-    parser.add_argument("--max-degree", type=int, default=None, help="special-family degree ceiling")
     parser.add_argument("--mode", choices=["derived", "gamma", "both"], default="both")
     parser.add_argument("--d", type=int, default=None, help="derived depth d")
     parser.add_argument("--out", default=None, help="output directory")
@@ -64,7 +63,6 @@ def _cmd_check(args) -> int:
     options = SuiteOptions(
         mode=args.mode,
         d=args.d if args.d is not None else _default_d(args.preset),
-        max_degree=args.max_degree,
         seed=args.seed,
         cap=args.cap,
         jobs=args.jobs,

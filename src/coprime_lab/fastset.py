@@ -22,10 +22,6 @@ def rows_from_perms(perms: Iterable[Perm], degree: int) -> np.ndarray:
     return arr
 
 
-def _unique_rows(arr: np.ndarray) -> np.ndarray:
-    return np.unique(arr, axis=0)
-
-
 def setwise_product_covers(
     target: frozenset[Perm], factor_sets: list[frozenset[Perm]], degree: int
 ) -> bool:
@@ -51,7 +47,7 @@ def setwise_product_covers(
             block = rows[start : start + chunk]
             prod = block[:, acc].reshape(-1, degree)
             pieces.append(prod)
-            merged = _unique_rows(np.concatenate(pieces, axis=0))
+            merged = np.unique(np.concatenate(pieces, axis=0), axis=0)
             pieces = [merged]
             if merged.shape[0] >= target_size:
                 break

@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Iterator
+import math
+from typing import Iterable
 
 from .config import enumeration_cap
 from .errors import (
@@ -16,148 +17,113 @@ from .errors import (
 from .perms import Perm, commutator
 
 
-class _Node:
-    """One level of a deterministic Schreier-Sims stabilizer chain.
+class _Chain:
+    """A deterministic Schreier-Sims stabilizer chain, held as per-level lists.
 
-    A node with ``point is None`` is the trivial group at the end of the
-    chain.  The group of a node is generated by its own ``gens`` together
-    with every generator of the deeper nodes; the transversal maps each
-    fundamental-orbit point delta to a representative u with u(point) = delta.
+    Level i fixes ``base[:i]`` pointwise; its group is generated by the
+    strong generators ``gens[i:]``.  ``transversals[i]`` maps each point
+    delta of the orbit of ``base[i]`` to a representative u with
+    u(base[i]) = delta, and ``inverses[i]`` maps delta to u^-1.
     """
 
-    __slots__ = ("degree", "point", "gens", "transversal", "transversal_inv", "stab")
+    __slots__ = ("degree", "base", "gens", "transversals", "inverses")
 
     def __init__(self, degree: int):
         self.degree = degree
-        self.point: int | None = None
-        self.gens: list[Perm] = []
-        self.transversal: dict[int, Perm] = {}
-        self.transversal_inv: dict[int, Perm] = {}
-        self.stab: "_Node | None" = None
+        self.base: list[int] = []
+        self.gens: list[list[Perm]] = []
+        self.transversals: list[dict[int, Perm]] = []
+        self.inverses: list[dict[int, Perm]] = []
 
     def order(self) -> int:
-        if self.point is None:
-            return 1
-        return len(self.transversal) * self.stab.order()
+        return math.prod(map(len, self.transversals))
 
-    def cumulative_gens(self) -> list[Perm]:
-        out = list(self.gens)
-        if self.stab is not None:
-            out.extend(self.stab.cumulative_gens())
-        return out
-
-    def sift(self, p: Perm) -> Perm:
-        node = self
-        while node is not None and node.point is not None:
-            target = p.images[node.point]
-            if target != node.point:
-                u_inv = node.transversal_inv.get(target)
+    def sift(self, p: Perm, level: int = 0) -> Perm:
+        base, inverses = self.base, self.inverses
+        for i in range(level, len(base)):
+            point = base[i]
+            target = p.images[point]
+            if target != point:
+                u_inv = inverses[i].get(target)
                 if u_inv is None:
                     return p
                 p = p * u_inv
-            node = node.stab
         return p
 
     def contains(self, p: Perm) -> bool:
         return self.sift(p).is_identity()
 
-    def extend(self, g: Perm) -> bool:
-        """Add g to the group; return True when the group grew."""
-        residue = self.sift(g)
+    def extend(self, g: Perm, level: int = 0) -> bool:
+        """Add g to the group of ``level``; return True when that group grew.
+
+        The residue of g becomes a strong generator of the first level whose
+        base point it moves, or of a new last level based at its least moved
+        point; that level and every level above it, down to ``level``, is
+        then rebuilt and Schreier-processed, deepest first.
+        """
+        residue = self.sift(g, level)
         if residue.is_identity():
             return False
-        self._add_nonmember(residue)
+        landed = level
+        while landed < len(self.base) and residue.images[self.base[landed]] == self.base[landed]:
+            landed += 1
+        if landed == len(self.base):
+            self.base.append(min(i for i, j in enumerate(residue.images) if i != j))
+            self.gens.append([])
+            self.transversals.append({})
+            self.inverses.append({})
+        self.gens[landed].append(residue)
+        for i in range(landed, level - 1, -1):
+            self._rebuild_tree(i)
+            self._process_schreier(i)
         return True
 
-    def _add_nonmember(self, g: Perm) -> None:
-        if self.point is None:
-            self.point = min(i for i, j in enumerate(g.images) if i != j)
-            self.stab = _Node(self.degree)
-            ident = Perm.identity(self.degree)
-            self.transversal = {self.point: ident}
-            self.transversal_inv = {self.point: ident}
-        if g.images[self.point] == self.point:
-            self.stab._add_nonmember(g)
-        else:
-            self.gens.append(g)
-        self._rebuild_tree()
-        self._process_schreier()
-
-    def _rebuild_tree(self) -> None:
-        root = self.point
+    def _rebuild_tree(self, level: int) -> None:
+        root = self.base[level]
         ident = Perm.identity(self.degree)
-        gens = self.cumulative_gens()
-        self.transversal = {root: ident}
-        self.transversal_inv = {root: ident}
+        gens = [h for hs in self.gens[level:] for h in hs]
+        transversal = {root: ident}
+        inverses = {root: ident}
         frontier = [root]
         while frontier:
             next_frontier = []
             for point in frontier:
-                u = self.transversal[point]
+                u = transversal[point]
                 for h in gens:
                     target = h.images[point]
-                    if target not in self.transversal:
+                    if target not in transversal:
                         rep = u * h
-                        self.transversal[target] = rep
-                        self.transversal_inv[target] = rep.inverse()
+                        transversal[target] = rep
+                        inverses[target] = rep.inverse()
                         next_frontier.append(target)
             frontier = next_frontier
+        self.transversals[level] = transversal
+        self.inverses[level] = inverses
 
-    def _process_schreier(self) -> None:
+    def _process_schreier(self, level: int) -> None:
         # Schreier's lemma over a snapshot of the generators: every Schreier
-        # generator of this level must land in the deeper chain.
-        gens = self.cumulative_gens()
-        for point in sorted(self.transversal):
-            u = self.transversal[point]
+        # generator of this level must land in the next level's group.
+        gens = [h for hs in self.gens[level:] for h in hs]
+        transversal, inverses = self.transversals[level], self.inverses[level]
+        for point in sorted(transversal):
+            u = transversal[point]
             for h in gens:
-                s = u * h * self.transversal_inv[h.images[point]]
+                s = u * h * inverses[h.images[point]]
                 if not s.is_identity():
-                    self.stab.extend(s)
+                    self.extend(s, level + 1)
 
-    def iter_elements(self) -> Iterator[Perm]:
-        if self.point is None:
-            yield Perm.identity(self.degree)
-            return
-        for rest in self.stab.iter_elements():
-            for u in self.transversal.values():
-                yield rest * u
+    def iter_elements(self) -> list[Perm]:
+        """Every element, in the order deeper rest x this level's transversal."""
+        elements = [Perm.identity(self.degree)]
+        for transversal in reversed(self.transversals):
+            elements = [rest * u for rest in elements for u in transversal.values()]
+        return elements
 
     def random_element(self, rng) -> Perm:
         p = Perm.identity(self.degree)
-        node = self
-        reps = []
-        while node is not None and node.point is not None:
-            reps.append(node.transversal)
-            node = node.stab
-        for transversal in reversed(reps):
-            point = rng.choice(sorted(transversal))
-            p = p * transversal[point]
+        for transversal in reversed(self.transversals):
+            p = p * transversal[rng.choice(sorted(transversal))]
         return p
-
-
-class _Chain:
-    """Thin wrapper holding the root node of a stabilizer chain."""
-
-    __slots__ = ("degree", "root")
-
-    def __init__(self, degree: int):
-        self.degree = degree
-        self.root = _Node(degree)
-
-    def order(self) -> int:
-        return self.root.order()
-
-    def contains(self, p: Perm) -> bool:
-        return self.root.contains(p)
-
-    def extend(self, g: Perm) -> bool:
-        return self.root.extend(g)
-
-    def iter_elements(self) -> Iterator[Perm]:
-        return self.root.iter_elements()
-
-    def random_element(self, rng) -> Perm:
-        return self.root.random_element(rng)
 
 
 class Group:
@@ -244,10 +210,6 @@ class Group:
                 raise InternalCheckError("element enumeration disagrees with chain order")
         return self._elements
 
-    def element_key(self) -> frozenset[Perm]:
-        """Canonical identity of this subgroup: its element set."""
-        return self.elements()
-
     def sorted_elements(self) -> list[Perm]:
         if self._sorted is None:
             self._sorted = sorted(self.elements())
@@ -262,10 +224,6 @@ class Group:
     @property
     def is_trivial(self) -> bool:
         return self.order == 1
-
-    def is_abelian(self) -> bool:
-        gens = self.generators
-        return all(a * b == b * a for i, a in enumerate(gens) for b in gens[i + 1 :])
 
     def is_subgroup_of(self, other: "Group") -> bool:
         if self.degree != other.degree:
@@ -377,11 +335,6 @@ def center(G: Group) -> Group:
     return Group.from_elements(G.degree, central, cap=G.cap)
 
 
-def conjugate_element_set(elements: frozenset[Perm], g: Perm) -> frozenset[Perm]:
-    g_inv = g.inverse()
-    return frozenset(g_inv * x * g for x in elements)
-
-
 def _r_part(n: int, r: int) -> int:
     m = 1
     while n % r == 0:
@@ -426,11 +379,11 @@ def subgroup_conjugate_sets(G: Group, P: Group) -> list[frozenset[Perm]]:
     seen = {start}
     queue = [start]
     out = [start]
-    conjugators = [g for g in G.generators]
     while queue:
         current = queue.pop()
-        for g in conjugators:
-            image = conjugate_element_set(current, g)
+        for g in G.generators:
+            g_inv = g.inverse()
+            image = frozenset(g_inv * x * g for x in current)
             if image not in seen:
                 seen.add(image)
                 queue.append(image)

@@ -64,10 +64,6 @@ from .status import CheckStatus
 
 SCHEMA_VERSION = 1
 
-# requested family depths are clamped to these (theorem hypotheses never need more)
-A_SPECIAL_DEGREE_CEILING = 4
-GAMMA_DEGREE_CEILING = 6
-
 
 @dataclass
 class CheckResult:
@@ -176,11 +172,10 @@ def _coerce(value) -> CheckResult:
 class InstanceContext:
     """Shared, lazily computed per-instance objects used by several reports."""
 
-    def __init__(self, setup: ActionSetup, instance_id: str, seed: int = 0, max_degree: int | None = None):
+    def __init__(self, setup: ActionSetup, instance_id: str, seed: int = 0):
         self.setup = setup
         self.instance_id = instance_id
         self.seed = seed
-        self.max_degree = max_degree
         self._families: dict = {}
 
     @cached_property
@@ -201,10 +196,6 @@ class InstanceContext:
         if key not in self._families:
             self._families[key] = build(self.setup, max_degree)
         return self._families[key]
-
-    def centralizer(self, vector) -> Group:
-        B = ASubgroupDescriptor.generated_by(self.setup.p, self.setup.k, vector)
-        return fixed_subgroup(self.setup, B)
 
     def base_params(self) -> dict:
         return {"p": self.setup.p, "k": self.setup.k, "order": self.setup.G.order}
@@ -339,10 +330,12 @@ def _hypothesis_and_conclusion(ctx: InstanceContext, rec: _Recorder, term, name:
     term(G), called ``name`` in the report, is nilpotent.  Returns (c,
     term(G)), or None when either does not hold and the suite stops.
     """
+    setup = ctx.setup
     start = time.perf_counter()
     worst = 0
-    for a in ctx.setup.nonzero_vectors():
-        cls = nilpotency_class(term(ctx.centralizer(a)))
+    for a in setup.nonzero_vectors():
+        C = fixed_subgroup(setup, ASubgroupDescriptor.generated_by(setup.p, setup.k, a))
+        cls = nilpotency_class(term(C))
         if cls is None:
             detail = f"centralizer term at a={a} is not nilpotent"
             rec.record("hypothesis-centralizers", CheckStatus.HYPOTHESIS_NOT_MET, detail, since=start)
@@ -352,7 +345,7 @@ def _hypothesis_and_conclusion(ctx: InstanceContext, rec: _Recorder, term, name:
     rec.record("hypothesis-centralizers", CheckStatus.PASS, f"c = {c}", since=start)
 
     start = time.perf_counter()
-    target = term(ctx.setup.G)
+    target = term(setup.G)
     cls = nilpotency_class(target)
     if cls is None:
         rec.record("conclusion-nilpotent", CheckStatus.FAIL, f"{name} is not nilpotent", since=start)
@@ -386,8 +379,7 @@ def verify_derived_theorem(
         return report
     c, Gd = established
 
-    degree_needed = max(d, 1, min(ctx.max_degree or 0, A_SPECIAL_DEGREE_CEILING))
-    families = ctx.families(a_special_lattice, degree_needed)
+    families = ctx.families(a_special_lattice, max(d, 1))
     report.params["family-members"] = family_at(families, d).member_count()
 
     rec.run("aspecial-containment", lambda: check_aspecial_containment(families))
@@ -433,13 +425,12 @@ def verify_gamma_theorem(
         return report
     c, _ = established
 
-    degree_needed = max(depth, 1, min(ctx.max_degree or 0, GAMMA_DEGREE_CEILING))
-    families = ctx.families(gamma_a_special_lattice, degree_needed)
+    families = ctx.families(gamma_a_special_lattice, max(depth, 1))
     report.params["family-members"] = family_at(families, depth).member_count()
 
     def degree1_matches():
-        gamma_deg1 = {m.element_key() for m in family_at(families, 1).members}
-        a_deg0 = {m.element_key() for m in family_at(ctx.families(a_special_lattice, 0), 0).members}
+        gamma_deg1 = {m.elements() for m in family_at(families, 1).members}
+        a_deg0 = {m.elements() for m in family_at(ctx.families(a_special_lattice, 0), 0).members}
         return gamma_deg1 == a_deg0
 
     rec.run("gamma-degree1-matches-aspecial0", degree1_matches)
@@ -460,7 +451,6 @@ def verify_gamma_theorem(
 class SuiteOptions:
     mode: str = "both"  # "derived" | "gamma" | "both"
     d: int | None = None
-    max_degree: int | None = None
     seed: int = 0
     cap: int | None = None
     jobs: int = 1
@@ -513,7 +503,7 @@ def run_instance(
     instance_id: str, setup: ActionSetup, options: SuiteOptions
 ) -> list[CheckReport]:
     """All reports for one instance: lemmas plus the applicable theorem suites."""
-    ctx = InstanceContext(setup, instance_id, seed=options.seed, max_degree=options.max_degree)
+    ctx = InstanceContext(setup, instance_id, seed=options.seed)
     reports = [lemma_report(ctx)]
     if setup.k >= 3 and options.mode in ("derived", "both"):
         d = options.d if options.d is not None else 0
@@ -524,30 +514,14 @@ def run_instance(
     return reports
 
 
-def _run_payload(payload: dict) -> list[dict]:
+def _run_payload(payload: dict) -> list[CheckReport]:
     options = SuiteOptions(**payload["options"])
     if payload["kind"] == "spec":
         spec = FamilySpec.from_dict(payload["spec"])
         setup = build_setup(spec, cap=options.cap)
     else:
         setup = load_instance(payload["path"], cap=options.cap)
-    reports = run_instance(payload["instance_id"], setup, options)
-    return [r.to_dict() for r in reports]
-
-
-def _report_from_dict(data: dict) -> CheckReport:
-    report = CheckReport(
-        instance=data["instance"],
-        mode=data["mode"],
-        params=data["params"],
-        hypothesis_c=data["hypothesis_c"],
-        conclusion_class=data["conclusion_class"],
-    )
-    for name, c in data["checks"].items():
-        report.checks[name] = CheckResult(
-            CheckStatus(c["status"]), detail=c.get("detail", ""), wall_ms=c.get("wall_ms", 0.0)
-        )
-    return report
+    return run_instance(payload["instance_id"], setup, options)
 
 
 def run_suite(entries: list[tuple[str, object]], options: SuiteOptions | None = None) -> SuiteResult:
@@ -569,10 +543,10 @@ def run_suite(entries: list[tuple[str, object]], options: SuiteOptions | None = 
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for result in pool.map(_run_payload_safe, payloads):
-                reports.extend(_report_from_dict(d) for d in result)
+                reports.extend(result)
     else:
         for payload in payloads:
-            reports.extend(_report_from_dict(d) for d in _run_payload_safe(payload))
+            reports.extend(_run_payload_safe(payload))
     reports.sort(key=lambda r: (r.instance, r.mode))
     return SuiteResult(reports=reports)
 
@@ -582,7 +556,7 @@ def _worker_count(jobs: int, payloads: int) -> int:
     return max(1, min(jobs, os.cpu_count() or 1, payloads))
 
 
-def _run_payload_safe(payload: dict) -> list[dict]:
+def _run_payload_safe(payload: dict) -> list[CheckReport]:
     try:
         return _run_payload(payload)
     except Exception as exc:  # captured per spec: errors never abort the suite
@@ -592,7 +566,7 @@ def _run_payload_safe(payload: dict) -> list[dict]:
         report.checks["instance-run"] = CheckResult(
             CheckStatus.ERROR, detail=f"{type(exc).__name__}: {exc}"
         )
-        return [report.to_dict()]
+        return [report]
 
 
 # ------------------------------------------------------------------ output

@@ -243,7 +243,7 @@ def gen_direct_sum(setups: list[ActionSetup], k: int | None = None, cap=None) ->
 
 
 def gen_coordinate_permutation(
-    h_spec: str, p: int, k: int, cycles: int = 0, aut: str | None = None, seed: int = 0, cap=None
+    h_spec: str, p: int, k: int, cycles: int = 0, aut: str | None = None, cap=None
 ) -> ActionSetup:
     """G = a direct power of the named block; A acts by coordinate p-cycles
     on ``cycles`` zones and by the named order-p automorphism on the rest."""
@@ -650,8 +650,7 @@ def build_setup(spec: FamilySpec, cap=None) -> ActionSetup:
     elif spec.family == "coordinate-permutation":
         setup = gen_coordinate_permutation(
             params["h"], int(params["p"]), int(params["k"]),
-            cycles=int(params.get("cycles", 0)), aut=params.get("aut"),
-            seed=spec.seed, cap=cap,
+            cycles=int(params.get("cycles", 0)), aut=params.get("aut"), cap=cap,
         )
     elif spec.family == "extraspecial":
         setup = gen_extraspecial(

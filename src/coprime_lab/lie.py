@@ -13,12 +13,15 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from .action import ASubgroupDescriptor, ActionSetup, fixed_elements_in, maximal_subgroups
+from .action import ASubgroupDescriptor, ActionSetup, fixed_subgroup, maximal_subgroups
 from .errors import ContainmentError, InternalCheckError, PreconditionError
 from .groups import AbelianSection, Group, abelian_section
 from .perms import commutator
 from .series import lower_central_series, nilpotency_class
 from .status import CheckStatus
+
+# random lifted pairs whose group commutator cross-checks the bracket at construction
+CROSS_CHECK_PAIRS = 200
 
 
 def _vadd(u, v, orders):
@@ -52,9 +55,6 @@ class GradedLieRing:
 
     def component(self, weight: int) -> AbelianSection:
         return self.components[weight - 1]
-
-    def component_orders(self, weight: int) -> tuple[int, ...]:
-        return self.orders[weight - 1]
 
     def zero(self, weight: int) -> tuple[int, ...]:
         return _vzero(self.orders[weight - 1])
@@ -95,17 +95,13 @@ class GradedLieRing:
         return tuple(1 if i == index else 0 for i in range(len(orders)))
 
 
-def lie_ring_of(
-    G: Group,
-    verify: bool = True,
-    cross_check_pairs: int = 200,
-    seed: int = 0,
-) -> GradedLieRing:
+def lie_ring_of(G: Group, seed: int = 0) -> GradedLieRing:
     """Build the graded ring of a nilpotent group from its lower central series.
 
     Construction verifies the ring axioms exhaustively and cross-checks the
-    bi-additive bracket against direct group commutators on random lifted
-    pairs, which catches lifting errors that the axioms alone might miss.
+    bi-additive bracket against direct group commutators on
+    ``CROSS_CHECK_PAIRS`` random lifted pairs, which catches lifting errors
+    that the axioms alone might miss.
     """
     series = lower_central_series(G)
     if series.class_or_length is None:
@@ -129,23 +125,22 @@ def lie_ring_of(
                             "commutator of lifted basis elements left the expected section"
                         ) from None
     ring = GradedLieRing(G, components, table)
-    if verify:
-        report = axiom_report(ring)
-        bad = [name for name, ok in report.items() if not ok]
-        if bad:
-            raise InternalCheckError(f"ring axioms failed at construction: {', '.join(bad)}")
-        _cross_check_brackets(ring, cross_check_pairs, seed)
+    report = axiom_report(ring)
+    bad = [name for name, ok in report.items() if not ok]
+    if bad:
+        raise InternalCheckError(f"ring axioms failed at construction: {', '.join(bad)}")
+    _cross_check_brackets(ring, seed)
     return ring
 
 
-def _cross_check_brackets(ring: GradedLieRing, pairs: int, seed: int) -> None:
+def _cross_check_brackets(ring: GradedLieRing, seed: int) -> None:
     cls = ring.class_
     weight_pairs = [(i, j) for i in range(1, cls + 1) for j in range(1, cls + 1) if i + j <= cls]
-    if not weight_pairs or pairs <= 0:
+    if not weight_pairs:
         return
     element_lists = [section.numerator.sorted_elements() for section in ring.components]
     rng = random.Random(seed)
-    for _ in range(pairs):
+    for _ in range(CROSS_CHECK_PAIRS):
         wi, wj = rng.choice(weight_pairs)
         x = rng.choice(element_lists[wi - 1])
         y = rng.choice(element_lists[wj - 1])
@@ -412,18 +407,12 @@ class LieAction:
 
     def apply(self, u, weight: int, vec) -> tuple[int, ...]:
         images = self._basis_images(tuple(u))[weight - 1]
-        orders = self.ring.component_orders(weight)
+        orders = self.ring.orders[weight - 1]
         out = _vzero(orders)
         for coeff, img in zip(vec, images):
             if coeff:
                 out = _vadd(out, tuple((coeff * c) % m for c, m in zip(img, orders)), orders)
         return out
-
-    def apply_subspace(self, u, subspace: LieSubspace) -> LieSubspace:
-        per_weight = [
-            [self.apply(u, w + 1, g) for g in gs] for w, gs in enumerate(subspace.gens)
-        ]
-        return LieSubspace.from_vectors(self.ring, per_weight)
 
     def is_invariant(self, subspace: LieSubspace) -> bool:
         # component maps are bijective, so invariance follows once the
@@ -493,9 +482,7 @@ def check_centralizer_transfer(
     if action is None:
         action = induced_a_action(L, setup)
     left = action.fixed_subspace(B)
-    fixed = fixed_elements_in(setup, B, L.group.elements())
-    C = Group.from_elements(L.group.degree, fixed, cap=L.group.cap)
-    right = lie_subring_of_subgroup(L, L.group, C)
+    right = lie_subring_of_subgroup(L, setup.G, fixed_subgroup(setup, B))
     return left.vectors == right.vectors
 
 

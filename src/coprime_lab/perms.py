@@ -80,9 +80,6 @@ class Perm:
             n >>= 1
         return result
 
-    def conjugated_by(self, g: "Perm") -> "Perm":
-        return g.inverse() * self * g
-
     def is_identity(self) -> bool:
         return all(i == j for i, j in enumerate(self.images))
 

@@ -2,8 +2,8 @@
 
 Everything here works over full element enumerations and deliberately avoids
 the package's chain-based machinery: closures run over raw image tuples, and
-commutator subgroups enumerate every element pair (vectorized with numpy so
-that desk-scale orders stay fast).
+commutator subgroups take every element pair as gathers in a Cayley table
+built by BFS from raw generator rows, so that desk-scale orders stay fast.
 """
 
 from __future__ import annotations
@@ -40,11 +40,6 @@ def _rows(elements: list[Perm]) -> np.ndarray:
     return np.array([p.images for p in elements], dtype=np.int32)
 
 
-def _compose_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Rowwise composition: row i of the result applies a[i] then b[i]."""
-    return np.take_along_axis(b, a, axis=1)
-
-
 def _pack_matrix(degree: int) -> np.ndarray:
     """Weights for an exact injective packing of image rows into int64 words."""
     width = max(1, (degree - 1).bit_length())
@@ -56,64 +51,132 @@ def _pack_matrix(degree: int) -> np.ndarray:
     return W
 
 
-def brute_commutator_elements(h_elements, k_elements) -> set[Perm]:
-    """All commutators [x, y] with x in H, y in K, over every element pair.
+_CHUNK = 1 << 20  # table entries gathered per block
 
-    The inner loop over y is vectorized; rows are packed injectively into a
-    few int64 words so per-block deduplication is a cheap integer sort.
+
+class CayleyTable:
+    """The multiplication table of the group generated by raw generator rows.
+
+    Elements are numbered in BFS order from the identity (index 0) over right
+    multiplication by each generator, and told apart by an exact int64
+    packing of their image rows.  ``mul[i, j]`` is the index of element i
+    times element j (apply i, then j), ``inv[i]`` the index of i's inverse.
+    Every computation below runs on index arrays.
     """
-    hs = sorted(h_elements)
-    ks = sorted(k_elements)
-    degree = ks[0].degree
-    K = _rows(ks)
-    K_inv = np.empty_like(K)
-    rows = np.arange(len(ks))[:, None]
-    K_inv[rows, K] = np.arange(K.shape[1])[None, :]
-    W = _pack_matrix(degree)
-    seen: dict[tuple, tuple] = {}
-    for x in hs:
-        x_arr = np.array(x.images, dtype=np.int32)
-        x_inv = np.array(x.inverse().images, dtype=np.int32)
-        # x^-1 y^-1 x y, vectorized over all y
-        step = K_inv[:, x_inv]
-        step = x_arr[step]
-        step = _compose_rows(step, K)
-        packed = step.astype(np.int64) @ W
-        uniq, first = np.unique(packed, axis=0, return_index=True)
-        for key, idx in zip(map(tuple, uniq.tolist()), first.tolist()):
-            if key not in seen:
-                seen[key] = tuple(int(c) for c in step[idx])
-    return {Perm._raw(t) for t in seen.values()}
+
+    def __init__(self, gens: list[Perm]):
+        degree = gens[0].degree
+        self._W = _pack_matrix(degree)
+        gen_rows = _rows(gens)
+        rows = [np.arange(degree, dtype=np.int32)]
+        self._index = {self._keys(rows[0][None, :])[0]: 0}
+        right: list[list[int]] = []  # right[i][g]: index of element i times generator g
+        parent: list[tuple[int, int]] = []  # element j >= 1 is element i times generator g
+        i = 0
+        while i < len(rows):
+            products = gen_rows[:, rows[i]]
+            targets = []
+            for g, key in enumerate(self._keys(products)):
+                j = self._index.setdefault(key, len(rows))
+                if j == len(rows):
+                    rows.append(products[g])
+                    parent.append((i, g))
+                targets.append(j)
+            right.append(targets)
+            i += 1
+        self.order = n = len(rows)
+        self.rows = np.array(rows)
+        right_arr = np.array(right, dtype=np.int32)
+        # column j of the table, built from its BFS parent: x * (y * g) = (x * y) * g
+        columns = np.empty((n, n), dtype=np.int32)
+        columns[0] = np.arange(n)
+        for j, (i, g) in enumerate(parent, start=1):
+            columns[j] = right_arr[columns[i], g]
+        self.mul = columns.T
+        self.inv = np.argmax(columns == 0, axis=0)
+
+    def _keys(self, rows: np.ndarray) -> list[tuple]:
+        return list(map(tuple, (rows.astype(np.int64) @ self._W).tolist()))
+
+    def indices(self, elements) -> np.ndarray:
+        """Sorted table indices of the given elements of the group."""
+        return np.sort(np.array([self._index[k] for k in self._keys(_rows(elements))], dtype=np.intp))
+
+    def perms(self, indices) -> frozenset[Perm]:
+        return frozenset(Perm._raw(tuple(row)) for row in self.rows[indices].tolist())
+
+    def commutators(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """Indices of every commutator [x, y] = x^-1 y^-1 x y, x in xs, y in ys."""
+        found = np.zeros(self.order, dtype=bool)
+        inv_ys, ys = self.inv[ys][None, :], ys[None, :]
+        step = max(1, _CHUNK // max(ys.size, 1))
+        for start in range(0, len(xs), step):
+            x = xs[start : start + step, None]
+            found[self.mul[self.mul[self.mul[self.inv[x], inv_ys], x], ys]] = True
+        return np.flatnonzero(found)
+
+    def closure(self, seeds: np.ndarray) -> np.ndarray:
+        """Indices of the subgroup generated by ``seeds``: BFS from the identity."""
+        seeds = seeds[None, :]
+        found = np.zeros(self.order, dtype=bool)
+        found[0] = True
+        frontier = np.zeros(1, dtype=np.intp)
+        step = max(1, _CHUNK // max(seeds.size, 1))
+        while frontier.size:
+            reached = []
+            for start in range(0, len(frontier), step):
+                products = self.mul[frontier[start : start + step, None], seeds].ravel()
+                new = np.unique(products[~found[products]])
+                found[new] = True
+                reached.append(new)
+            frontier = np.concatenate(reached)
+        return np.flatnonzero(found)
+
+    def commutator_subgroup(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        return self.closure(self.commutators(xs, ys))
+
+
+def cayley_table_of(*element_sets) -> CayleyTable:
+    """The table of the group generated by the union of the element sets.
+
+    Its generators are picked greedily in sort order: each lies outside the
+    closure of those picked before it.
+    """
+    gens: list[Perm] = []
+    closure: set[Perm] = set()
+    for x in sorted(set().union(*element_sets)):
+        if x not in closure:
+            gens.append(x)
+            closure = mulclose(gens)
+    return CayleyTable(gens)
 
 
 def brute_commutator_subgroup(h_elements, k_elements) -> set[Perm]:
-    comms = brute_commutator_elements(h_elements, k_elements)
-    return mulclose(sorted(comms))
+    """<[x, y] : x in H, y in K>, from every element pair."""
+    table = cayley_table_of(h_elements, k_elements)
+    xs, ys = table.indices(h_elements), table.indices(k_elements)
+    return set(table.perms(table.commutator_subgroup(xs, ys)))
+
+
+def _series(table: CayleyTable, lower_central: bool) -> list[set[Perm]]:
+    every = np.arange(table.order)
+    terms = [every]
+    while True:
+        nxt = table.commutator_subgroup(terms[-1], every if lower_central else terms[-1])
+        if len(nxt) == len(terms[-1]):
+            break
+        terms.append(nxt)
+        if len(nxt) == 1:
+            break
+    return [set(table.perms(t)) for t in terms]
 
 
 def brute_lower_central_series(g_elements) -> list[set[Perm]]:
-    full = set(g_elements)
-    terms = [full]
-    while True:
-        nxt = brute_commutator_subgroup(terms[-1], full)
-        if len(nxt) == len(terms[-1]):
-            break
-        terms.append(nxt)
-        if len(nxt) == 1:
-            break
-    return terms
+    return _series(cayley_table_of(g_elements), lower_central=True)
 
 
 def brute_derived_series(g_elements) -> list[set[Perm]]:
-    terms = [set(g_elements)]
-    while True:
-        nxt = brute_commutator_subgroup(terms[-1], terms[-1])
-        if len(nxt) == len(terms[-1]):
-            break
-        terms.append(nxt)
-        if len(nxt) == 1:
-            break
-    return terms
+    return _series(cayley_table_of(g_elements), lower_central=False)
 
 
 def brute_nilpotency_class(g_elements) -> int | None:
@@ -233,7 +296,8 @@ def brute_special_lattice(cents: list, kind: str, max_degree: int) -> list[list[
     degree: 0..max_degree for "a-special" and 1..max_degree for
     "gamma-a-special".  Each new element set keeps the first recipe found.
     """
-    cents = [frozenset(C) for C in cents]
+    table = cayley_table_of(*cents)
+    cents = [frozenset(table.indices(C).tolist()) for C in cents]
     base: dict[frozenset, tuple] = {}
     for j, C in enumerate(cents):
         base.setdefault(C, ("cent", j))
@@ -248,8 +312,8 @@ def brute_special_lattice(cents: list, kind: str, max_degree: int) -> list[list[
             brackets = [((a, j), prev[a], C) for a in range(len(prev)) for j, C in enumerate(cents)]
         tag = "comm-cent" if kind == "a-special" else "comm-cent-cent"
         for pair, left, right in brackets:
-            M = brute_commutator_subgroup(left, right)
+            M = table.commutator_subgroup(np.array(sorted(left)), np.array(sorted(right)))
             for n, C in enumerate(cents):
-                found.setdefault(frozenset(M) & C, (tag, *pair, n))
+                found.setdefault(frozenset(M.tolist()) & C, (tag, *pair, n))
         families.append(list(found.items()))
-    return families
+    return [[(table.perms(sorted(elements)), recipe) for elements, recipe in family] for family in families]

@@ -7,6 +7,7 @@ lines and the empirical (mode, c, k, p) class table.
 import json
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from coprime_lab.action import (
@@ -22,11 +23,7 @@ from coprime_lab.lie import axiom_report, check_class_transfer, lie_ring_of, wit
 from coprime_lab.series import derived_series, lower_central_series
 from coprime_lab.status import CheckStatus
 
-from bruteforce import (
-    brute_automorphism_table,
-    brute_commutator_subgroup,
-    mulclose,
-)
+from bruteforce import CayleyTable, brute_automorphism_table
 
 ACCEPTANCE_PRESETS = ("p2k3", "p2k4", "p3k3")
 ORACLE_ORDER_LIMIT = 5_000
@@ -147,27 +144,30 @@ def test_criterion_5_oracle_equivalence(suite_data):
         if G.order > ORACLE_ORDER_LIMIT:
             continue
         elements = G.elements()
-        assert frozenset(mulclose(list(G.generators))) == elements if G.generators else True
+        # the table's BFS from the raw generator rows is the closure of the generators
+        table = CayleyTable(list(G.generators))
+        every = np.arange(table.order)
+        assert table.perms(every) == elements, item.id
 
         # commutator subgroup: normal-closure path vs all element pairs
-        derived2 = brute_commutator_subgroup(elements, elements)
-        assert commutator_subgroup(G, G, G).elements() == frozenset(derived2)
+        derived2 = table.commutator_subgroup(every, every)
+        assert commutator_subgroup(G, G, G).elements() == table.perms(derived2)
 
         # series: iterate brute commutators from the shared first step
         lcs = lower_central_series(G).terms
         current = derived2
         for term in lcs[1:]:
-            assert term.elements() == frozenset(current), item.id
+            assert term.elements() == table.perms(current), item.id
             if len(current) == 1:
                 break
-            current = brute_commutator_subgroup(current, elements)
+            current = table.commutator_subgroup(current, every)
         ds = derived_series(G).terms
         current = derived2
         for term in ds[1:]:
-            assert term.elements() == frozenset(current), item.id
+            assert term.elements() == table.perms(current), item.id
             if len(current) == 1:
                 break
-            current = brute_commutator_subgroup(current, current)
+            current = table.commutator_subgroup(current, current)
 
         # centralizers: independently tabulated automorphisms
         setup = item.setup

@@ -196,7 +196,7 @@ def test_all_subspaces_matches_brute(p, k):
 def test_all_subspaces_canonical_and_distinct(p, k):
     subspaces = all_subspaces(p, k)
     for B in subspaces:
-        span = B.span_elements()
+        span = B.key()
         assert len(span) == p ** (k - B.codim)
         assert _reduced_basis(p, k, sorted(span)) == B.vectors
         assert ASubgroupDescriptor.from_vectors(p, k, span) == B

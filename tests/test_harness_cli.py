@@ -126,6 +126,24 @@ def test_run_suite_smoke_preset_passes():
     assert all(r.status == "pass" for r in result.reports)
 
 
+def _without_wall_ms(report: CheckReport) -> dict:
+    data = report.to_dict()
+    for check in data["checks"].values():
+        del check["wall_ms"]
+    return data
+
+
+def test_run_suite_process_pool_matches_serial(monkeypatch):
+    # two workers even on a one-CPU machine, so that the pool path runs
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    entries = preset_entries("smoke")
+    serial = run_suite(entries, SuiteOptions(jobs=1, d=0))
+    pooled = run_suite(entries, SuiteOptions(jobs=2, d=0))
+    assert all(isinstance(r, CheckReport) for r in pooled.reports)
+    assert pooled.exit_code == serial.exit_code
+    assert [_without_wall_ms(r) for r in pooled.reports] == [_without_wall_ms(r) for r in serial.reports]
+
+
 def test_failed_report_drives_exit_code():
     report = CheckReport(instance="x", mode="derived", params={})
     report.checks["boom"] = CheckResult(CheckStatus.FAIL, detail="injected")

@@ -3,7 +3,7 @@
 import pytest
 
 from coprime_lab.action import ASubgroupDescriptor, ActionSetup, Automorphism, fixed_subgroup, maximal_subgroups
-from coprime_lab.errors import PreconditionError
+from coprime_lab.errors import ContainmentError, PreconditionError
 from coprime_lab.groups import Group, center, group_from_generators
 from coprime_lab.lie import (
     LieSubspace,
@@ -115,6 +115,13 @@ def test_induced_action_and_transfer():
     action = induced_a_action(L, setup)
     for B in maximal_subgroups(setup) + [ASubgroupDescriptor.full(2, 2)]:
         assert check_centralizer_transfer(L, setup, B, action=action)
+
+
+def test_transfer_rejects_a_ring_of_another_group():
+    G, setup = heis_setup()
+    action = induced_a_action(lie_ring_of(G), setup)
+    with pytest.raises(ContainmentError, match="not built from the given ambient group"):
+        check_centralizer_transfer(lie_ring_of(wreath81()), setup, maximal_subgroups(setup)[0], action=action)
 
 
 def test_trivial_action_fixes_everything():

@@ -14,6 +14,7 @@ from coprime_lab.errors import (
 )
 from coprime_lab.groups import (
     Group,
+    _Chain,
     abelian_section,
     center,
     commutator_subgroup,
@@ -23,6 +24,7 @@ from coprime_lab.groups import (
     normal_closure,
     sylow_subgroup,
 )
+from coprime_lab.instances import build_setup, preset_entries
 from coprime_lab.perms import Perm
 
 from bruteforce import (
@@ -138,11 +140,8 @@ def test_degree_mismatch_membership_raises():
         is_member(G, Perm.identity(4))
 
 
-def test_chain_orders_on_random_groups():
-    # late generators that fix earlier base points must still grow the
-    # shallower orbits (regression: A4 from (0 1 2) and (1 2 3))
-    a4 = group_from_generators(4, [Perm.from_cycles(4, (0, 1, 2)), Perm.from_cycles(4, (1, 2, 3))])
-    assert a4.order == 12
+def _random_generating_sets():
+    """25 seeded (degree, generators) pairs of degree 2..7 with 1..3 generators."""
     rng = random.Random(11)
     for _ in range(25):
         deg = rng.randint(2, 7)
@@ -151,9 +150,53 @@ def test_chain_orders_on_random_groups():
             images = list(range(deg))
             rng.shuffle(images)
             gens.append(Perm(images))
+        yield deg, gens
+
+
+def test_chain_orders_on_random_groups():
+    # late generators that fix earlier base points must still grow the
+    # shallower orbits (regression: A4 from (0 1 2) and (1 2 3))
+    a4 = group_from_generators(4, [Perm.from_cycles(4, (0, 1, 2)), Perm.from_cycles(4, (1, 2, 3))])
+    assert a4.order == 12
+    for deg, gens in _random_generating_sets():
         G = group_from_generators(deg, gens)
         assert G.order == len(mulclose(gens)) if gens else G.order == 1
         assert G.elements() == frozenset(mulclose(gens))
+
+
+def test_chain_matches_closure_oracle():
+    """A bare chain against plain closure: order, levels, membership both ways, enumeration, random elements."""
+    cases = [(4, [Perm.from_cycles(4, (0, 1, 2)), Perm.from_cycles(4, (1, 2, 3))])]
+    cases += list(_random_generating_sets())
+    cases += [(G.degree, list(G.generators)) for G in (build_setup(s).G for _, s in preset_entries("smoke"))]
+    rng = random.Random(5)
+    non_members = 0
+    for degree, gens in cases:
+        chain = _Chain(degree)
+        for g in gens:
+            chain.extend(g)
+        closure = mulclose(gens)
+        listed = chain.iter_elements()
+        assert chain.order() == len(closure) == len(listed)
+        assert set(listed) == closure
+        for i, point in enumerate(chain.base):
+            assert all(g.images[b] == b for g in chain.gens[i] for b in chain.base[:i])
+            for delta, u in chain.transversals[i].items():
+                assert u.images[point] == delta
+                assert (u * chain.inverses[i][delta]).is_identity()
+        assert all(chain.contains(x) for x in closure)
+        for _ in range(50):
+            images = list(range(degree))
+            rng.shuffle(images)
+            x = Perm(images)
+            assert chain.contains(x) == (x in closure)
+            non_members += x not in closure
+        draws = [chain.random_element(random.Random(3)) for _ in range(2)]
+        stream, again = random.Random(8), random.Random(8)
+        xs = [chain.random_element(stream) for _ in range(10)]
+        assert draws[0] == draws[1] and xs == [chain.random_element(again) for _ in range(10)]
+        assert all(x in closure for x in xs)
+    assert non_members > 0
 
 
 def test_random_element_is_member_and_deterministic():

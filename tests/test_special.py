@@ -1,10 +1,13 @@
 """Tests for the recursive centralizer-commutator subgroup families."""
 
+import re
+
 import pytest
 
 from coprime_lab.action import ActionSetup, Automorphism, maximal_subgroups
-from coprime_lab.errors import PreconditionError
+from coprime_lab.errors import CapacityError, PreconditionError
 from coprime_lab.groups import center, group_from_generators
+from coprime_lab.harness import CheckReport, _Recorder
 from coprime_lab.instances import build_setup, preset_entries
 from coprime_lab.perms import Perm
 from coprime_lab.series import derived_term, lcs_term
@@ -91,7 +94,7 @@ def test_members_are_invariant_and_deduplicated():
     setup = heis_diag_setup()
     fams = a_special_lattice(setup, 2)
     for family in fams:
-        keys = [m.element_key() for m in family.members]
+        keys = [m.elements() for m in family.members]
         assert len(set(keys)) == len(keys)
         for member in family.members:
             assert setup.is_invariant_subgroup(member)
@@ -130,8 +133,8 @@ def test_containment_generation_degree_bound():
 
 def test_gamma_degree_one_equals_a_special_degree_zero():
     setup = heis_diag_setup()
-    a0 = {m.element_key() for m in family_at(a_special_lattice(setup, 0), 0).members}
-    g1 = {m.element_key() for m in family_at(gamma_a_special_lattice(setup, 1), 1).members}
+    a0 = {m.elements() for m in family_at(a_special_lattice(setup, 0), 0).members}
+    g1 = {m.elements() for m in family_at(gamma_a_special_lattice(setup, 1), 1).members}
     assert a0 == g1
 
 
@@ -210,3 +213,21 @@ def test_lattice_matches_brute(oracle_lattice_case, kind, build, max_degree):
         assert family.kind == kind
         assert [m.elements() for m in family.members] == [elements for elements, _ in expected], family.degree
         assert list(family.provenance) == [recipe for _, recipe in expected], family.degree
+
+
+@pytest.mark.parametrize(
+    "build, degree, kind",
+    [(a_special_lattice, 1, "a-special"), (gamma_a_special_lattice, 2, "gamma-a-special")],
+)
+def test_lattice_member_ceiling_is_an_error(build, degree, kind):
+    # p2k3-08's family of this degree has 3 members: a ceiling of 3 holds them, 2 does not
+    setup = build_setup(dict(preset_entries("p2k3"))["p2k3-08-wreath-c5"])
+    assert family_at(build(setup, degree, member_ceiling=3), degree).member_count() == 3
+    message = f"{kind} degree {degree} would have 3 members (ceiling 2)"
+    with pytest.raises(CapacityError, match=re.escape(message)):
+        build(setup, degree, member_ceiling=2)
+    report = CheckReport(instance="p2k3-08-wreath-c5", mode="derived", params={})
+    result = _Recorder(report).run("lattice", lambda: build(setup, degree, member_ceiling=2))
+    assert result.status is CheckStatus.ERROR
+    assert result.detail == f"CapacityError: {message}"
+    assert report.status == "error"
