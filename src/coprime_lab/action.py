@@ -61,8 +61,8 @@ class Automorphism:
     def _from_table(cls, source: Group, table: np.ndarray) -> "Automorphism":
         auto = cls.__new__(cls)
         auto.source = source
-        elements, index = source.sorted_elements(), source.element_index()
-        auto.images = {g: elements[table[index[g]]] for g in source.generators}
+        gens, elements = source.generators, source.sorted_elements()
+        auto.images = {g: elements[table[i]] for g, i in zip(gens, source.row_index().index_of(gens))}
         auto._table = table
         return auto
 
@@ -77,31 +77,29 @@ class Automorphism:
         for g, img in self.images.items():
             if not source.contains(img):
                 raise ValidationError("a generator image lies outside the source group")
-        index = source.element_index()
-        table = [-1] * len(index)
-        ident = Perm.identity(source.degree)
-        table[index[ident]] = index[ident]
-        frontier = [(ident, ident)]
-        pairs = list(self.images.items())
-        while frontier:
-            next_frontier = []
-            for x, tx in frontier:
-                for g, img in pairs:
-                    y = x * g
-                    ty = tx * img
-                    i, j = index[y], index[ty]
-                    known = table[i]
-                    if known < 0:
-                        table[i] = j
-                        next_frontier.append((y, ty))
-                    elif known != j:
-                        raise ValidationError("generator images do not define a homomorphism")
-            frontier = next_frontier
-        if -1 in table:
+        index = source.row_index()
+        pairs = [(index.translate(g), index.translate(img)) for g, img in self.images.items()]
+        table = np.full(len(index), -1, dtype=np.int32)
+        table[index.identity] = index.identity
+        frontier = np.array([index.identity])
+        while frontier.size:
+            reached = []
+            for t_g, t_img in pairs:
+                y, ty = t_g[frontier], t_img[table[frontier]]
+                known = table[y]
+                fresh = known < 0
+                if not np.array_equal(known[~fresh], ty[~fresh]):
+                    raise ValidationError("generator images do not define a homomorphism")
+                table[y[fresh]] = ty[fresh]
+                reached.append(y[fresh])
+            frontier = np.concatenate(reached)
+        if (table < 0).any():
             raise InternalCheckError("automorphism table does not cover the group")
-        if len(set(table)) != len(table):
+        hit = np.zeros(len(table), dtype=bool)
+        hit[table] = True
+        if not hit.all():
             raise ValidationError("generator images define a non-bijective endomorphism")
-        return np.array(table, dtype=np.int32)
+        return table
 
     def apply(self, x: Perm) -> Perm:
         source = self.source
@@ -283,8 +281,9 @@ class ActionSetup:
     def is_invariant_subgroup(self, H: Group) -> bool:
         if H.degree != self.G.degree:
             return False
-        elements = H.elements()
-        return all(base.apply(g) in elements for base in self.basis for g in H.generators)
+        elements, ordered = H.elements(), self.G.sorted_elements()
+        at = self.G.row_index().index_of(H.generators)
+        return all(ordered[i] in elements for base in self.basis for i in base.table[at])
 
     def orbit_of_element(self, x: Perm) -> frozenset[Perm]:
         return frozenset(self.phi(u).apply(x) for u in self.all_vectors())
@@ -384,20 +383,17 @@ def _require_invariant_normal(setup: ActionSetup, N: Group) -> None:
 
 
 def _coset_index_map(setup: ActionSetup, N: Group) -> tuple[np.ndarray, np.ndarray]:
-    """Coset labels over G's index, and the index of each coset's least element."""
+    """Coset labels over G's index, and the index of each coset's least element.
+
+    Cosets are numbered in the order of their least elements.
+    """
     key = N.elements()
     cached = setup._coset_cache.get(key)
     if cached is not None:
         return cached
-    index = setup.G.element_index()
-    labels = [-1] * len(index)
-    reps: list[int] = []
-    for x, i in index.items():
-        if labels[i] < 0:
-            for n in key:
-                labels[index[x * n]] = len(reps)
-            reps.append(i)
-    result = (np.array(labels, dtype=np.intp), np.array(reps, dtype=np.intp))
+    least = fastset.coset_labels(setup.G.row_index(), N.generators)
+    reps = np.flatnonzero(least == np.arange(len(least)))
+    result = (np.searchsorted(reps, least), reps)
     setup._coset_cache[key] = result
     return result
 
@@ -429,8 +425,8 @@ def check_fg2_generation(setup: ActionSetup, H: Group) -> bool:
     if generated.order != H.order:
         return False
     if is_nilpotent(H):
-        factor_sets = sorted((p.elements() for p in parts), key=len, reverse=True)
-        if not fastset.setwise_product_covers(h_elements, factor_sets, setup.G.degree):
+        factors = [part.generators for part in sorted(parts, key=lambda part: part.order, reverse=True)]
+        if not fastset.setwise_product_covers(H.row_index(), factors):
             return False
     return True
 

@@ -1,58 +1,99 @@
-"""Bulk operations on sets of permutations, vectorized with numpy.
+"""An enumerated group as a row array with an exact, vectorized row -> index lookup.
 
-Only used where pure-Python pair loops would be too slow at desk scale
-(setwise products of subgroup element sets).
+``RowIndex`` holds the image rows of ``group.sorted_elements()``, so index
+order is sort order.  Right-translating every element by f is one gather and
+one lookup, and the left cosets of a subgroup, and with them setwise products
+of subgroups, follow from those translates as index masks.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
+from .errors import InternalCheckError
 from .perms import Perm
 
-_CHUNK_ROWS = 250_000
 
+class RowIndex:
+    """Row i of ``rows`` is element i of a sorted element list.
 
-def rows_from_perms(perms: Iterable[Perm], degree: int) -> np.ndarray:
-    arr = np.array([p.images for p in sorted(perms)], dtype=np.int32)
-    if arr.size == 0:
-        arr = arr.reshape(0, degree)
-    return arr
-
-
-def setwise_product_covers(
-    target: frozenset[Perm], factor_sets: list[frozenset[Perm]], degree: int
-) -> bool:
-    """Whether the ordered setwise product of the factors equals the target set.
-
-    Factors are multiplied left to right; the accumulator is deduplicated
-    chunkwise and the loop exits early once it covers the target.
+    ``rows`` holds big-endian unsigned integers, 16-bit up to degree 65,536
+    and 32-bit past it, and each row's bytes, viewed as one void scalar, are
+    its key.  That byte order compares like the image tuples, so the keys
+    are sorted and ``searchsorted`` finds a row, which is then confirmed
+    equal.  The keys are a view of ``rows``, so the elements are stored once.
     """
-    if not factor_sets:
-        return len(target) == 1
-    target_size = len(target)
-    acc = rows_from_perms(factor_sets[0], degree)
-    for factor in factor_sets[1:]:
-        if acc.shape[0] == target_size:
+
+    __slots__ = ("rows", "_keys", "identity")
+
+    def __init__(self, elements: Sequence[Perm]):
+        degree = elements[0].degree
+        dtype = np.dtype(">u2") if degree <= 1 << 16 else np.dtype(">u4")
+        self.rows = np.array([x.images for x in elements], dtype=dtype).reshape(len(elements), degree)
+        self._keys = self.rows.view(f"V{dtype.itemsize * degree}").ravel()
+        self.identity = int(self.lookup(np.arange(degree)[None, :])[0])
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def lookup(self, rows: np.ndarray) -> np.ndarray:
+        """Index of every row; a row that is not an element raises, never a wrong index."""
+        if rows.ndim != 2 or rows.shape[1] != self.rows.shape[1]:
+            raise InternalCheckError("rows do not have the indexed group's degree")
+        keys = np.ascontiguousarray(rows, dtype=self.rows.dtype).view(self._keys.dtype).ravel()
+        found = np.searchsorted(self._keys, keys)
+        inside = found < len(self._keys)
+        if not (inside.all() and np.array_equal(self._keys[found], keys)):
+            raise InternalCheckError("a row is not an element of the indexed group")
+        return found
+
+    def index_of(self, elements: Iterable[Perm]) -> np.ndarray:
+        """Index of every given element, in the given order."""
+        rows = np.array([x.images for x in elements], dtype=self.rows.dtype)
+        return self.lookup(rows.reshape(-1, self.rows.shape[1]))
+
+    def translate(self, f: Perm) -> np.ndarray:
+        """Index of x * f for every x, in index order."""
+        return self.lookup(np.asarray(f.images, dtype=self.rows.dtype)[self.rows])
+
+
+def coset_labels(index: RowIndex, gens: Iterable[Perm]) -> np.ndarray:
+    """The least index of the left coset xF of F = <gens>, for every x.
+
+    Min-label propagation over the translates x -> x * g: a label only ever
+    moves to a smaller index of the same coset, and once no translate or
+    jump lowers any label, every label is its coset's least index.
+    """
+    translates = [index.translate(g) for g in gens]
+    label = np.arange(len(index))
+    while True:
+        new = label
+        for t in translates:
+            new = np.minimum(new, new[t])
+        new = new[new]
+        if np.array_equal(new, label):
+            return label
+        label = new
+
+
+def setwise_product_covers(index: RowIndex, factors: Sequence[Sequence[Perm]]) -> bool:
+    """Whether the ordered product F_1 F_2 ... of subgroups, each given by its
+    generators, is the whole indexed group.
+
+    S * F is the union of the left cosets of F that S meets, so the product
+    is grown as a mask from the identity, one factor at a time, and stops
+    early once it covers the group.
+    """
+    acc = np.zeros(len(index), dtype=bool)
+    acc[index.identity] = True
+    for gens in factors:
+        if acc.all():
             break
-        rows = rows_from_perms(factor, degree)
-        if rows.shape[0] == 1:
-            continue
-        pieces = [acc]
-        # product row_acc * row_factor applies the accumulator element first
-        chunk = max(1, _CHUNK_ROWS // max(acc.shape[0], 1))
-        for start in range(0, rows.shape[0], chunk):
-            block = rows[start : start + chunk]
-            prod = block[:, acc].reshape(-1, degree)
-            pieces.append(prod)
-            merged = np.unique(np.concatenate(pieces, axis=0), axis=0)
-            pieces = [merged]
-            if merged.shape[0] >= target_size:
-                break
-        acc = pieces[0]
-    if acc.shape[0] != target_size:
-        return False
-    got = {Perm._raw(tuple(int(c) for c in row)) for row in acc}
-    return got == target
+        if gens:
+            label = coset_labels(index, gens)
+            met = np.zeros(len(index), dtype=bool)
+            met[label[acc]] = True
+            acc = met[label]
+    return bool(acc.all())

@@ -6,6 +6,8 @@ import itertools
 import math
 from typing import Iterable
 
+import numpy as np
+
 from .config import enumeration_cap
 from .errors import (
     CapacityError,
@@ -14,6 +16,7 @@ from .errors import (
     PreconditionError,
     ValidationError,
 )
+from .fastset import RowIndex
 from .perms import Perm, commutator
 
 
@@ -133,7 +136,7 @@ class Group:
     only when the order fits under the enumeration cap.
     """
 
-    __slots__ = ("degree", "generators", "cap", "_chain", "_elements", "_sorted", "_index")
+    __slots__ = ("degree", "generators", "cap", "_chain", "_elements", "_sorted", "_index", "_rows")
 
     def __init__(self, degree: int, generators: Iterable = (), cap: int | None = None):
         if not isinstance(degree, int) or degree < 1:
@@ -164,6 +167,7 @@ class Group:
         self._elements: frozenset[Perm] | None = elements
         self._sorted: list[Perm] | None = None
         self._index: dict[Perm, int] | None = None
+        self._rows: RowIndex | None = None
         return self
 
     @classmethod
@@ -220,6 +224,12 @@ class Group:
         if self._index is None:
             self._index = {x: i for i, x in enumerate(self.sorted_elements())}
         return self._index
+
+    def row_index(self) -> RowIndex:
+        """The rows of ``sorted_elements()`` with a vectorized row -> index lookup."""
+        if self._rows is None:
+            self._rows = RowIndex(self.sorted_elements())
+        return self._rows
 
     @property
     def is_trivial(self) -> bool:
@@ -456,63 +466,64 @@ def abelian_section(numerator: Group, denominator: Group) -> AbelianSection:
                 raise PreconditionError("quotient is not abelian")
 
     den_elements = denominator.elements()
-    num_sorted = numerator.sorted_elements()
-    current: set[Perm] = set(den_elements)
-    basis: list[Perm] = []
+    index = numerator.row_index()
+    rows, n, degree = index.rows, len(index), numerator.degree
+    den_idx = np.sort(index.index_of(den_elements))
+    in_den = np.zeros(n, dtype=bool)
+    in_den[den_idx] = True
+
+    # column j of powers: the index of x^j, for every x, until every x has
+    # come back to the identity
+    powers = [np.full(n, index.identity), np.arange(n)]
+    power_rows = rows
+    returned = powers[-1] == index.identity
+    while not returned.all():
+        power_rows = np.take_along_axis(rows, power_rows, axis=1)
+        powers.append(index.lookup(power_rows))
+        returned |= powers[-1] == index.identity
+    powers = np.stack(powers, axis=1)
+
+    current = in_den.copy()
+    basis: list[int] = []
     orders: list[int] = []
-
-    def rel_order(x: Perm) -> int:
-        m = 1
-        power = x
-        while power not in current:
-            power = power * x
-            m += 1
-        return m
-
-    while len(current) < numerator.order:
-        best = None
-        best_m = 0
-        for x in num_sorted:
-            if x in current:
-                continue
-            m = rel_order(x)
-            if m > best_m:
-                best, best_m = x, m
-        if best is None:
+    while not current.all():
+        # relative order: the least m >= 1 with x^m in current
+        rel = np.argmax(current[powers[:, 1:]], axis=1) + 1
+        rel[current] = 0
+        best = int(np.argmax(rel))
+        best_m = int(rel[best])
+        if best_m == 0:
             raise InternalCheckError("ran out of candidates before filling the quotient")
         # correct the representative so its class has the same order in the
-        # full quotient: (best * d)^m must fall into the denominator
-        chosen = None
-        if (best ** best_m) in den_elements:
+        # full quotient: (best * d)^m must fall into the denominator, for the
+        # first d of current in sort order
+        if in_den[powers[best, best_m]]:
             chosen = best
         else:
-            for d in sorted(current):
-                candidate = best * d
-                if (candidate ** best_m) in den_elements:
-                    chosen = candidate
-                    break
-        if chosen is None:
-            raise InternalCheckError("direct-sum correction step found no representative")
+            candidates = index.lookup(rows[current][:, rows[best]])
+            ok = np.flatnonzero(in_den[powers[candidates, best_m]])
+            if not ok.size:
+                raise InternalCheckError("direct-sum correction step found no representative")
+            chosen = int(candidates[ok[0]])
         basis.append(chosen)
         orders.append(best_m)
-        new_current: set[Perm] = set()
-        power = Perm.identity(numerator.degree)
-        for _ in range(best_m):
-            for x in current:
-                new_current.add(x * power)
-            power = power * chosen
-        current = new_current
+        # current * <chosen>: x * chosen^j for x in current and j < m
+        products = rows[powers[chosen, :best_m]][:, rows[current]]
+        current = np.zeros(n, dtype=bool)
+        current[index.lookup(products.reshape(-1, degree))] = True
 
-    vector_of: dict[Perm, tuple[int, ...]] = {}
-    for exponents in itertools.product(*(range(m) for m in orders)):
-        rep = Perm.identity(numerator.degree)
-        for b, e in zip(basis, exponents):
-            rep = rep * (b**e)
-        for d in den_elements:
-            key = rep * d
-            if key in vector_of:
-                raise InternalCheckError("exponent vectors do not decompose the quotient uniquely")
-            vector_of[key] = exponents
-    if len(vector_of) != numerator.order:
+    # the representative b_1^e_1 ... b_r^e_r of every exponent vector, in
+    # itertools.product order, then rep * d for every d in the denominator
+    reps = rows[[index.identity]]
+    for b, m in zip(basis, orders):
+        reps = rows[powers[b, :m]][:, reps].transpose(1, 0, 2).reshape(-1, degree)
+    keys = index.lookup(rows[den_idx][:, reps].transpose(1, 0, 2).reshape(-1, degree))
+    if np.bincount(keys).max() > 1:
+        raise InternalCheckError("exponent vectors do not decompose the quotient uniquely")
+    if len(keys) != numerator.order:
         raise InternalCheckError("section decomposition does not cover the numerator")
-    return AbelianSection(numerator, denominator, basis, orders, vector_of)
+    elements = numerator.sorted_elements()
+    vectors = list(itertools.product(*(range(m) for m in orders)))
+    per_vector = len(den_idx)
+    vector_of = {elements[i]: vectors[j // per_vector] for j, i in enumerate(keys.tolist())}
+    return AbelianSection(numerator, denominator, [elements[b] for b in basis], orders, vector_of)

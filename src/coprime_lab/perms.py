@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from operator import itemgetter
 from typing import Sequence
 
 from .errors import ValidationError
@@ -59,8 +60,9 @@ class Perm:
         return self.images[point]
 
     def __mul__(self, other: "Perm") -> "Perm":
-        o = other.images
-        return Perm._raw(tuple(o[i] for i in self.images))
+        if len(self.images) < 2:  # itemgetter of one index returns a scalar
+            return Perm._raw(tuple(other.images[i] for i in self.images))
+        return Perm._raw(itemgetter(*self.images)(other.images))
 
     def inverse(self) -> "Perm":
         inv = [0] * len(self.images)

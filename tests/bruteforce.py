@@ -1,14 +1,16 @@
 """Independent brute-force oracles used to cross-check the main code paths.
 
 Everything here works over full element enumerations and deliberately avoids
-the package's chain-based machinery: closures run over raw image tuples, and
-commutator subgroups take every element pair as gathers in a Cayley table
-built by BFS from raw generator rows, so that desk-scale orders stay fast.
+the package's chain-based machinery and its row index: closures run over raw
+image tuples, and commutator subgroups and automorphism tables are gathers in
+a Cayley table built by BFS from raw generator rows, so that desk-scale orders
+stay fast.
 """
 
 from __future__ import annotations
 
 import itertools
+from functools import cached_property
 
 import numpy as np
 
@@ -61,7 +63,8 @@ class CayleyTable:
     multiplication by each generator, and told apart by an exact int64
     packing of their image rows.  ``mul[i, j]`` is the index of element i
     times element j (apply i, then j), ``inv[i]`` the index of i's inverse.
-    Every computation below runs on index arrays.
+    Every computation below runs on index arrays; ``mul`` and ``inv`` are
+    built on first use.
     """
 
     def __init__(self, gens: list[Perm]):
@@ -72,35 +75,54 @@ class CayleyTable:
         self._index = {self._keys(rows[0][None, :])[0]: 0}
         right: list[list[int]] = []  # right[i][g]: index of element i times generator g
         parent: list[tuple[int, int]] = []  # element j >= 1 is element i times generator g
-        i = 0
-        while i < len(rows):
-            products = gen_rows[:, rows[i]]
+        ngens = len(gens)
+        done = 0
+        while done < len(rows):
+            # one BFS layer at a time, element-major as if one element at a time
+            start, layer = done, np.array(rows[done:])
+            done = len(rows)
+            products = gen_rows[:, layer].transpose(1, 0, 2).reshape(-1, degree)
             targets = []
-            for g, key in enumerate(self._keys(products)):
+            for flat, key in enumerate(self._keys(products)):
                 j = self._index.setdefault(key, len(rows))
                 if j == len(rows):
-                    rows.append(products[g])
-                    parent.append((i, g))
+                    rows.append(products[flat])
+                    parent.append((start + flat // ngens, flat % ngens))
                 targets.append(j)
-            right.append(targets)
-            i += 1
-        self.order = n = len(rows)
+            right.extend(targets[a : a + ngens] for a in range(0, len(targets), ngens))
+        self.order = len(rows)
         self.rows = np.array(rows)
-        right_arr = np.array(right, dtype=np.int32)
+        self._right = np.array(right, dtype=np.int32)
+        self._parent = parent
+
+    @cached_property
+    def _columns(self) -> np.ndarray:
         # column j of the table, built from its BFS parent: x * (y * g) = (x * y) * g
+        n = self.order
         columns = np.empty((n, n), dtype=np.int32)
         columns[0] = np.arange(n)
-        for j, (i, g) in enumerate(parent, start=1):
-            columns[j] = right_arr[columns[i], g]
-        self.mul = columns.T
-        self.inv = np.argmax(columns == 0, axis=0)
+        for j, (i, g) in enumerate(self._parent, start=1):
+            columns[j] = self._right[columns[i], g]
+        return columns
+
+    @property
+    def mul(self) -> np.ndarray:
+        return self._columns.T
+
+    @cached_property
+    def inv(self) -> np.ndarray:
+        return np.argmax(self._columns == 0, axis=0)
 
     def _keys(self, rows: np.ndarray) -> list[tuple]:
         return list(map(tuple, (rows.astype(np.int64) @ self._W).tolist()))
 
+    def index_of(self, rows: np.ndarray) -> np.ndarray:
+        """Table index of every image row; a row outside the group raises KeyError."""
+        return np.array([self._index[k] for k in self._keys(rows)], dtype=np.intp)
+
     def indices(self, elements) -> np.ndarray:
         """Sorted table indices of the given elements of the group."""
-        return np.sort(np.array([self._index[k] for k in self._keys(_rows(elements))], dtype=np.intp))
+        return np.sort(self.index_of(_rows(elements)))
 
     def perms(self, indices) -> frozenset[Perm]:
         return frozenset(Perm._raw(tuple(row)) for row in self.rows[indices].tolist())
@@ -192,25 +214,32 @@ def brute_center(g_elements) -> set[Perm]:
 def brute_automorphism_table(group, gen_images: dict[Perm, Perm]) -> dict[Perm, Perm]:
     """Tabulate an automorphism by left-extension over the Cayley graph.
 
-    The main path extends via x*g; this oracle extends via g*x, giving an
-    independently ordered traversal of the same homomorphism.
+    The main path extends via x*g over sorted indices; this oracle extends via
+    g*x over the BFS numbering of a ``CayleyTable``, giving an independently
+    ordered traversal of the same homomorphism.
     """
-    ident = Perm.identity(group.degree)
-    table = {ident: ident}
-    frontier = [ident]
-    while frontier:
-        new_frontier = []
-        for x in frontier:
-            for g, img in gen_images.items():
-                y = g * x
-                if y not in table:
-                    table[y] = img * table[x]
-                    new_frontier.append(y)
-                else:
-                    if table[y] != img * table[x]:
-                        raise AssertionError("generator images are not a homomorphism")
-        frontier = new_frontier
-    return table
+    table = CayleyTable(list(gen_images) or [Perm.identity(group.degree)])
+
+    def left(g: Perm) -> np.ndarray:
+        # g * x reads x's row at g's images
+        return table.index_of(table.rows[:, g.images])
+
+    edges = [(left(g), left(img)) for g, img in gen_images.items()]
+    image = np.full(table.order, -1, dtype=np.intp)
+    image[0] = 0
+    frontier = np.zeros(1, dtype=np.intp)
+    while frontier.size:
+        reached = []
+        for left_g, left_img in edges:
+            y, ty = left_g[frontier], left_img[image[frontier]]
+            seen = image[y] >= 0
+            if (image[y[seen]] != ty[seen]).any():
+                raise AssertionError("generator images are not a homomorphism")
+            image[y[~seen]] = ty[~seen]
+            reached.append(y[~seen])
+        frontier = np.concatenate(reached)
+    elements = [Perm._raw(tuple(row)) for row in table.rows.tolist()]
+    return {elements[i]: elements[j] for i, j in enumerate(image.tolist())}
 
 
 def brute_action_tables(group, basis_images: list[dict[Perm, Perm]], p: int) -> dict[tuple, dict[Perm, Perm]]:
@@ -230,6 +259,54 @@ def brute_fixed_elements(group, autos: list[dict[Perm, Perm]]) -> set[Perm]:
     """Elements fixed by every tabulated automorphism."""
     els = group.elements()
     return {x for x in els if all(t[x] == x for t in autos)}
+
+
+def brute_abelian_section(num_elements, den_elements):
+    """Greedy cyclic decomposition of the abelian quotient num/den, over Perm products.
+
+    The choice rule of ``groups.abelian_section``, one element at a time: pick
+    the first element in sort order of largest order relative to the
+    subgroup covered so far, then, if its m-th power leaves the denominator,
+    replace it by its product with the first covered element in sort order
+    whose m-th power does not.  Returns (basis, orders, vector_of), where
+    vector_of maps every element of num to its exponent vector.
+    """
+    den = set(den_elements)
+    num_sorted = sorted(num_elements)
+    current = set(den)
+    basis, orders = [], []
+
+    def rel_order(x: Perm) -> int:
+        m, power = 1, x
+        while power not in current:
+            power, m = power * x, m + 1
+        return m
+
+    while len(current) < len(num_sorted):
+        best, best_m = None, 0
+        for x in num_sorted:
+            if x not in current and (m := rel_order(x)) > best_m:
+                best, best_m = x, m
+        chosen = next(
+            c for c in [best] + [best * d for d in sorted(current)] if c**best_m in den
+        )
+        basis.append(chosen)
+        orders.append(best_m)
+        power, grown = Perm.identity(chosen.degree), set()
+        for _ in range(best_m):
+            grown |= {x * power for x in current}
+            power = power * chosen
+        current = grown
+    vector_of = {}
+    for exponents in itertools.product(*(range(m) for m in orders)):
+        rep = Perm.identity(num_sorted[0].degree)
+        for b, e in zip(basis, exponents):
+            rep = rep * b**e
+        for d in den:
+            assert rep * d not in vector_of, "exponent vectors are not unique"
+            vector_of[rep * d] = exponents
+    assert len(vector_of) == len(num_sorted), "exponent vectors do not cover the numerator"
+    return basis, orders, vector_of
 
 
 def brute_span(p: int, k: int, vectors) -> frozenset[tuple[int, ...]]:

@@ -120,6 +120,18 @@ def test_non_homomorphism_rejected():
         Automorphism(G, {t: v, v: v}).table
 
 
+def test_non_homomorphism_rejected_by_the_edge_check():
+    flip = Perm.from_cycles(3, (0, 1))
+    rotate = Perm.from_cycles(3, (0, 1, 2))
+    G = group_from_generators(3, [flip, rotate])
+    # an element of order 3 cannot map to one of order 2
+    images = {flip: flip, rotate: Perm.from_cycles(3, (1, 2))}
+    with pytest.raises(ValidationError, match="do not define a homomorphism"):
+        Automorphism(G, images).table
+    with pytest.raises(AssertionError, match="not a homomorphism"):
+        brute_automorphism_table(G, images)
+
+
 def test_image_outside_group_rejected():
     G = heisenberg27()
     t, v = G.generators

@@ -1,0 +1,173 @@
+"""The row index of an enumerated group, and what is built on it, against brute force."""
+
+import numpy as np
+import pytest
+
+from coprime_lab.action import fixed_elements_in, maximal_subgroups
+from coprime_lab.errors import InternalCheckError
+from coprime_lab.fastset import coset_labels, setwise_product_covers
+from coprime_lab.groups import Group, abelian_section, group_from_generators
+from coprime_lab.harness import random_invariant_subgroups
+from coprime_lab.instances import build_setup, preset_entries
+from coprime_lab.perms import Perm
+from coprime_lab.series import lower_central_series
+
+from bruteforce import brute_abelian_section, mulclose
+
+SMOKE = ["smoke-01-gl-q3n3", "smoke-02-heis-diag-c5", "smoke-03-c3-c5-c7"]
+LEMMA_PRESETS = [
+    "p2k3-06-c3swap-heis-c5", "p2k4-07-frob21-c5-c11", "p3k3-07-c7-c7-c13", "p3k3-08-c7-mixed",
+]
+
+
+def preset_setup(instance_id):
+    return build_setup(dict(preset_entries(instance_id.split("-")[0]))[instance_id])
+
+
+def s3():
+    return group_from_generators(3, [Perm.from_cycles(3, (0, 1)), Perm.from_cycles(3, (0, 1, 2))])
+
+
+def heisenberg27():
+    t = Perm.from_cycles(9, (0, 3, 6), (1, 4, 7), (2, 5, 8))
+    v = Perm.from_cycles(9, (0, 1, 2), (3, 5, 4))
+    return group_from_generators(9, [t, v])
+
+
+@pytest.fixture(scope="module", params=SMOKE)
+def smoke_setup(request):
+    return preset_setup(request.param)
+
+
+def brute_product(factors):
+    """The setwise product of element sets, left to right, one pair at a time."""
+    acc = set(factors[0])
+    for factor in factors[1:]:
+        acc = {a * f for a in acc for f in factor}
+    return acc
+
+
+def test_lookup_finds_every_element_at_its_sorted_position(smoke_setup):
+    for G in (s3(), heisenberg27(), smoke_setup.G):
+        ordered = sorted(mulclose(list(G.generators)))
+        index = G.row_index()
+        rows = np.array([x.images for x in ordered], dtype=np.int32)
+        assert np.array_equal(index.rows, rows)
+        assert index.lookup(rows).tolist() == list(range(len(ordered)))
+        shuffled = np.random.default_rng(0).permutation(len(ordered))
+        assert np.array_equal(index.lookup(rows[shuffled]), shuffled)
+        assert ordered[index.identity].is_identity()
+
+
+def test_lookup_rejects_rows_outside_the_group():
+    G = heisenberg27()
+    index = G.row_index()
+    outside = [
+        Perm.from_cycles(9, (0, 1)),  # inside the sorted range, not an element
+        Perm(list(range(8, -1, -1))),  # past the last key
+    ]
+    for x in outside:
+        assert not G.contains(x)
+        with pytest.raises(InternalCheckError):
+            index.lookup(np.array([x.images], dtype=np.int32))
+        with pytest.raises(InternalCheckError):
+            index.translate(x)
+    mixed = np.array([G.generators[0].images, outside[0].images], dtype=np.int32)
+    with pytest.raises(InternalCheckError):
+        index.lookup(mixed)
+    with pytest.raises(InternalCheckError):
+        index.lookup(np.zeros((1, 8), dtype=np.int32))
+
+
+def test_rows_widen_past_degree_65536():
+    degree = (1 << 16) + 2
+    swap = Perm.from_cycles(degree, (0, degree - 1))
+    index = group_from_generators(degree, [swap]).row_index()
+    assert index.rows.dtype.itemsize == 4
+    assert index.rows[1, 0] == degree - 1
+    assert index.translate(swap).tolist() == [1, 0]
+    assert index.index_of([swap, Perm.identity(degree)]).tolist() == [1, 0]
+
+
+def test_translate_matches_products(smoke_setup):
+    G = smoke_setup.G
+    ordered = G.sorted_elements()
+    position = {x: i for i, x in enumerate(ordered)}
+    index = G.row_index()
+    for f in list(G.generators) + ordered[:: max(1, len(ordered) // 7)]:
+        assert index.translate(f).tolist() == [position[x * f] for x in ordered]
+
+
+def test_coset_labels_match_brute_cosets(smoke_setup):
+    setup = smoke_setup
+    G = setup.G
+    ordered = G.sorted_elements()
+    position = {x: i for i, x in enumerate(ordered)}
+    subgroups = [Group.trivial(G.degree), G] + random_invariant_subgroups(setup, seed=0)
+    subgroups += [group_from_generators(G.degree, [x]) for x in ordered[1:: max(1, len(ordered) // 5)]]
+    for F in subgroups:
+        elements = mulclose(list(F.generators)) or {Perm.identity(G.degree)}
+        least = [min(position[x * f] for f in elements) for x in ordered]
+        assert coset_labels(G.row_index(), F.generators).tolist() == least
+
+
+def test_setwise_product_does_not_cover_s3():
+    G = s3()
+    a, b, c = Perm.from_cycles(3, (0, 1)), Perm.from_cycles(3, (0, 2)), Perm.from_cycles(3, (1, 2))
+    ident = Perm.identity(3)
+    assert len(brute_product([{ident, a}, {ident, b}])) == 4
+    assert not setwise_product_covers(G.row_index(), [(a,), (b,)])
+    assert len(brute_product([{ident, a}, {ident, b}, {ident, c}])) == 6
+    assert setwise_product_covers(G.row_index(), [(a,), (b,), (c,)])
+    assert setwise_product_covers(G.row_index(), [G.generators])
+    assert not setwise_product_covers(G.row_index(), [])
+    assert setwise_product_covers(Group.trivial(3).row_index(), [])
+
+
+def test_setwise_product_matches_brute_on_centralizer_factors(smoke_setup):
+    """fg2's factors: the C_H(A_j), largest first, on random invariant subgroups H."""
+    setup = smoke_setup
+    checked = 0
+    for H in [setup.G] + random_invariant_subgroups(setup, seed=1):
+        parts = []
+        for A_j in maximal_subgroups(setup):
+            fixed = fixed_elements_in(setup, A_j, H.elements())
+            parts.append(Group.from_elements(setup.G.degree, fixed))
+        parts.sort(key=lambda part: part.order, reverse=True)
+        for count in range(1, len(parts) + 1):
+            factors = parts[:count]
+            covers = brute_product([part.elements() for part in factors]) == set(H.elements())
+            assert setwise_product_covers(H.row_index(), [part.generators for part in factors]) == covers
+            checked += not covers
+    assert checked  # some prefix of factors falls short of H
+
+
+@pytest.mark.parametrize("instance_id", SMOKE + LEMMA_PRESETS)
+def test_abelian_section_matches_brute_greedy(instance_id):
+    terms = lower_central_series(preset_setup(instance_id).G).terms
+    for numerator, denominator in zip(terms, terms[1:]):
+        section = abelian_section(numerator, denominator)
+        basis, orders, vector_of = brute_abelian_section(numerator.elements(), denominator.elements())
+        assert section.basis == tuple(basis)
+        assert section.orders == tuple(orders)
+        assert all(section.decompose(x) == v for x, v in vector_of.items())
+
+
+def test_abelian_section_correction_step_matches_brute_greedy():
+    """Z4 x Z2, regular on 8 points: the first element outside <b_1> in sort
+    order has order 4, so the second basis element comes from the correction
+    step, as a product with an element of <b_1>."""
+    G = group_from_generators(8, [
+        Perm.from_cycles(8, (0, 4, 2, 1), (3, 7, 5, 6)),
+        Perm.from_cycles(8, (0, 6), (1, 5), (2, 7), (3, 4)),
+    ])
+    trivial = Group.trivial(8)
+    section = abelian_section(G, trivial)
+    basis, orders, vector_of = brute_abelian_section(G.elements(), trivial.elements())
+    assert section.orders == tuple(orders) == (4, 2)
+    assert section.basis == tuple(basis)
+    assert all(section.decompose(x) == v for x, v in vector_of.items())
+    first_pick = section.basis[0]
+    cyclic = {first_pick**i for i in range(4)}
+    naive = next(x for x in G.sorted_elements() if x not in cyclic)
+    assert naive.order() == 4 and section.basis[1] != naive
