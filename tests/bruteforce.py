@@ -211,6 +211,61 @@ def brute_center(g_elements) -> set[Perm]:
     return {x for x in els if all(x * g == g * x for g in els)}
 
 
+def _commutator_matrix(table: CayleyTable) -> np.ndarray:
+    """Entry (x, g) is the index of [x, g] = x^-1 g^-1 x g, for every pair."""
+    every = np.arange(table.order)
+    mul, inv = table.mul, table.inv
+    return mul[mul[mul[inv[:, None], inv[None, :]], every[:, None]], every[None, :]]
+
+
+def brute_upper_central_series(g_elements) -> list[set[Perm]]:
+    """Z_0 = 1 and Z_{i+1} = {x : [x, g] in Z_i for every g in G}, until it stops growing.
+
+    Every commutator of every pair of elements is tabulated once; each term
+    is read off that table, with no generators involved.
+    """
+    table = cayley_table_of(g_elements)
+    comms = _commutator_matrix(table)
+    term = np.zeros(table.order, dtype=bool)
+    term[0] = True
+    terms = [term]
+    while not term.all():
+        term = term[comms].all(axis=1)
+        if term.sum() == terms[-1].sum():
+            break
+        terms.append(term)
+    return [set(table.perms(np.flatnonzero(t))) for t in terms]
+
+
+def _is_prime_power(n: int) -> bool:
+    r = next(d for d in range(2, n + 1) if n % d == 0) if n > 1 else 1
+    while n % r == 0 and n > 1:
+        n //= r
+    return n == 1
+
+
+def brute_fitting_subgroup(g_elements) -> set[Perm]:
+    """F(G), the product of the O_r(G), read off element by element.
+
+    An element lies in some O_r(G) exactly when its normal closure is an
+    r-group, so F(G) is generated by the conjugacy classes whose closure has
+    prime-power order.
+    """
+    table = cayley_table_of(g_elements)
+    every = np.arange(table.order)
+    conjugates = table.mul[table.mul[table.inv[:, None], every[None, :]], every[:, None]]
+    seen = np.zeros(table.order, dtype=bool)
+    found = np.zeros(table.order, dtype=bool)
+    for x in every:
+        if seen[x]:
+            continue
+        cls = np.unique(conjugates[:, x])
+        seen[cls] = True
+        if _is_prime_power(len(table.closure(cls))):
+            found[cls] = True
+    return set(table.perms(table.closure(np.flatnonzero(found))))
+
+
 def brute_automorphism_table(group, gen_images: dict[Perm, Perm]) -> dict[Perm, Perm]:
     """Tabulate an automorphism by left-extension over the Cayley graph.
 

@@ -115,8 +115,11 @@ def test_inversion_is_valid_order_two():
 def test_non_homomorphism_rejected():
     G = heisenberg27()
     t, v = G.generators
-    with pytest.raises(ValidationError):
-        # t -> v, v -> v does not extend to an endomorphism
+    # Heisenberg-27 is the free Burnside group B(2, 3), so every map of its
+    # two generators extends to an endomorphism; t -> v, v -> v has image <v>
+    # and is rejected as non-bijective, not as a non-homomorphism (the S3
+    # edge-check test below covers that case)
+    with pytest.raises(ValidationError, match="non-bijective"):
         Automorphism(G, {t: v, v: v}).table
 
 

@@ -1,6 +1,9 @@
 """Tests for the series module: lower central, derived, upper central, Fitting."""
 
-from coprime_lab.groups import group_from_generators
+import pytest
+
+from coprime_lab.groups import center, group_from_generators
+from coprime_lab.instances import build_setup, preset_entries
 from coprime_lab.perms import Perm
 from coprime_lab.series import (
     derived_series,
@@ -15,8 +18,10 @@ from coprime_lab.series import (
 
 from bruteforce import (
     brute_derived_series,
+    brute_fitting_subgroup,
     brute_lower_central_series,
     brute_nilpotency_class,
+    brute_upper_central_series,
 )
 
 
@@ -126,3 +131,25 @@ def test_fitting_subgroup():
     P = group_from_generators(14, [t, v, c5])
     assert P.order == 135
     assert fitting_subgroup(P).same_subgroup(P)
+
+
+ORACLE_INSTANCES = (
+    ("smoke", "smoke-01-gl-q3n3"),
+    ("smoke", "smoke-02-heis-diag-c5"),
+    ("smoke", "smoke-03-c3-c5-c7"),
+    ("p2k3", "p2k3-06-c3swap-heis-c5"),
+    ("p2k4", "p2k4-07-frob21-c5-c11"),
+    ("p3k3", "p3k3-07-c7-c7-c13"),
+    ("p3k3", "p3k3-08-c7-mixed"),
+)
+
+
+@pytest.mark.parametrize("preset,instance_id", ORACLE_INSTANCES)
+def test_upper_central_series_center_and_fitting_match_brute(preset, instance_id):
+    G = build_setup(dict(preset_entries(preset))[instance_id]).G
+    elements = G.elements()
+    expected = brute_upper_central_series(elements)
+    terms = upper_central_series(G).terms
+    assert [t.elements() for t in terms] == expected
+    assert center(G).elements() == (expected[1] if len(expected) > 1 else expected[0])
+    assert fitting_subgroup(G).elements() == brute_fitting_subgroup(elements)
