@@ -5,8 +5,9 @@ in (Z/p)^k together with a homomorphism into Aut(G) given by k commuting
 basis automorphisms of order dividing p.
 
 G is indexed once by ``G.sorted_elements()``, so index order is sort order.
-Every automorphism is an index array over it, and centralizers, fixed points
-and fixed cosets are found by masking arrays of indices.
+Every automorphism is an index array over it, and every subgroup of G is a
+bool mask over it: centralizers, fixed points and fixed cosets are found by
+masking arrays of indices, and the caches are keyed by mask bytes.
 """
 
 from __future__ import annotations
@@ -21,11 +22,12 @@ import numpy as np
 
 from . import fastset
 from .errors import (
+    ContainmentError,
     InternalCheckError,
     PreconditionError,
     ValidationError,
 )
-from .groups import Group, generated_subgroup, subgroup_conjugate_sets, sylow_subgroup
+from .groups import Group, generated_in, generated_subgroup, subgroup_conjugate_sets, sylow_subgroup
 from .perms import Perm
 from .series import _is_prime, is_nilpotent
 
@@ -103,7 +105,7 @@ class Automorphism:
 
     def apply(self, x: Perm) -> Perm:
         source = self.source
-        return source.sorted_elements()[self.table[source.element_index()[x]]]
+        return source.sorted_elements()[self.table[source.row_index().index_of([x])[0]]]
 
     def then(self, other: "Automorphism") -> "Automorphism":
         """Composite: apply self, then other."""
@@ -125,9 +127,6 @@ class Automorphism:
 
     def agrees_with(self, other: "Automorphism") -> bool:
         return all(other.images[g] == img for g, img in self.images.items())
-
-    def preserves_set(self, elements: frozenset[Perm]) -> bool:
-        return all(self.apply(x) in elements for x in elements)
 
 
 @dataclass(frozen=True)
@@ -226,7 +225,9 @@ class ActionSetup:
     """The triple (G, A, phi): A = (Z/p)^k acting on the p'-group G.
 
     ``basis`` lists the automorphisms phi(e_1), ..., phi(e_k); general phi(u)
-    values are composed (and cached) on demand.
+    values are composed (and cached) on demand.  G must be a root, a group
+    built from generators or elements, so that masks of its subgroups and
+    the automorphism tables share one index.
     """
 
     __slots__ = ("G", "p", "k", "basis", "_phi_cache", "_fixed_cache", "_coset_cache")
@@ -240,13 +241,15 @@ class ActionSetup:
         for auto in basis:
             if auto.source is not G:
                 raise ValidationError("basis automorphisms must act on the setup's group")
+        if G._root is not None:
+            raise ValidationError("the setup's group must be built from generators or elements")
         self.G = G
         self.p = p
         self.k = k
         self.basis = basis
         self._phi_cache: dict[tuple[int, ...], Automorphism] = {}
-        self._fixed_cache: dict[frozenset, Group] = {}
-        self._coset_cache: dict[frozenset, tuple[np.ndarray, np.ndarray]] = {}
+        self._fixed_cache: dict[bytes, Group] = {}
+        self._coset_cache: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
 
     def zero_vector(self) -> tuple[int, ...]:
         return tuple(0 for _ in range(self.k))
@@ -275,18 +278,22 @@ class ActionSetup:
         self._phi_cache[vector] = auto
         return auto
 
-    def is_invariant_set(self, elements: frozenset[Perm]) -> bool:
-        return all(base.preserves_set(elements) for base in self.basis)
+    def is_invariant_mask(self, mask: np.ndarray) -> bool:
+        """Whether every basis automorphism maps the element mask into itself."""
+        return all(mask[base.table[mask]].all() for base in self.basis)
 
     def is_invariant_subgroup(self, H: Group) -> bool:
         if H.degree != self.G.degree:
             return False
-        elements, ordered = H.elements(), self.G.sorted_elements()
-        at = self.G.row_index().index_of(H.generators)
-        return all(ordered[i] in elements for base in self.basis for i in base.table[at])
+        try:
+            mask = H.mask_over(self.G)
+        except ContainmentError:
+            return False
+        return self.is_invariant_mask(mask)
 
     def orbit_of_element(self, x: Perm) -> frozenset[Perm]:
-        return frozenset(self.phi(u).apply(x) for u in self.all_vectors())
+        at, ordered = self.G.row_index().index_of([x])[0], self.G.sorted_elements()
+        return frozenset(ordered[self.phi(u).table[at]] for u in self.all_vectors())
 
 
 @dataclass
@@ -348,29 +355,33 @@ def maximal_subgroups(setup: ActionSetup) -> list[ASubgroupDescriptor]:
     return out
 
 
-def fixed_subgroup(setup: ActionSetup, B: ASubgroupDescriptor) -> Group:
-    """C_G(B): the elements fixed by every automorphism phi(u), u in B."""
-    key = B.key()
-    cached = setup._fixed_cache.get(key)
-    if cached is not None:
-        return cached
-    G = setup.G
-    fixed = np.arange(G.order)
+def _fixed_mask(setup: ActionSetup, B: ASubgroupDescriptor) -> np.ndarray:
+    """The mask of the elements fixed by every phi(u), u in B."""
+    every = np.arange(setup.G.order)
+    fixed = np.ones(len(every), dtype=bool)
     for u in B.vectors:
-        fixed = fixed[setup.phi(u).table[fixed] == fixed]
-    result = Group.from_elements(G.degree, map(G.sorted_elements().__getitem__, fixed), cap=G.cap)
-    setup._fixed_cache[key] = result
-    return result
+        fixed &= setup.phi(u).table == every
+    return fixed
+
+
+def fixed_subgroup(setup: ActionSetup, B: ASubgroupDescriptor) -> Group:
+    """C_G(B): the elements fixed by every automorphism phi(u), u in B.
+
+    One group per fixed mask, so subgroups B with the same centralizer share it.
+    """
+    fixed = _fixed_mask(setup, B)
+    key = fixed.tobytes()
+    cached = setup._fixed_cache.get(key)
+    if cached is None:
+        cached = setup._fixed_cache[key] = Group.from_mask(setup.G, fixed)
+    return cached
 
 
 def fixed_elements_in(setup: ActionSetup, B: ASubgroupDescriptor, elements: Iterable[Perm]) -> list[Perm]:
     """Elements of the given collection fixed by every phi(u), u in B, sorted (index order is sort order)."""
-    index = setup.G.element_index()
-    idx = np.sort(np.fromiter(map(index.__getitem__, elements), dtype=np.intp))
-    for u in B.vectors:
-        idx = idx[setup.phi(u).table[idx] == idx]
+    idx = np.sort(setup.G.row_index().index_of(list(elements)))
     ordered = setup.G.sorted_elements()
-    return [ordered[i] for i in idx]
+    return [ordered[i] for i in idx[_fixed_mask(setup, B)[idx]]]
 
 
 def _require_invariant_normal(setup: ActionSetup, N: Group) -> None:
@@ -387,7 +398,7 @@ def _coset_index_map(setup: ActionSetup, N: Group) -> tuple[np.ndarray, np.ndarr
 
     Cosets are numbered in the order of their least elements.
     """
-    key = N.elements()
+    key = N.mask_over(setup.G).tobytes()
     cached = setup._coset_cache.get(key)
     if cached is not None:
         return cached
@@ -405,8 +416,7 @@ def check_fg1_quotient(setup: ActionSetup, N: Group, B: ASubgroupDescriptor) -> 
     fixed_below = np.arange(len(reps))
     for u in B.vectors:
         fixed_below = fixed_below[labels[setup.phi(u).table[reps[fixed_below]]] == fixed_below]
-    index = setup.G.element_index()
-    image = np.unique(labels[list(map(index.__getitem__, fixed_subgroup(setup, B).elements()))])
+    image = np.unique(labels[fixed_subgroup(setup, B).mask_over(setup.G)])
     return np.array_equal(fixed_below, image)
 
 
@@ -416,11 +426,8 @@ def check_fg2_generation(setup: ActionSetup, H: Group) -> bool:
         raise PreconditionError("the generation lemma needs rank k >= 2")
     if not setup.is_invariant_subgroup(H):
         raise PreconditionError("H is not A-invariant")
-    h_elements = H.elements()
-    parts = []
-    for A_j in maximal_subgroups(setup):
-        fixed = fixed_elements_in(setup, A_j, h_elements)
-        parts.append(Group.from_elements(setup.G.degree, fixed, cap=setup.G.cap))
+    h_mask = H.mask_over(setup.G)
+    parts = [Group.from_mask(setup.G, h_mask & _fixed_mask(setup, A_j)) for A_j in maximal_subgroups(setup)]
     generated = generated_subgroup(setup.G.degree, parts, cap=setup.G.cap)
     if generated.order != H.order:
         return False
@@ -435,14 +442,15 @@ def invariant_sylow(setup: ActionSetup, H: Group, r: int) -> Group:
     """An A-invariant Sylow r-subgroup of the A-invariant subgroup H."""
     if not setup.is_invariant_subgroup(H):
         raise PreconditionError("H is not A-invariant")
+    H = generated_in(setup.G, H.generators)  # H's masks over G's index, which the tables use
     P = sylow_subgroup(H, r)
     if P.is_trivial or P.order == H.order:
         return P
     if setup.is_invariant_subgroup(P):
         return P
     for candidate in subgroup_conjugate_sets(H, P):
-        if setup.is_invariant_set(candidate):
-            return Group.from_elements(setup.G.degree, candidate, cap=setup.G.cap)
+        if setup.is_invariant_mask(candidate):
+            return Group.from_mask(setup.G, candidate)
     raise InternalCheckError(
         "no A-invariant Sylow subgroup among the conjugates; coprime theory guarantees one"
     )
@@ -452,14 +460,15 @@ def induced_action_on_quotient(setup: ActionSetup, N: Group) -> ActionSetup:
     """The induced setup on a faithful permutation representation of G/N."""
     _require_invariant_normal(setup, N)
     labels, reps = _coset_index_map(setup, N)
-    labels, index = labels.tolist(), setup.G.element_index()
-    reps = list(map(setup.G.sorted_elements().__getitem__, reps))
+    index = setup.G.row_index()
     degree = max(len(reps), 1)
 
-    def coset_perm(g: Perm) -> Perm:
-        return Perm._raw(tuple(labels[index[rep * g]] for rep in reps))
+    def coset_perm(i: int) -> Perm:
+        """The permutation of the cosets x N by right multiplication with element i."""
+        return Perm._raw(tuple(labels[index.right(i)[reps]].tolist()))
 
-    gen_images = {g: coset_perm(g) for g in setup.G.generators}
+    at = index.index_of(setup.G.generators).tolist()
+    gen_images = {g: coset_perm(i) for g, i in zip(setup.G.generators, at)}
     quotient = Group(degree, list(gen_images.values()), cap=setup.G.cap)
     if quotient.order != setup.G.order // N.order:
         raise InternalCheckError("coset action has the wrong order for the quotient")
@@ -467,10 +476,10 @@ def induced_action_on_quotient(setup: ActionSetup, N: Group) -> ActionSetup:
     new_basis = []
     for base in setup.basis:
         images: dict[Perm, Perm] = {}
-        for g, q in gen_images.items():
+        for (g, q), i in zip(gen_images.items(), at):
             if q not in kept:
                 continue
-            img = coset_perm(base.apply(g))
+            img = coset_perm(int(base.table[i]))
             if q in images and images[q] != img:
                 raise InternalCheckError("induced automorphism is not well-defined on cosets")
             images[q] = img

@@ -1,4 +1,10 @@
-"""Finite permutation groups: membership chains, subgroup operations, abelian sections."""
+"""Finite permutation groups: membership chains, subgroup masks, abelian sections.
+
+A group built from generators holds a Schreier-Sims chain until it is
+enumerated.  Every subgroup built inside an enumerated group, from
+centralizers to commutator subgroups, series terms and Sylow subgroups, is a
+bool mask over that group's ``fastset.RowIndex``, with no chain.
+"""
 
 from __future__ import annotations
 
@@ -16,6 +22,7 @@ from .errors import (
     PreconditionError,
     ValidationError,
 )
+from . import fastset
 from .fastset import RowIndex
 from .perms import Perm, commutator
 
@@ -132,11 +139,13 @@ class _Chain:
 class Group:
     """A finite permutation group with generator set and membership structure.
 
-    Immutable after construction; the full element set is cached lazily and
-    only when the order fits under the enumeration cap.
+    A group built from generators keeps a Schreier-Sims chain for its order,
+    the cap check and membership until it is enumerated, and is then the root
+    of its own row index.  A subgroup built inside an enumerated group is a
+    bool mask over its root's index, with its generators' indices and no chain.
     """
 
-    __slots__ = ("degree", "generators", "cap", "_chain", "_elements", "_sorted", "_index", "_rows")
+    __slots__ = ("degree", "generators", "cap", "_chain", "_elements", "_sorted", "_rows", "_root", "_mask", "_at")
 
     def __init__(self, degree: int, generators: Iterable = (), cap: int | None = None):
         if not isinstance(degree, int) or degree < 1:
@@ -158,17 +167,27 @@ class Group:
             chain.extend(g)
         self._fill(degree, cap, gens, chain)
 
-    def _fill(self, degree: int, cap: int, generators, chain: _Chain, elements=None) -> "Group":
-        """Sets every slot; the one place that does, for each way a group is built."""
+    def _fill(self, degree: int, cap: int, generators, chain: _Chain | None, root=None, mask=None, at=None) -> "Group":
+        """Sets every slot; the one place that does.  ``_mask`` and ``_at`` mark the elements and
+        generators over the index of ``_root``, or of the group itself when it is a root."""
         self.degree = degree
         self.cap = cap
         self.generators = tuple(generators)
         self._chain = chain
-        self._elements: frozenset[Perm] | None = elements
+        self._elements: frozenset[Perm] | None = None
         self._sorted: list[Perm] | None = None
-        self._index: dict[Perm, int] | None = None
         self._rows: RowIndex | None = None
+        self._root: Group | None = root
+        self._mask: np.ndarray | None = mask
+        self._at: np.ndarray | None = at
         return self
+
+    @classmethod
+    def _in(cls, root: "Group", mask: np.ndarray, at) -> "Group":
+        elements = root.sorted_elements()
+        return cls.__new__(cls)._fill(
+            root.degree, root.cap, [elements[i] for i in at], None, root, mask, np.asarray(at, dtype=np.intp)
+        )
 
     @classmethod
     def trivial(cls, degree: int, cap: int | None = None) -> "Group":
@@ -176,71 +195,102 @@ class Group:
 
     @classmethod
     def from_elements(cls, degree: int, elements: Iterable[Perm], cap: int | None = None) -> "Group":
-        """Build a group from its full element set (must be closed)."""
-        elements = frozenset(elements)
-        target = len(elements)
-        chain = _Chain(degree)
-        gens: list[Perm] = []
-        for x in sorted(elements):
-            if chain.extend(x):
-                gens.append(x)
-        if chain.order() != target:
-            raise ValidationError(
-                f"element set of size {target} is not closed (generated order {chain.order()})"
-            )
-        return cls.__new__(cls)._fill(degree, enumeration_cap(cap), gens, chain, elements)
+        """Build a group from its full element set (must be closed), as the root of its own index."""
+        group = cls.__new__(cls)._fill(degree, enumeration_cap(cap), (), None)
+        group._sorted = sorted(set(elements))
+        if not group._sorted or not group._sorted[0].is_identity():
+            raise ValidationError(f"element set of size {len(group._sorted)} is not closed")
+        at = _picks(group.row_index(), group._mask)
+        group.generators, group._at = tuple(group._sorted[i] for i in at), np.asarray(at, dtype=np.intp)
+        return group
+
+    @classmethod
+    def from_mask(cls, ambient: "Group", mask: np.ndarray) -> "Group":
+        """The subgroup whose elements ``mask`` marks over the index of ambient's root (must be closed)."""
+        root = ambient._frame()[0]
+        return cls._in(root, mask, _picks(root.row_index(), mask))
+
+    def _frame(self) -> tuple["Group", np.ndarray, np.ndarray]:
+        """(root, mask, generator indices) over the root's index; enumerates a group with neither."""
+        if self._mask is None:
+            self.row_index()
+        return self._root or self, self._mask, self._at
+
+    def _over(self, root: "Group") -> tuple[np.ndarray, np.ndarray]:
+        """Mask and generator indices over ``root``'s index, regenerated there for a group of another root."""
+        if self._mask is not None and (self._root or self) is root:
+            return self._mask, self._at
+        at = root.row_index().positions(self.generators)
+        if (at < 0).any():
+            raise ContainmentError("a generator lies outside the enumerated group")
+        return _generated(root.row_index(), at), at
+
+    def mask_over(self, ambient: "Group") -> np.ndarray:
+        """This group's elements as a bool mask over the index of ambient's root."""
+        return self._over(ambient._frame()[0])[0]
 
     @property
     def order(self) -> int:
-        return self._chain.order()
+        if self._chain is not None:
+            return self._chain.order()
+        return int(np.count_nonzero(self._mask))
 
     def contains(self, x: Perm) -> bool:
         if not isinstance(x, Perm):
             raise ValidationError(f"expected a Perm, got {type(x).__name__}")
         if x.degree != self.degree:
             raise ValidationError(f"element degree {x.degree} != group degree {self.degree}")
-        if self._elements is not None:
-            return x in self._elements
-        return self._chain.contains(x)
+        if self._chain is not None and self._elements is None:
+            return self._chain.contains(x)
+        return x in self.elements()
 
     def elements(self) -> frozenset[Perm]:
         if self._elements is None:
-            if self.order > self.cap:
+            if self._chain is not None and self.order > self.cap:
                 raise CapacityError(
                     f"group order {self.order} exceeds the enumeration cap {self.cap}"
                 )
-            self._elements = frozenset(self._chain.iter_elements())
+            self._elements = frozenset(self.sorted_elements() if self._chain is None else self._chain.iter_elements())
             if len(self._elements) != self.order:
                 raise InternalCheckError("element enumeration disagrees with chain order")
         return self._elements
 
     def sorted_elements(self) -> list[Perm]:
         if self._sorted is None:
-            self._sorted = sorted(self.elements())
+            if self._chain is None:
+                every = self._root.sorted_elements()
+                self._sorted = [every[i] for i in np.flatnonzero(self._mask).tolist()]
+            else:
+                self._sorted = sorted(self.elements())
         return self._sorted
 
-    def element_index(self) -> dict[Perm, int]:
-        """Each element's position in ``sorted_elements()``: index order is sort order."""
-        if self._index is None:
-            self._index = {x: i for i, x in enumerate(self.sorted_elements())}
-        return self._index
-
     def row_index(self) -> RowIndex:
-        """The rows of ``sorted_elements()`` with a vectorized row -> index lookup."""
+        """The rows of ``sorted_elements()`` with a vectorized row -> index lookup; a group that
+        is not a mask over another becomes the root of this index."""
         if self._rows is None:
             self._rows = RowIndex(self.sorted_elements())
+            if self._mask is None:
+                self._mask = np.ones(len(self._rows), dtype=bool)
+                self._at = self._rows.index_of(self.generators)
         return self._rows
 
     @property
     def is_trivial(self) -> bool:
         return self.order == 1
 
+    def _shares_root(self, other: "Group") -> bool:
+        return self._mask is not None and other._mask is not None and (self._root or self) is (other._root or other)
+
     def is_subgroup_of(self, other: "Group") -> bool:
         if self.degree != other.degree:
             return False
+        if self._shares_root(other):
+            return not (self._mask & ~other._mask).any()
         return all(other.contains(g) for g in self.generators)
 
     def same_subgroup(self, other: "Group") -> bool:
+        if self._shares_root(other):
+            return np.array_equal(self._mask, other._mask)
         return (
             self.degree == other.degree
             and self.order == other.order
@@ -248,6 +298,9 @@ class Group:
         )
 
     def is_normal_in(self, ambient: "Group") -> bool:
+        if self._shares_root(ambient):
+            index = (self._root or self).row_index()
+            return all(self._mask[index.conjugates(self._at, g)].all() for g in ambient._at.tolist())
         for g in ambient.generators:
             g_inv = g.inverse()
             for x in self.generators:
@@ -256,15 +309,77 @@ class Group:
         return True
 
     def random_element(self, rng) -> Perm:
+        if self._chain is None:
+            return rng.choice(self.sorted_elements())
         return self._chain.random_element(rng)
 
     def __repr__(self) -> str:
         return f"Group(degree={self.degree}, order={self.order}, ngens={len(self.generators)})"
 
 
+def _generated(index: RowIndex, at) -> np.ndarray:
+    """Mask of the subgroup generated by the elements at ``at``."""
+    return fastset.close(index.unit(), [index.right(i) for i in at], np.array([index.identity]))
+
+
+def _extend(index: RowIndex, mask: np.ndarray, at: list[int], g: int) -> np.ndarray:
+    """Mask of <S, g> for the subgroup S = ``mask`` generated by the elements at ``at``."""
+    moved = index.right(g)[mask]
+    return fastset.close(mask, [index.right(i) for i in at + [g]], moved[~mask[moved]])
+
+
+def _picks(index: RowIndex, mask: np.ndarray) -> list[int]:
+    """Generators of the subgroup ``mask``: in sort order, each element that the
+    earlier picks do not generate.  Raises ValidationError if ``mask`` is not closed."""
+    at, span = [], index.unit()
+    try:
+        while (missing := np.flatnonzero(mask & ~span)).size:
+            span = _extend(index, span, at, int(missing[0]))
+            at.append(int(missing[0]))
+    except InternalCheckError:  # a product left an element set that is its own index
+        span = None
+    if span is None or not np.array_equal(span, mask):
+        raise ValidationError(f"element set of size {np.count_nonzero(mask)} is not closed")
+    return at
+
+
+def _normal_closure(index: RowIndex, seeds, conjugators) -> tuple[np.ndarray, list[int]]:
+    """Mask and generators of the normal closure of ``seeds`` under ``conjugators``: each
+    seed in sort order, then each conjugate g^-1 x g of a generator x, the latest found
+    first, that lies outside the subgroup generated so far."""
+    mask, at, queue = index.unit(), [], []
+
+    def add(x: int) -> None:
+        nonlocal mask
+        if not mask[x]:
+            mask = _extend(index, mask, at, x)
+            at.append(x)
+            queue.append(x)
+
+    for x in sorted(set(seeds)):
+        add(x)
+    while queue:
+        x = queue.pop()
+        for g in conjugators:
+            add(int(index.conjugates(x, g)))
+    return mask, at
+
+
 def group_from_generators(degree: int, gens: Iterable, cap: int | None = None) -> Group:
     """Group generated by ``gens`` on {0..degree-1}."""
     return Group(degree, gens, cap=cap)
+
+
+def generated_in(ambient: Group, gens: Iterable[Perm]) -> Group:
+    """The subgroup of ``ambient`` generated by ``gens``, as a mask over its root's index;
+    its generators are ``gens`` without the identity and repeats."""
+    root, inside, _ = ambient._frame()
+    index = root.row_index()
+    at = index.positions(list(gens))
+    if (at < 0).any() or not inside[at].all():
+        raise ContainmentError("a generator lies outside the ambient group")
+    at = list(dict.fromkeys(i for i in at.tolist() if i != index.identity))
+    return Group._in(root, _generated(index, at), at)
 
 
 def is_member(G: Group, x: Perm) -> bool:
@@ -279,28 +394,11 @@ def _require_subgroup(H: Group, ambient: Group, name: str) -> None:
 
 def normal_closure(generators: Iterable[Perm], ambient: Group) -> Group:
     """Smallest normal subgroup of ``ambient`` containing ``generators``."""
-    seeds = []
-    for x in generators:
-        if not ambient.contains(x):
-            raise ContainmentError("normal closure seed lies outside the ambient group")
-        if not x.is_identity():
-            seeds.append(x)
-    chain = _Chain(ambient.degree)
-    gens: list[Perm] = []
-    queue: list[Perm] = []
-    for x in sorted(set(seeds)):
-        if chain.extend(x):
-            gens.append(x)
-            queue.append(x)
-    conjugators = [(g, g.inverse()) for g in ambient.generators]
-    while queue:
-        x = queue.pop()
-        for g, g_inv in conjugators:
-            c = g_inv * x * g
-            if chain.extend(c):
-                gens.append(c)
-                queue.append(c)
-    return Group.__new__(Group)._fill(ambient.degree, ambient.cap, gens, chain)
+    root, inside, conjugators = ambient._frame()
+    seeds = root.row_index().positions(list(generators))
+    if (seeds < 0).any() or not inside[seeds].all():
+        raise ContainmentError("normal closure seed lies outside the ambient group")
+    return Group._in(root, *_normal_closure(root.row_index(), seeds.tolist(), conjugators.tolist()))
 
 
 def commutator_subgroup(H: Group, K: Group, ambient: Group) -> Group:
@@ -311,20 +409,19 @@ def commutator_subgroup(H: Group, K: Group, ambient: Group) -> Group:
     """
     _require_subgroup(H, ambient, "H")
     _require_subgroup(K, ambient, "K")
-    pair_comms = {
-        commutator(x, y) for x in H.generators for y in K.generators
-    }
-    pair_comms.discard(Perm.identity(ambient.degree))
-    if not pair_comms:
-        return Group.trivial(ambient.degree, cap=ambient.cap)
-    joined = Group(ambient.degree, H.generators + K.generators, cap=ambient.cap)
-    return normal_closure(pair_comms, joined)
+    root = ambient._frame()[0]
+    index = root.row_index()
+    hs, ks = H._over(root)[1].tolist(), K._over(root)[1].tolist()
+    comms = {index.commutator(x, y) for x in hs for y in ks} - {index.identity}
+    return Group._in(root, *_normal_closure(index, comms, list(dict.fromkeys(hs + ks))))
 
 
 def intersection(H: Group, K: Group) -> Group:
-    """H intersect K via the cached element sets."""
+    """H intersect K: the meet of their masks, or of their element sets across roots."""
     if H.degree != K.degree:
         raise ValidationError("cannot intersect groups of different degree")
+    if H._shares_root(K):
+        return Group.from_mask(H, H._mask & K._mask)
     if H.order > K.order:
         H, K = K, H
     common = H.elements() & K.elements()
@@ -333,16 +430,25 @@ def intersection(H: Group, K: Group) -> Group:
 
 def generated_subgroup(degree: int, parts: Iterable[Group], cap: int | None = None) -> Group:
     """Subgroup generated by the union of the given subgroups."""
-    gens: list[Perm] = []
-    for part in parts:
-        gens.extend(part.generators)
+    parts = list(parts)
+    gens = [g for part in parts for g in part.generators]
+    if parts and all(part._shares_root(parts[0]) for part in parts):
+        return generated_in(parts[0]._frame()[0], gens)
     return Group(degree, gens, cap=cap)
 
 
+def _conjugation_maps(G: Group) -> tuple[RowIndex, np.ndarray, list[np.ndarray]]:
+    """G's root index, G's mask, and x -> g^-1 x g over that index for each generator g of G."""
+    root, mask, at = G._frame()
+    index = root.row_index()
+    return index, mask, [index.conjugates(np.arange(len(index)), g) for g in at.tolist()]
+
+
 def center(G: Group) -> Group:
-    gens = G.generators
-    central = [x for x in G.sorted_elements() if all(x * g == g * x for g in gens)]
-    return Group.from_elements(G.degree, central, cap=G.cap)
+    index, central, maps = _conjugation_maps(G)
+    for conj in maps:
+        central = central & (conj == np.arange(len(index)))
+    return Group.from_mask(G, central)
 
 
 def _r_part(n: int, r: int) -> int:
@@ -353,49 +459,59 @@ def _r_part(n: int, r: int) -> int:
     return m
 
 
+def _power_is_identity(index: RowIndex, m: int) -> np.ndarray:
+    """Mask of the elements x with x^m = 1, by repeated squaring of the rows."""
+    rows, identity = index.rows, np.arange(index.rows.shape[1])
+    power = np.broadcast_to(identity, rows.shape)
+    while m:
+        if m & 1:
+            power = np.take_along_axis(rows, power, axis=1)
+        rows = np.take_along_axis(rows, rows, axis=1)
+        m >>= 1
+    return (power == identity).all(axis=1)
+
+
 def sylow_subgroup(G: Group, r: int) -> Group:
     """Some Sylow r-subgroup of G."""
+    root, mask, _ = G._frame()
+    index = root.row_index()
     target = _r_part(G.order, r)
-    if target == 1:
-        return Group.trivial(G.degree, cap=G.cap)
     if G.order == target:
         return G
-    r_elements = [x for x in G.sorted_elements() if _r_part(n := x.order(), r) == n]
+    # the r-elements are those whose order divides |G|_r
+    r_elements = mask & _power_is_identity(index, target)
     # unique-Sylow fast path: all r-elements form the subgroup
-    if len(r_elements) == target:
+    if np.count_nonzero(r_elements) == target:
         try:
-            return Group.from_elements(G.degree, r_elements, cap=G.cap)
+            return Group.from_mask(root, r_elements)
         except ValidationError:
             pass
-    current = Group.trivial(G.degree, cap=G.cap)
-    while current.order < target:
-        extended = None
-        for y in r_elements:
-            if current.contains(y):
-                continue
-            candidate = Group(G.degree, current.generators + (y,), cap=G.cap)
-            if candidate.order == _r_part(candidate.order, r):
-                extended = candidate
+    current, at = index.unit(), []
+    while np.count_nonzero(current) < target:
+        for y in np.flatnonzero(r_elements & ~current).tolist():
+            candidate = _extend(index, current, at, y)
+            n = int(np.count_nonzero(candidate))
+            if n == _r_part(n, r):
+                current, at = candidate, at + [y]
                 break
-        if extended is None:
+        else:
             raise InternalCheckError(f"could not extend an r-subgroup to Sylow order {target}")
-        current = extended
-    return current
+    return Group._in(root, current, at)
 
 
-def subgroup_conjugate_sets(G: Group, P: Group) -> list[frozenset[Perm]]:
-    """Element sets of all G-conjugates of P (orbit under conjugation)."""
-    start = P.elements()
-    seen = {start}
-    queue = [start]
-    out = [start]
+def subgroup_conjugate_sets(G: Group, P: Group) -> list[np.ndarray]:
+    """Masks, over the index of G's root, of all G-conjugates of P (its orbit under conjugation)."""
+    _, _, maps = _conjugation_maps(G)
+    out = [P.mask_over(G)]
+    seen = {out[0].tobytes()}
+    queue = [out[0]]
     while queue:
         current = queue.pop()
-        for g in G.generators:
-            g_inv = g.inverse()
-            image = frozenset(g_inv * x * g for x in current)
-            if image not in seen:
-                seen.add(image)
+        for conj in maps:
+            image = np.zeros_like(current)
+            image[conj[current]] = True
+            if image.tobytes() not in seen:
+                seen.add(image.tobytes())
                 queue.append(image)
                 out.append(image)
     return out

@@ -32,7 +32,7 @@ from .action import (
     validate_setup,
 )
 from .errors import CapacityError, CoprimeLabError, GenerationError, PreconditionError
-from .groups import Group, normal_closure
+from .groups import Group, generated_in, normal_closure
 from .instances import FamilySpec, build_setup, load_instance
 from .lie import (
     check_centralizer_transfer,
@@ -207,7 +207,7 @@ class InstanceContext:
 def find_invariant_normal_subgroups(setup: ActionSetup, seed: int = 0, limit: int = 10) -> list[Group]:
     """A-invariant normal subgroups: series terms plus seeded normal closures."""
     G = setup.G
-    candidates: list[Group] = [Group.trivial(G.degree, cap=G.cap), G]
+    candidates: list[Group] = [generated_in(G, ()), G]
     candidates.extend(lower_central_series(G).terms)
     candidates.extend(derived_series(G).terms)
     rng = random.Random(seed)
@@ -217,9 +217,9 @@ def find_invariant_normal_subgroups(setup: ActionSetup, seed: int = 0, limit: in
         orbit = setup.orbit_of_element(x)
         candidates.append(normal_closure(orbit, G))
     out: list[Group] = []
-    seen: set[frozenset] = set()
+    seen: set[bytes] = set()
     for N in candidates:
-        key = N.elements()
+        key = N.mask_over(G).tobytes()
         if key in seen:
             continue
         seen.add(key)
@@ -238,7 +238,7 @@ def random_invariant_subgroups(setup: ActionSetup, seed: int = 0, count: int = 5
         gens: set = set()
         for _ in range(rng.randint(1, 2)):
             gens |= setup.orbit_of_element(rng.choice(elements))
-        out.append(Group(setup.G.degree, sorted(gens), cap=setup.G.cap))
+        out.append(generated_in(setup.G, sorted(gens)))
     return out
 
 
@@ -429,8 +429,8 @@ def verify_gamma_theorem(
     report.params["family-members"] = family_at(families, depth).member_count()
 
     def degree1_matches():
-        gamma_deg1 = {m.elements() for m in family_at(families, 1).members}
-        a_deg0 = {m.elements() for m in family_at(ctx.families(a_special_lattice, 0), 0).members}
+        gamma_deg1 = {m.mask_over(setup.G).tobytes() for m in family_at(families, 1).members}
+        a_deg0 = {m.mask_over(setup.G).tobytes() for m in family_at(ctx.families(a_special_lattice, 0), 0).members}
         return gamma_deg1 == a_deg0
 
     rec.run("gamma-degree1-matches-aspecial0", degree1_matches)

@@ -385,18 +385,15 @@ class LieAction:
         cached = self._maps.get(u)
         if cached is not None:
             return cached
-        auto = self.setup.phi(u)
+        table, G = self.setup.phi(u).table, self.setup.G
+        ordered, index = G.sorted_elements(), G.row_index()
         out = []
         for w in range(1, self.ring.class_ + 1):
             section = self.ring.component(w)
             images = []
-            for rep in section.basis:
+            for i in table[index.index_of(section.basis)].tolist():
                 try:
-                    moved = auto.apply(rep)
-                except KeyError:
-                    raise InternalCheckError("the action does not preserve the ring's group") from None
-                try:
-                    images.append(section.decompose(moved))
+                    images.append(section.decompose(ordered[i]))
                 except ContainmentError:
                     raise InternalCheckError(
                         "the action does not preserve the lower central sections"

@@ -4,15 +4,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import InternalCheckError
+from .fastset import coset_labels
 from .groups import (
     Group,
+    _conjugation_maps,
     commutator_subgroup,
     generated_subgroup,
     subgroup_conjugate_sets,
     sylow_subgroup,
 )
-from .perms import commutator
 
 MAX_SERIES_LENGTH = 64
 
@@ -59,18 +62,22 @@ def derived_series(G: Group) -> SeriesResult:
 
 
 def upper_central_series(G: Group) -> SeriesResult:
-    """Z_0 = 1 and Z_{i+1}/Z_i = center of G/Z_i; ascending, stabilizes."""
-    terms = [Group.trivial(G.degree, cap=G.cap)]
-    gens = G.generators
+    """Z_0 = 1 and Z_{i+1}/Z_i = center of G/Z_i; ascending, stabilizes.
+
+    x lies in Z_{i+1} when [x, g] = x^-1 (g^-1 x g) lies in Z_i for every
+    generator g, that is, when x and g^-1 x g share a left coset of Z_i.
+    """
+    index, mask, maps = _conjugation_maps(G)
+    terms = [Group.from_mask(G, index.unit())]
     while True:
         if len(terms) > MAX_SERIES_LENGTH:
             raise InternalCheckError(f"upper central series exceeded {MAX_SERIES_LENGTH} terms")
         prev = terms[-1]
-        prev_set = prev.elements()
-        lifted = [
-            x for x in G.sorted_elements() if all(commutator(x, g) in prev_set for g in gens)
-        ]
-        nxt = Group.from_elements(G.degree, lifted, cap=G.cap)
+        label = coset_labels(index, prev.generators)
+        lifted = mask.copy()
+        for conj in maps:
+            lifted &= label[conj] == label
+        nxt = Group.from_mask(G, lifted)
         if nxt.order == prev.order:
             break
         terms.append(nxt)
@@ -138,9 +145,9 @@ def o_r(G: Group, r: int) -> Group:
     common = None
     for conj in subgroup_conjugate_sets(G, P):
         common = conj if common is None else common & conj
-        if len(common) == 1:
+        if np.count_nonzero(common) == 1:
             break
-    return Group.from_elements(G.degree, common, cap=G.cap)
+    return Group.from_mask(G, common)
 
 
 def fitting_subgroup(G: Group) -> Group:

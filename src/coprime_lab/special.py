@@ -7,8 +7,8 @@ Two recursive families are built over an action setup:
 * kind "gamma-a-special": degree 1 members are the C_G(A_j); a degree-i
   member is [J, C_G(A_j)] intersect C_G(A_n) for a degree-(i-1) member J.
 
-Members are deduplicated by element-set equality and each keeps the first
-recipe that produced it.
+Members are deduplicated by their element masks over G's index, and each
+keeps the first recipe that produced it.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .action import (
     maximal_subgroups,
 )
 from .errors import CapacityError, PreconditionError
-from .groups import Group, commutator_subgroup, generated_subgroup
+from .groups import Group, commutator_subgroup, generated_subgroup, intersection
 from .series import derived_term, lcs_term
 from .status import CheckStatus
 
@@ -60,26 +60,28 @@ def _lattice(setup: ActionSetup, kind: str, base_degree: int, max_degree: int, m
     """
     if setup.k < 2:
         raise PreconditionError("special families need rank k >= 2")
+    G = setup.G
     cents = [fixed_subgroup(setup, A_j) for A_j in maximal_subgroups(setup)]
-    base: dict[frozenset, tuple[Group, tuple]] = {}
-    for j, C in enumerate(cents):
-        base.setdefault(C.elements(), (C, ("cent", j)))
+    cent_masks = [C.mask_over(G) for C in cents]
+    base: dict[bytes, tuple[Group, tuple]] = {}
+    for j, (C, mask) in enumerate(zip(cents, cent_masks)):
+        base.setdefault(mask.tobytes(), (C, ("cent", j)))
     members, recipes = zip(*base.values())
     families = [SpecialFamily(kind, base_degree, members, recipes)]
     for degree in range(base_degree + 1, max_degree + 1):
-        candidates: dict[frozenset, tuple] = {}
+        candidates: dict[bytes, tuple] = {}
         for M, recipe in steps(families[-1].members, cents):
-            m_elements = M.elements()
-            for n, C in enumerate(cents):
-                key = m_elements & C.elements()
-                if key not in candidates:
-                    candidates[key] = (*recipe, n)
+            m_mask = M.mask_over(G)
+            for n, c_mask in enumerate(cent_masks):
+                meet = m_mask & c_mask
+                candidates.setdefault(meet.tobytes(), (meet, (*recipe, n)))
         if len(candidates) > member_ceiling:
             raise CapacityError(
                 f"{kind} degree {degree} would have {len(candidates)} members (ceiling {member_ceiling})"
             )
-        members = tuple(Group.from_elements(setup.G.degree, key, cap=setup.G.cap) for key in candidates)
-        families.append(SpecialFamily(kind, degree, members, tuple(candidates.values())))
+        members = tuple(Group.from_mask(G, meet) for meet, _ in candidates.values())
+        recipes = tuple(recipe for _, recipe in candidates.values())
+        families.append(SpecialFamily(kind, degree, members, recipes))
     return families
 
 
@@ -196,11 +198,7 @@ def check_sylow_generation(
     if families is None:
         families = a_special_lattice(setup, d)
     members = family_at(families, d).members
-    r_elements = R.elements()
-    parts = []
-    for H in members:
-        common = r_elements & H.elements()
-        parts.append(Group.from_elements(setup.G.degree, common, cap=setup.G.cap))
+    parts = [intersection(R, H) for H in members]
     generated = generated_subgroup(setup.G.degree, parts, cap=setup.G.cap)
     return generated.same_subgroup(R)
 
