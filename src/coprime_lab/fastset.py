@@ -113,7 +113,9 @@ def close(mask: np.ndarray, maps: Sequence[np.ndarray], frontier: np.ndarray) ->
     mask[frontier] = True
     while frontier.size and maps:
         reached = np.concatenate([m[frontier] for m in maps])
-        frontier = np.unique(reached[~mask[reached]])
+        # sorted and deduplicated without np.unique, which imports numpy.ma (1.7 MB)
+        fresh = np.sort(reached[~mask[reached]])
+        frontier = fresh[np.diff(fresh, prepend=-1) != 0]
         mask[frontier] = True
     return mask
 

@@ -14,6 +14,7 @@ from typing import Iterable
 
 import numpy as np
 
+from . import fastset
 from .config import enumeration_cap
 from .errors import (
     CapacityError,
@@ -22,7 +23,6 @@ from .errors import (
     PreconditionError,
     ValidationError,
 )
-from . import fastset
 from .fastset import RowIndex
 from .perms import Perm, commutator
 

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from coprime_lab import groups
-from coprime_lab.action import all_subspaces, fixed_subgroup, validate_setup
-from coprime_lab.errors import ValidationError
-from coprime_lab.groups import Group, group_from_generators
+from coprime_lab.action import all_subspaces, fixed_subgroup, maximal_subgroups, validate_setup
+from coprime_lab.errors import ContainmentError, ValidationError
+from coprime_lab.groups import Group, generated_in, group_from_generators
 from coprime_lab.harness import verify_derived_theorem, verify_gamma_theorem
 from coprime_lab.instances import PRESETS, build_setup, preset_entries
 from coprime_lab.perms import Perm
@@ -55,6 +55,16 @@ def test_generators_follow_the_greedy_rule_on_every_centralizer(instance_id):
         expected = greedy_generators(C.elements())
         assert C.generators == expected, B
         assert Group.from_elements(setup.G.degree, C.elements()).generators == expected, B
+
+
+def test_generated_in_keeps_to_the_ambient_group():
+    setup = preset_setup("smoke-02-heis-diag-c5")
+    C = fixed_subgroup(setup, maximal_subgroups(setup)[0])
+    outside = next(x for x in setup.G.sorted_elements() if not C.contains(x))
+    with pytest.raises(ContainmentError):
+        generated_in(C, [outside])
+    H = generated_in(setup.G, [outside, outside, Perm.identity(setup.G.degree)])
+    assert H.generators == (outside,) and H.contains(outside) and H.is_subgroup_of(setup.G)
 
 
 def test_a_set_that_is_not_closed_raises():

@@ -304,6 +304,10 @@ def test_sylow_subgroup_orders():
     assert sylow_subgroup(G, 3).order == 3
     assert sylow_subgroup(G, 5).order == 5
     assert sylow_subgroup(G, 7).order == 1
+    # C9 x C2 on 11 points: the Sylow 3-subgroup is cyclic of order 9, so
+    # the elements of order 3 alone do not generate it
+    C = group_from_generators(11, [Perm.from_cycles(11, tuple(range(9))), Perm.from_cycles(11, (9, 10))])
+    assert sylow_subgroup(C, 3).order == 9
 
 
 # ---------------------------------------------------------------- sections
