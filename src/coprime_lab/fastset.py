@@ -113,9 +113,7 @@ def close(mask: np.ndarray, maps: Sequence[np.ndarray], frontier: np.ndarray) ->
     mask[frontier] = True
     while frontier.size and maps:
         reached = np.concatenate([m[frontier] for m in maps])
-        # sorted and deduplicated without np.unique, which imports numpy.ma (1.7 MB)
-        fresh = np.sort(reached[~mask[reached]])
-        frontier = fresh[np.diff(fresh, prepend=-1) != 0]
+        frontier = np.unique(reached[~mask[reached]])
         mask[frontier] = True
     return mask
 
