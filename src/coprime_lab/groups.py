@@ -145,7 +145,9 @@ class Group:
     bool mask over its root's index, with its generators' indices and no chain.
     """
 
-    __slots__ = ("degree", "generators", "cap", "_chain", "_elements", "_sorted", "_rows", "_root", "_mask", "_at")
+    __slots__ = (
+        "degree", "generators", "cap", "_chain", "_elements", "_sorted", "_rows", "_root", "_mask", "_at",
+    )
 
     def __init__(self, degree: int, generators: Iterable = (), cap: int | None = None):
         if not isinstance(degree, int) or degree < 1:
@@ -167,7 +169,9 @@ class Group:
             chain.extend(g)
         self._fill(degree, cap, gens, chain)
 
-    def _fill(self, degree: int, cap: int, generators, chain: _Chain | None, root=None, mask=None, at=None) -> "Group":
+    def _fill(
+        self, degree: int, cap: int, generators, chain: _Chain | None, root=None, mask=None, at=None
+    ) -> "Group":
         """Sets every slot; the one place that does.  ``_mask`` and ``_at`` mark the elements and
         generators over the index of ``_root``, or of the group itself when it is a root."""
         self.degree = degree
@@ -250,7 +254,8 @@ class Group:
                 raise CapacityError(
                     f"group order {self.order} exceeds the enumeration cap {self.cap}"
                 )
-            self._elements = frozenset(self.sorted_elements() if self._chain is None else self._chain.iter_elements())
+            listed = self.sorted_elements() if self._chain is None else self._chain.iter_elements()
+            self._elements = frozenset(listed)
             if len(self._elements) != self.order:
                 raise InternalCheckError("element enumeration disagrees with chain order")
         return self._elements
@@ -279,7 +284,8 @@ class Group:
         return self.order == 1
 
     def _shares_root(self, other: "Group") -> bool:
-        return self._mask is not None and other._mask is not None and (self._root or self) is (other._root or other)
+        both = self._mask is not None and other._mask is not None
+        return both and (self._root or self) is (other._root or other)
 
     def is_subgroup_of(self, other: "Group") -> bool:
         if self.degree != other.degree:

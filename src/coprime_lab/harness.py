@@ -430,8 +430,8 @@ def verify_gamma_theorem(
 
     def degree1_matches():
         gamma_deg1 = {m.mask_over(setup.G).tobytes() for m in family_at(families, 1).members}
-        a_deg0 = {m.mask_over(setup.G).tobytes() for m in family_at(ctx.families(a_special_lattice, 0), 0).members}
-        return gamma_deg1 == a_deg0
+        a_deg0 = family_at(ctx.families(a_special_lattice, 0), 0).members
+        return gamma_deg1 == {m.mask_over(setup.G).tobytes() for m in a_deg0}
 
     rec.run("gamma-degree1-matches-aspecial0", degree1_matches)
     rec.run("gamma-containment", lambda: check_aspecial_containment(families))
