@@ -433,7 +433,7 @@ def check_fg2_generation(setup: ActionSetup, H: Group) -> bool:
         return False
     if is_nilpotent(H):
         factors = [part.generators for part in sorted(parts, key=lambda part: part.order, reverse=True)]
-        if not fastset.setwise_product_covers(H.row_index(), factors):
+        if not fastset.setwise_product_covers(setup.G.row_index(), factors, h_mask):
             return False
     return True
 

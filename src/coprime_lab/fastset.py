@@ -125,7 +125,7 @@ def coset_labels(index: RowIndex, gens: Iterable[Perm]) -> np.ndarray:
     moves to a smaller index of the same coset, and once no translate or
     jump lowers any label, every label is its coset's least index.
     """
-    translates = [index.translate(g) for g in gens]
+    translates = [index.right(i) for i in index.index_of(gens).tolist()]
     label = np.arange(len(index))
     while True:
         new = label
@@ -137,22 +137,21 @@ def coset_labels(index: RowIndex, gens: Iterable[Perm]) -> np.ndarray:
         label = new
 
 
-def setwise_product_covers(index: RowIndex, factors: Sequence[Sequence[Perm]]) -> bool:
+def setwise_product_covers(index: RowIndex, factors: Sequence[Sequence[Perm]], target: np.ndarray) -> bool:
     """Whether the ordered product F_1 F_2 ... of subgroups, each given by its
-    generators, is the whole indexed group.
+    generators, is the subgroup that the mask ``target`` marks over the index.
 
-    S * F is the union of the left cosets of F that S meets, so the product
-    is grown as a mask from the identity, one factor at a time, and stops
-    early once it covers the group.
+    Every factor must lie in the target.  S * F is the union of the left
+    cosets of F that S meets, so the product is grown as a mask from the
+    identity, one factor at a time, and stops early once it is the target.
     """
-    acc = np.zeros(len(index), dtype=bool)
-    acc[index.identity] = True
+    acc = index.unit()
     for gens in factors:
-        if acc.all():
+        if np.array_equal(acc, target):
             break
         if gens:
             label = coset_labels(index, gens)
             met = np.zeros(len(index), dtype=bool)
             met[label[acc]] = True
             acc = met[label]
-    return bool(acc.all())
+    return np.array_equal(acc, target)

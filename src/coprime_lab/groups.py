@@ -528,16 +528,19 @@ class AbelianSection:
 
     ``basis`` holds coset representatives whose classes decompose the quotient
     as a direct sum of cyclic groups with the given ``orders``; every element
-    of the numerator has a unique exponent vector.
+    of the numerator has a unique exponent vector.  ``codes[i]`` is the
+    position of the exponent vector of the numerator's i-th sorted element in
+    ``itertools.product`` order over the orders.
     """
 
-    __slots__ = ("numerator", "denominator", "basis", "orders", "_vector_of")
+    __slots__ = ("numerator", "denominator", "basis", "orders", "codes", "_vector_of")
 
-    def __init__(self, numerator: Group, denominator: Group, basis, orders, vector_of):
+    def __init__(self, numerator: Group, denominator: Group, basis, orders, codes, vector_of):
         self.numerator = numerator
         self.denominator = denominator
         self.basis = tuple(basis)
         self.orders = tuple(orders)
+        self.codes = codes
         self._vector_of = vector_of
 
     @property
@@ -648,4 +651,6 @@ def abelian_section(numerator: Group, denominator: Group) -> AbelianSection:
     vectors = list(itertools.product(*(range(m) for m in orders)))
     per_vector = len(den_idx)
     vector_of = {elements[i]: vectors[j // per_vector] for j, i in enumerate(keys.tolist())}
-    return AbelianSection(numerator, denominator, [elements[b] for b in basis], orders, vector_of)
+    codes = np.empty(len(keys), dtype=np.int64)
+    codes[keys] = np.arange(len(keys)) // per_vector
+    return AbelianSection(numerator, denominator, [elements[b] for b in basis], orders, codes, vector_of)

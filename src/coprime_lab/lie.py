@@ -2,19 +2,24 @@
 
 The ring is the direct sum of the lower-central sections, written additively;
 the bracket is induced by group commutation and stored as structure constants
-on the section bases. Homogeneous subspaces are kept as explicit per-weight
-sets of exponent vectors (section orders are tiny at desk scale), so spans,
-intersections and bracket spans are exact set computations.
+on the section bases. Each component is enumerated once, as an int array of
+its exponent vectors in ``itertools.product`` order, so that a vector's
+mixed-radix code is its row there. A homogeneous subspace is one bool mask
+per weight over those codes, and A acts on each component through one
+integer matrix per element u, so fixed points, spans, intersections and
+containment are array operations.
 """
 
 from __future__ import annotations
 
-import itertools
+import math
 import random
 from dataclasses import dataclass
 
+import numpy as np
+
 from .action import ASubgroupDescriptor, ActionSetup, fixed_subgroup, maximal_subgroups
-from .errors import ContainmentError, InternalCheckError, PreconditionError
+from .errors import ContainmentError, InternalCheckError, PreconditionError, ValidationError
 from .groups import AbelianSection, Group, abelian_section
 from .perms import commutator
 from .series import lower_central_series, nilpotency_class
@@ -24,27 +29,19 @@ from .status import CheckStatus
 CROSS_CHECK_PAIRS = 200
 
 
-def _vadd(u, v, orders):
-    return tuple((a + b) % m for a, b, m in zip(u, v, orders))
-
-
-def _vneg(u, orders):
-    return tuple((-a) % m for a, m in zip(u, orders))
-
-
-def _vzero(orders):
-    return tuple(0 for _ in orders)
-
-
 class GradedLieRing:
     """Sections of the lower central series with induced bracket constants.
 
     ``components[i]`` is the section of weight i+1; ``table[(wi, wj, a, b)]``
     is the exponent vector (in the weight wi+wj component) of the bracket of
-    basis elements a and b, stored for both argument orders.
+    basis elements a and b, stored for both argument orders.  The code of an
+    exponent vector is its mixed-radix value, last coordinate fastest: its
+    row in ``vectors(weight)``, so codes sort like the vectors' tuples.
     """
 
-    __slots__ = ("group", "components", "orders", "table", "class_")
+    __slots__ = (
+        "group", "components", "orders", "table", "class_", "_moduli", "_radix", "_vectors", "_codes"
+    )
 
     def __init__(self, group: Group, components, table):
         self.group = group
@@ -52,21 +49,44 @@ class GradedLieRing:
         self.orders = tuple(section.orders for section in self.components)
         self.table: dict[tuple[int, int, int, int], tuple[int, ...]] = table
         self.class_ = len(self.components)
+        self._moduli = tuple(np.array(orders, dtype=np.int64) for orders in self.orders)
+        self._radix = tuple(
+            np.array([math.prod(orders[i + 1 :]) for i in range(len(orders))], dtype=np.int64)
+            for orders in self.orders
+        )
+        self._vectors: list[np.ndarray | None] = [None] * self.class_
+        self._codes: list[np.ndarray | None] = [None] * self.class_
 
     def component(self, weight: int) -> AbelianSection:
         return self.components[weight - 1]
 
-    def zero(self, weight: int) -> tuple[int, ...]:
-        return _vzero(self.orders[weight - 1])
-
-    def component_vectors(self, weight: int):
-        return itertools.product(*(range(m) for m in self.orders[weight - 1]))
-
     def component_order(self, weight: int) -> int:
-        n = 1
-        for m in self.orders[weight - 1]:
-            n *= m
-        return n
+        return math.prod(self.orders[weight - 1])
+
+    def vectors(self, weight: int) -> np.ndarray:
+        """Every exponent vector of the component, one row each; row i has code i."""
+        vectors = self._vectors[weight - 1]
+        if vectors is None:
+            orders = self.orders[weight - 1]
+            vectors = np.indices(orders, dtype=np.int64).reshape(len(orders), -1).T.copy()
+            self._vectors[weight - 1] = vectors
+        return vectors
+
+    def codes(self, weight: int, vectors) -> np.ndarray:
+        """The code of every exponent vector, one per row of ``vectors``, reduced mod the orders."""
+        return (np.asarray(vectors, dtype=np.int64) % self._moduli[weight - 1]) @ self._radix[weight - 1]
+
+    def element_codes(self, weight: int) -> np.ndarray:
+        """The code of every element of the group's root index in the section; -1 off its numerator."""
+        codes = self._codes[weight - 1]
+        if codes is None:
+            section = self.component(weight)
+            numerator = section.numerator.mask_over(self.group)
+            # the numerator's sorted elements sit at its positions in the root index, in order
+            codes = np.full(len(numerator), -1, dtype=np.int64)
+            codes[numerator] = section.codes
+            self._codes[weight - 1] = codes
+        return codes
 
     def bracket(self, wi: int, va, wj: int, vb) -> tuple[int, ...] | None:
         """Bi-additive extension of the structure constants; None past the class."""
@@ -171,7 +191,7 @@ def axiom_report(ring: GradedLieRing) -> dict[str, bool]:
         ):
             report["bilinear"] = False
         mirror = ring.table.get((wj, wi, b, a))
-        if mirror is None or mirror != _vneg(sc, target_orders):
+        if mirror is None or mirror != tuple((-s) % m for s, m in zip(sc, target_orders)):
             report["alternating"] = False
         if wi == wj and a == b and any(sc):
             report["alternating"] = False
@@ -195,8 +215,7 @@ def axiom_report(ring: GradedLieRing) -> dict[str, bool]:
                             t1 = ring.bracket(wi + wj, ab, wk, ec)
                             t2 = ring.bracket(wj + wk, bc, wi, ea)
                             t3 = ring.bracket(wk + wi, ca, wj, eb)
-                            total = _vadd(_vadd(t1, t2, orders_t), t3, orders_t)
-                            if any(total):
+                            if any((x + y + z) % m for x, y, z, m in zip(t1, t2, t3, orders_t)):
                                 report["jacobi"] = False
     return report
 
@@ -221,91 +240,87 @@ def with_corrupted_constant(ring: GradedLieRing, delta: int = 1) -> GradedLieRin
 
 
 class LieSubspace:
-    """A homogeneous additive subspace: one vector set per weight.
+    """A homogeneous additive subspace: one bool mask per weight over the component's codes.
 
-    The full per-weight element sets drive membership and comparisons; a
-    small generating set per weight (computed lazily, or passed in by the
-    constructors) drives sums, brackets, and invariance checks, which keeps
-    those operations proportional to the rank rather than the subspace size.
+    The masks drive membership and comparisons; a small generating set per
+    weight (computed lazily, or passed in by the constructors) drives sums,
+    brackets, and invariance checks, which keeps those operations
+    proportional to the rank rather than the subspace size.
     """
 
-    __slots__ = ("ring", "vectors", "bracket_closed", "_gens")
+    __slots__ = ("ring", "masks", "bracket_closed", "_gens")
 
-    def __init__(self, ring: GradedLieRing, vectors, bracket_closed=None, gens=None):
+    def __init__(self, ring: GradedLieRing, masks, bracket_closed=None, gens=None):
         self.ring = ring
-        self.vectors: tuple[frozenset, ...] = tuple(vectors)
+        self.masks: tuple[np.ndarray, ...] = tuple(masks)
         self.bracket_closed = bracket_closed
         self._gens = tuple(gens) if gens is not None else None
 
+    def _key(self) -> tuple[bytes, ...]:
+        return tuple(mask.tobytes() for mask in self.masks)
+
     def __eq__(self, other) -> bool:
-        return isinstance(other, LieSubspace) and self.vectors == other.vectors
+        return isinstance(other, LieSubspace) and self._key() == other._key()
 
     def __hash__(self) -> int:
-        return hash(self.vectors)
+        return hash(self._key())
 
     def __repr__(self) -> str:
-        sizes = [len(s) for s in self.vectors]
+        sizes = [int(np.count_nonzero(mask)) for mask in self.masks]
         return f"LieSubspace(sizes={sizes})"
 
     @classmethod
     def zero(cls, ring: GradedLieRing) -> "LieSubspace":
-        return cls(
-            ring,
-            tuple(frozenset({ring.zero(w)}) for w in range(1, ring.class_ + 1)),
-            gens=tuple(() for _ in range(ring.class_)),
-        )
+        masks = [np.arange(ring.component_order(w)) == 0 for w in range(1, ring.class_ + 1)]
+        return cls(ring, masks, gens=tuple(() for _ in range(ring.class_)))
 
     @classmethod
     def full(cls, ring: GradedLieRing) -> "LieSubspace":
-        vectors = tuple(frozenset(ring.component_vectors(w)) for w in range(1, ring.class_ + 1))
+        masks = [np.ones(ring.component_order(w), dtype=bool) for w in range(1, ring.class_ + 1)]
         gens = tuple(
             tuple(ring.basis_unit(w, a) for a in range(len(ring.orders[w - 1])))
             for w in range(1, ring.class_ + 1)
         )
-        return cls(ring, vectors, gens=gens)
+        return cls(ring, masks, gens=gens)
 
     @classmethod
     def from_vectors(cls, ring: GradedLieRing, per_weight) -> "LieSubspace":
         """Additive closure of the given homogeneous vectors."""
-        vectors = []
+        masks = []
         gens = []
         for w in range(1, ring.class_ + 1):
             seeds = list(per_weight[w - 1]) if w - 1 < len(per_weight) else []
-            span, reduced = _closure_and_gens(ring.orders[w - 1], seeds)
-            vectors.append(span)
-            gens.append(reduced)
-        return cls(ring, tuple(vectors), gens=tuple(gens))
+            candidates = np.zeros(ring.component_order(w), dtype=bool)
+            if seeds:
+                candidates[ring.codes(w, seeds)] = True
+            span, picked = _span_and_gens(ring, w, candidates)
+            masks.append(span)
+            gens.append(picked)
+        return cls(ring, masks, gens=gens)
 
     @property
     def gens(self) -> tuple[tuple, ...]:
         if self._gens is None:
-            out = []
-            for w, span in enumerate(self.vectors, start=1):
-                _, reduced = _closure_and_gens(self.ring.orders[w - 1], sorted(span))
-                out.append(reduced)
-            self._gens = tuple(out)
+            self._gens = tuple(
+                _span_and_gens(self.ring, w, mask)[1] for w, mask in enumerate(self.masks, start=1)
+            )
         return self._gens
 
     def weight_set(self, weight: int) -> frozenset:
-        return self.vectors[weight - 1]
+        return frozenset(map(tuple, self.ring.vectors(weight)[self.masks[weight - 1]].tolist()))
 
     @property
     def is_zero(self) -> bool:
-        return all(len(s) == 1 for s in self.vectors)
+        return not any(mask[1:].any() for mask in self.masks)
 
     def is_full(self) -> bool:
-        return all(
-            len(s) == self.ring.component_order(w + 1) for w, s in enumerate(self.vectors)
-        )
+        return all(mask.all() for mask in self.masks)
 
     def size(self) -> int:
-        n = 1
-        for s in self.vectors:
-            n *= len(s)
-        return n
+        return math.prod(int(np.count_nonzero(mask)) for mask in self.masks)
 
     def contains_subspace(self, other: "LieSubspace") -> bool:
-        return all(o <= s for s, o in zip(self.vectors, other.vectors))
+        return not any((o & ~s).any() for s, o in zip(self.masks, other.masks))
 
     def sum_with(self, other: "LieSubspace") -> "LieSubspace":
         return LieSubspace.from_vectors(
@@ -313,9 +328,7 @@ class LieSubspace:
         )
 
     def intersect(self, other: "LieSubspace") -> "LieSubspace":
-        return LieSubspace(
-            self.ring, tuple(s & o for s, o in zip(self.vectors, other.vectors))
-        )
+        return LieSubspace(self.ring, [s & o for s, o in zip(self.masks, other.masks)])
 
     def bracket_with(self, other: "LieSubspace") -> "LieSubspace":
         # bi-additivity: brackets of generators span the bracket subspace
@@ -336,22 +349,29 @@ class LieSubspace:
         return LieSubspace.from_vectors(ring, per_weight)
 
 
-def _closure_and_gens(orders, seeds) -> tuple[frozenset, tuple]:
-    """Additive closure plus a small generating subset of the seeds."""
-    zero = _vzero(orders)
-    span = {zero}
-    gens: list[tuple] = []
-    for v in sorted({tuple(s) for s in seeds}):
-        if v in span:
-            continue
-        gens.append(v)
-        shifts = []
-        acc = v
-        while acc != zero:
-            shifts.append(acc)
-            acc = _vadd(acc, v, orders)
-        span |= {_vadd(s, sh, orders) for s in list(span) for sh in shifts}
-    return frozenset(span), tuple(gens)
+def _span_and_gens(ring: GradedLieRing, weight: int, candidates: np.ndarray) -> tuple[np.ndarray, tuple]:
+    """The additive span of the vectors whose codes ``candidates`` marks, and the
+    generators picked from them greedily in code order: each is the least
+    candidate outside the span of those picked before it.
+    """
+    vectors, moduli = ring.vectors(weight), ring._moduli[weight - 1]
+    exponent = math.lcm(*ring.orders[weight - 1])
+    span = np.zeros(len(vectors), dtype=bool)
+    span[0] = True
+    picked: list[int] = []
+    left = candidates & ~span
+    while left.any():
+        code = int(np.argmax(left))
+        picked.append(code)
+        # 0, v, ..., e v = 0 for the exponent e; with m the least m > 0 that has
+        # m v in the span, span + <v> is span + {0, v, ..., (m - 1) v}, without repeats
+        multiples = (np.arange(exponent + 1, dtype=np.int64)[:, None] * vectors[code]) % moduli
+        m = 1 + int(np.argmax(span[ring.codes(weight, multiples[1:])]))
+        sums = vectors[span][:, None, :] + multiples[None, :m, :]
+        span = np.zeros(len(vectors), dtype=bool)
+        span[ring.codes(weight, sums.reshape(-1, len(moduli)))] = True
+        left &= ~span
+    return span, tuple(map(tuple, vectors[picked].tolist()))
 
 
 def lie_subring_of_subgroup(L: GradedLieRing, G: Group, H: Group) -> LieSubspace:
@@ -360,28 +380,34 @@ def lie_subring_of_subgroup(L: GradedLieRing, G: Group, H: Group) -> LieSubspace
         raise ContainmentError("the ring was not built from the given ambient group")
     if not H.is_subgroup_of(G):
         raise ContainmentError("H is not a subgroup of the ring's group")
-    h_elements = H.elements()
-    per_weight = []
+    h_mask = H.mask_over(L.group)
+    masks = []
     for w in range(1, L.class_ + 1):
-        section = L.component(w)
-        common = h_elements & section.numerator.elements()
-        per_weight.append(frozenset(section.decompose(x) for x in common))
-    subspace = LieSubspace(ring=L, vectors=tuple(per_weight))
+        codes = L.element_codes(w)[h_mask]  # the codes of H and the numerator's common elements
+        mask = np.zeros(L.component_order(w), dtype=bool)
+        mask[codes[codes >= 0]] = True
+        masks.append(mask)
+    subspace = LieSubspace(L, masks)
     if not subspace.contains_subspace(subspace.bracket_with(subspace)):
         raise InternalCheckError("subgroup image subspace is not bracket-closed")
-    return LieSubspace(ring=L, vectors=subspace.vectors, bracket_closed=True)
+    return LieSubspace(L, subspace.masks, bracket_closed=True, gens=subspace.gens)
 
 
 class LieAction:
-    """The action of A on a graded ring, tabulated on the section bases."""
+    """The action of A on a graded ring: per u and weight, one integer matrix over the section basis."""
 
     def __init__(self, ring: GradedLieRing, setup: ActionSetup):
         self.ring = ring
         self.setup = setup
-        self._maps: dict[tuple[int, ...], list[list[tuple[int, ...]]]] = {}
-        self._fixed_by_vector: dict[tuple[int, ...], tuple[frozenset, ...]] = {}
+        self._maps: dict[tuple[int, ...], tuple[np.ndarray, ...]] = {}
+        self._fixed_by_vector: dict[tuple[int, ...], tuple[np.ndarray, ...]] = {}
 
-    def _basis_images(self, u: tuple[int, ...]) -> list[list[tuple[int, ...]]]:
+    def _reduced(self, u) -> tuple[int, ...]:
+        return tuple(int(c) % self.setup.p for c in u)
+
+    def _matrices(self, u) -> tuple[np.ndarray, ...]:
+        """Per weight, the matrix of phi(u) on the section: row a is the image of basis vector a."""
+        u = self._reduced(u)
         cached = self._maps.get(u)
         if cached is not None:
             return cached
@@ -398,60 +424,54 @@ class LieAction:
                     raise InternalCheckError(
                         "the action does not preserve the lower central sections"
                     ) from None
-            out.append(images)
-        self._maps[u] = out
-        return out
+            out.append(np.array(images, dtype=np.int64).reshape(section.rank, section.rank))
+        self._maps[u] = tuple(out)
+        return self._maps[u]
 
     def apply(self, u, weight: int, vec) -> tuple[int, ...]:
-        images = self._basis_images(tuple(u))[weight - 1]
-        orders = self.ring.orders[weight - 1]
-        out = _vzero(orders)
-        for coeff, img in zip(vec, images):
-            if coeff:
-                out = _vadd(out, tuple((coeff * c) % m for c, m in zip(img, orders)), orders)
-        return out
+        matrix = self._matrices(u)[weight - 1]
+        if len(vec) != len(matrix):
+            raise ValidationError("exponent vector length does not match the component's rank")
+        image = (np.asarray(vec, dtype=np.int64) @ matrix) % self.ring._moduli[weight - 1]
+        return tuple(image.tolist())
 
     def is_invariant(self, subspace: LieSubspace) -> bool:
         # component maps are bijective, so invariance follows once the
         # generator images stay inside the subspace
+        ring = self.ring
         for u in self.setup.basis_vectors():
-            for w, gs in enumerate(subspace.gens, start=1):
-                target = subspace.vectors[w - 1]
-                if any(self.apply(u, w, g) not in target for g in gs):
+            maps = zip(self._matrices(u), subspace.gens, subspace.masks)
+            for w, (matrix, gs, mask) in enumerate(maps, start=1):
+                if gs and not mask[ring.codes(w, np.array(gs, dtype=np.int64) @ matrix)].all():
                     return False
         return True
 
-    def _fixed_of_vector(self, u: tuple[int, ...]) -> tuple[frozenset, ...]:
+    def _fixed_of_vector(self, u) -> tuple[np.ndarray, ...]:
+        u = self._reduced(u)
         cached = self._fixed_by_vector.get(u)
         if cached is None:
+            ring = self.ring
             cached = tuple(
-                frozenset(v for v in self.ring.component_vectors(w) if self.apply(u, w, v) == v)
-                for w in range(1, self.ring.class_ + 1)
+                ((ring.vectors(w) @ matrix) % ring._moduli[w - 1] == ring.vectors(w)).all(axis=1)
+                for w, matrix in enumerate(self._matrices(u), start=1)
             )
             self._fixed_by_vector[u] = cached
         return cached
 
     def fixed_subspace(self, B: ASubgroupDescriptor) -> LieSubspace:
-        spanning = [tuple(v) for v in B.vectors]
-        if not spanning:
+        if not B.vectors:
             return LieSubspace.full(self.ring)
-        parts = [self._fixed_of_vector(u) for u in spanning]
-        out = []
-        for w in range(self.ring.class_):
-            fixed = parts[0][w]
-            for part in parts[1:]:
-                fixed = fixed & part[w]
-            out.append(fixed)
-        return LieSubspace(self.ring, tuple(out))
+        parts = [self._fixed_of_vector(u) for u in B.vectors]
+        return LieSubspace(self.ring, [np.logical_and.reduce(masks) for masks in zip(*parts)])
 
     def verify(self) -> None:
         """Additive bijectivity per component and compatibility with the bracket."""
         ring = self.ring
         for u in self.setup.basis_vectors():
-            for w in range(1, ring.class_ + 1):
-                everything = set(ring.component_vectors(w))
-                image = {self.apply(u, w, v) for v in everything}
-                if image != everything:
+            for w, matrix in enumerate(self._matrices(u), start=1):
+                vectors = ring.vectors(w)
+                hits = np.bincount(ring.codes(w, vectors @ matrix), minlength=len(vectors))
+                if np.count_nonzero(hits) != len(vectors):
                     raise InternalCheckError("induced component map is not bijective")
             for (wi, wj, a, b), sc in ring.table.items():
                 left = self.apply(u, wi + wj, sc)
@@ -480,7 +500,7 @@ def check_centralizer_transfer(
         action = induced_a_action(L, setup)
     left = action.fixed_subspace(B)
     right = lie_subring_of_subgroup(L, setup.G, fixed_subgroup(setup, B))
-    return left.vectors == right.vectors
+    return left == right
 
 
 def lie_series(L: GradedLieRing, kind: str) -> list[LieSubspace]:
@@ -492,7 +512,7 @@ def lie_series(L: GradedLieRing, kind: str) -> list[LieSubspace]:
     while True:
         prev = terms[-1]
         nxt = prev.bracket_with(prev if kind == "derived" else full)
-        if nxt.vectors == prev.vectors:
+        if nxt == prev:
             break
         terms.append(nxt)
         if nxt.is_zero:
@@ -545,7 +565,7 @@ def check_span_lemma(
         generated = generated.sum_with(R)
     while True:
         bigger = generated.sum_with(generated.bracket_with(generated))
-        if bigger.vectors == generated.vectors:
+        if bigger == generated:
             break
         generated = bigger
     if not generated.is_full():
@@ -566,15 +586,25 @@ def check_span_lemma(
             for i in range(len(subspaces))
             for j in range(len(centralizers))
         ]
+    # per weight, one row per centralizer C_k, and one row per input subspace R_r marking what it misses
+    cents, misses = [], []
+    for w in range(1, L.class_ + 1):
+        shape = (-1, L.component_order(w))
+        cents.append(np.array([C.masks[w - 1] for C in centralizers], dtype=bool).reshape(shape))
+        misses.append(~np.array([R.masks[w - 1] for R in subspaces], dtype=bool).reshape(shape))
     for left, right, label in pairs:
         product = left.bracket_with(right)
-        for k, C_k in enumerate(centralizers):
-            cut = product.intersect(C_k)
-            if not any(R.contains_subspace(cut) for R in subspaces):
-                return SpanLemmaOutcome(
-                    CheckStatus.HYPOTHESIS_NOT_MET,
-                    f"{label} ^ C(A_{k}) is not inside any input subspace",
-                )
+        # escapes[k, r]: product ^ C_k has a vector outside R_r
+        escapes = np.zeros((len(centralizers), len(subspaces)), dtype=bool)
+        for w, mask in enumerate(product.masks):
+            cuts = cents[w] & mask
+            escapes |= (cuts[:, None, :] & misses[w][None, :, :]).any(axis=2)
+        outside = np.flatnonzero(escapes.all(axis=1))
+        if outside.size:
+            return SpanLemmaOutcome(
+                CheckStatus.HYPOTHESIS_NOT_MET,
+                f"{label} ^ C(A_{outside[0]}) is not inside any input subspace",
+            )
 
     span = subspaces[0]
     for R in subspaces[1:]:

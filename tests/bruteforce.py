@@ -316,6 +316,58 @@ def brute_fixed_elements(group, autos: list[dict[Perm, Perm]]) -> set[Perm]:
     return {x for x in els if all(t[x] == x for t in autos)}
 
 
+def brute_fixed_cosets(g_elements, autos: list[dict[Perm, Perm]]) -> list[set[frozenset[Perm]]]:
+    """For each weight w, the cosets x G_{w+1} with x in G_w that every tabulated automorphism fixes.
+
+    G_w is the lower central series, from ``brute_lower_central_series``.
+    phi fixes x G_{w+1} exactly when x^-1 phi(x) lies in G_{w+1}; each test is
+    a gather in a ``CayleyTable``.  Each coset is returned as its element set.
+    """
+    table = cayley_table_of(g_elements)
+    terms = brute_lower_central_series(g_elements)
+    elements = [Perm._raw(tuple(row)) for row in table.rows.tolist()]
+    images = [table.index_of(_rows([auto[x] for x in elements])) for auto in autos]
+    out = []
+    for upper, lower in zip(terms, terms[1:]):
+        xs, below = table.indices(upper), table.indices(lower)
+        in_lower = np.zeros(table.order, dtype=bool)
+        in_lower[below] = True
+        keep = np.ones(len(xs), dtype=bool)
+        for image in images:
+            keep &= in_lower[table.mul[table.inv[xs], image[xs]]]
+        cosets = np.unique(np.sort(table.mul[xs[keep]][:, below], axis=1), axis=0)
+        out.append({table.perms(coset) for coset in cosets})
+    return out
+
+
+def brute_additive_closure(orders, vectors) -> frozenset[tuple[int, ...]]:
+    """Closure of {0} under adding the given vectors, coordinate i mod orders[i], plain BFS."""
+    zero = (0,) * len(orders)
+    span = {zero}
+    frontier = [zero]
+    while frontier:
+        new_frontier = []
+        for u in frontier:
+            for v in vectors:
+                w = tuple((a + b) % m for a, b, m in zip(u, v, orders))
+                if w not in span:
+                    span.add(w)
+                    new_frontier.append(w)
+        frontier = new_frontier
+    return frozenset(span)
+
+
+def brute_greedy_generators(orders, seeds) -> tuple[tuple[int, ...], ...]:
+    """The seeds, in sorted order, that lie outside the closure of the seeds picked before them."""
+    gens: list[tuple[int, ...]] = []
+    span = brute_additive_closure(orders, gens)
+    for v in sorted(set(seeds)):
+        if v not in span:
+            gens.append(v)
+            span = brute_additive_closure(orders, gens)
+    return tuple(gens)
+
+
 def brute_abelian_section(num_elements, den_elements):
     """Greedy cyclic decomposition of the abelian quotient num/den, over Perm products.
 

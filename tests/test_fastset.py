@@ -1,5 +1,7 @@
 """The row index of an enumerated group, and what is built on it, against brute force."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -115,13 +117,14 @@ def test_setwise_product_does_not_cover_s3():
     G = s3()
     a, b, c = Perm.from_cycles(3, (0, 1)), Perm.from_cycles(3, (0, 2)), Perm.from_cycles(3, (1, 2))
     ident = Perm.identity(3)
+    whole = np.ones(G.order, dtype=bool)
     assert len(brute_product([{ident, a}, {ident, b}])) == 4
-    assert not setwise_product_covers(G.row_index(), [(a,), (b,)])
+    assert not setwise_product_covers(G.row_index(), [(a,), (b,)], whole)
     assert len(brute_product([{ident, a}, {ident, b}, {ident, c}])) == 6
-    assert setwise_product_covers(G.row_index(), [(a,), (b,), (c,)])
-    assert setwise_product_covers(G.row_index(), [G.generators])
-    assert not setwise_product_covers(G.row_index(), [])
-    assert setwise_product_covers(Group.trivial(3).row_index(), [])
+    assert setwise_product_covers(G.row_index(), [(a,), (b,), (c,)], whole)
+    assert setwise_product_covers(G.row_index(), [G.generators], whole)
+    assert not setwise_product_covers(G.row_index(), [], whole)
+    assert setwise_product_covers(Group.trivial(3).row_index(), [], np.ones(1, dtype=bool))
 
 
 def test_setwise_product_matches_brute_on_centralizer_factors(smoke_setup):
@@ -137,7 +140,10 @@ def test_setwise_product_matches_brute_on_centralizer_factors(smoke_setup):
         for count in range(1, len(parts) + 1):
             factors = parts[:count]
             covers = brute_product([part.elements() for part in factors]) == set(H.elements())
-            assert setwise_product_covers(H.row_index(), [part.generators for part in factors]) == covers
+            product_is_h = setwise_product_covers(
+                setup.G.row_index(), [part.generators for part in factors], H.mask_over(setup.G)
+            )
+            assert product_is_h == covers
             checked += not covers
     assert checked  # some prefix of factors falls short of H
 
@@ -151,6 +157,8 @@ def test_abelian_section_matches_brute_greedy(instance_id):
         assert section.basis == tuple(basis)
         assert section.orders == tuple(orders)
         assert all(section.decompose(x) == v for x, v in vector_of.items())
+        position = {v: i for i, v in enumerate(itertools.product(*(range(m) for m in orders)))}
+        assert section.codes.tolist() == [position[vector_of[x]] for x in numerator.sorted_elements()]
 
 
 def test_abelian_section_correction_step_matches_brute_greedy():

@@ -1,0 +1,158 @@
+"""The induced A-action on the graded Lie ring, and Lie subspaces, against brute force."""
+
+import itertools
+import random
+
+import numpy as np
+import pytest
+
+from coprime_lab.action import ASubgroupDescriptor, ActionSetup, Automorphism, maximal_subgroups
+from coprime_lab.errors import InternalCheckError, ValidationError
+from coprime_lab.groups import group_from_generators
+from coprime_lab.instances import build_setup, preset_entries
+from coprime_lab.lie import (
+    LieAction,
+    LieSubspace,
+    check_span_lemma,
+    induced_a_action,
+    lie_ring_of,
+    lie_subring_of_subgroup,
+)
+from coprime_lab.status import CheckStatus
+
+from bruteforce import (
+    brute_action_tables,
+    brute_additive_closure,
+    brute_fixed_cosets,
+    brute_greedy_generators,
+    brute_span,
+)
+from test_lie import heis_setup
+
+# every one of them is nilpotent: class 2 for smoke-02 and p2k3-06, class 1 for the rest
+ORACLE_INSTANCES = [
+    "smoke-01-gl-q3n3", "smoke-02-heis-diag-c5", "smoke-03-c3-c5-c7",
+    "p2k3-06-c3swap-heis-c5", "p3k3-07-c7-c7-c13", "p3k3-08-c7-mixed",
+]
+
+
+def preset_setup(instance_id):
+    return build_setup(dict(preset_entries(instance_id.split("-")[0]))[instance_id])
+
+
+@pytest.fixture(scope="module", params=ORACLE_INSTANCES)
+def lie_case(request):
+    """A preset setup, its ring and induced action, and phi(u) for every u tabulated as dicts."""
+    setup = preset_setup(request.param)
+    ring = lie_ring_of(setup.G)
+    tables = brute_action_tables(setup.G, [auto.images for auto in setup.basis], setup.p)
+    return setup, ring, induced_a_action(ring, setup), tables
+
+
+def test_fixed_subspace_matches_brute_fixed_cosets(lie_case):
+    setup, ring, action, tables = lie_case
+    for B in maximal_subgroups(setup) + [ASubgroupDescriptor.full(setup.p, setup.k)]:
+        autos = [tables[u] for u in brute_span(setup.p, setup.k, B.vectors)]
+        expected = brute_fixed_cosets(setup.G.elements(), autos)
+        fixed = action.fixed_subspace(B)
+        assert len(expected) == ring.class_
+        for w, cosets in enumerate(expected, start=1):
+            section = ring.component(w)
+            lower = section.denominator.elements()
+            got = {frozenset(section.compose(v) * d for d in lower) for v in fixed.weight_set(w)}
+            assert got == cosets, (B.vectors, w)
+
+
+def test_from_vectors_matches_brute_closure(lie_case):
+    """The span and the greedy generators, from seeds and from a whole span."""
+    ring = lie_case[1]
+    rng = random.Random(0)
+    full = LieSubspace.full(ring)
+    for w in range(1, ring.class_ + 1):
+        orders = ring.orders[w - 1]
+        every = list(itertools.product(*(range(m) for m in orders)))
+        for count in (0, 1, 2, 3, 4):
+            for _ in range(4):
+                seeds = [rng.choice(every) for _ in range(count)]
+                per_weight = [[] for _ in range(ring.class_)]
+                per_weight[w - 1] = seeds
+                sub = LieSubspace.from_vectors(ring, per_weight)
+                span = brute_additive_closure(orders, seeds)
+                assert sub.weight_set(w) == span
+                assert sub.gens[w - 1] == brute_greedy_generators(orders, seeds)
+                # a subspace given by its elements alone picks its generators from them
+                assert sub.intersect(full).gens[w - 1] == brute_greedy_generators(orders, span)
+                others = [v for v in range(1, ring.class_ + 1) if v != w]
+                assert all(sub.weight_set(v) == {(0,) * len(ring.orders[v - 1])} for v in others)
+
+
+def smoke02():
+    setup = preset_setup("smoke-02-heis-diag-c5")
+    return setup, lie_ring_of(setup.G)
+
+
+def test_apply_rejects_a_vector_of_the_wrong_rank():
+    setup, ring = smoke02()
+    action = LieAction(ring, setup)
+    u = setup.basis_vectors()[0]
+    rank = len(ring.orders[0])
+    assert len(action.apply(u, 1, (1,) * rank)) == rank
+    for vec in [(1,) * (rank - 1), (1,) * (rank + 1)]:
+        with pytest.raises(ValidationError, match="rank"):
+            action.apply(u, 1, vec)
+
+
+def test_action_caches_are_keyed_by_the_vector_mod_p():
+    setup, ring = smoke02()
+    assert setup.p == 2
+    action = LieAction(ring, setup)
+    vec = (1,) * len(ring.orders[0])
+    images = {action.apply(u, 1, vec) for u in [(1, 0, 0), (3, 0, 0), (1, 2, 4), (-1, 0, 2)]}
+    assert len(images) == 1
+    assert len(action._maps) == 1
+    B, C = ASubgroupDescriptor.generated_by(2, 3, (1, 0, 0)), ASubgroupDescriptor(2, 3, ((3, 0, 0),), 2)
+    assert action.fixed_subspace(B) == action.fixed_subspace(C)
+    assert len(action._fixed_by_vector) == 1
+
+
+def test_verify_rejects_a_component_map_that_is_not_bijective():
+    setup, ring = smoke02()
+    action = LieAction(ring, setup)
+    action.verify()
+    u = setup.basis_vectors()[0]
+    action._maps[u] = tuple(np.zeros_like(M) for M in action._maps[u])
+    with pytest.raises(InternalCheckError, match="not bijective"):
+        action.verify()
+
+
+def inverting_setup():
+    """Heis27 with a1 inverting t and v, and a2 trivial: all of A fixes [t, v]."""
+    G, _ = heis_setup()
+    t, v = G.generators
+    inversion = Automorphism(G, {t: t.inverse(), v: v.inverse()})
+    return G, ActionSetup(G, 2, 2, [inversion, Automorphism.identity(G)])
+
+
+@pytest.mark.parametrize(
+    "make_setup, mode, detail",
+    [
+        (heis_setup, "pairwise", "[R0,R1] ^ C(A_2)"),
+        (heis_setup, "gamma", "[R0,C0] ^ C(A_2)"),
+        (inverting_setup, "pairwise", "[R0,R1] ^ C(A_0)"),
+        (inverting_setup, "gamma", "[R0,C1] ^ C(A_0)"),
+    ],
+)
+def test_span_lemma_names_the_first_centralizer_that_breaks_the_hypothesis(make_setup, mode, detail):
+    """R0 = <t> and R1 = <v> generate L, but [t, v] spans weight 2, which neither holds.
+
+    In heis_setup, C(A_0) = <v> in weight 1 and only A_2 = <a1 a2> fixes [t, v];
+    in inverting_setup every A_k fixes it, so the first one is named.
+    """
+    G, setup = make_setup()
+    t, v = G.generators
+    L = lie_ring_of(G)
+    assert [B.vectors for B in maximal_subgroups(setup)] == [((1, 0),), ((0, 1),), ((1, 1),)]
+    subspaces = [lie_subring_of_subgroup(L, G, group_from_generators(9, [x])) for x in (t, v)]
+    out = check_span_lemma(L, setup, subspaces, mode, action=induced_a_action(L, setup))
+    assert out.status is CheckStatus.HYPOTHESIS_NOT_MET
+    assert out.detail == f"{detail} is not inside any input subspace"
