@@ -3,7 +3,8 @@
 A group built from generators holds a Schreier-Sims chain until it is
 enumerated.  Every subgroup built inside an enumerated group, from
 centralizers to commutator subgroups, series terms and Sylow subgroups, is a
-bool mask over that group's ``fastset.RowIndex``, with no chain.
+bool mask over that group's ``fastset.RowIndex``, with no chain; each of its
+generators lies outside the subgroup generated by the ones before it.
 """
 
 from __future__ import annotations
@@ -224,10 +225,8 @@ class Group:
         """Mask and generator indices over ``root``'s index, regenerated there for a group of another root."""
         if self._mask is not None and (self._root or self) is root:
             return self._mask, self._at
-        at = root.row_index().positions(self.generators)
-        if (at < 0).any():
-            raise ContainmentError("a generator lies outside the enumerated group")
-        return _generated(root.row_index(), at), at
+        regenerated = generated_in(root, self.generators)
+        return regenerated._mask, regenerated._at
 
     def mask_over(self, ambient: "Group") -> np.ndarray:
         """This group's elements as a bool mask over the index of ambient's root."""
@@ -323,25 +322,31 @@ class Group:
         return f"Group(degree={self.degree}, order={self.order}, ngens={len(self.generators)})"
 
 
-def _generated(index: RowIndex, at) -> np.ndarray:
-    """Mask of the subgroup generated by the elements at ``at``."""
-    return fastset.close(index.unit(), [index.right(i) for i in at], np.array([index.identity]))
-
-
 def _extend(index: RowIndex, mask: np.ndarray, at: list[int], g: int) -> np.ndarray:
     """Mask of <S, g> for the subgroup S = ``mask`` generated by the elements at ``at``."""
     moved = index.right(g)[mask]
     return fastset.close(mask, [index.right(i) for i in at + [g]], moved[~mask[moved]])
 
 
+def _grow(index: RowIndex, span: np.ndarray, at: list[int], candidates) -> tuple[np.ndarray, list[int]]:
+    """Extend the subgroup ``span``, generated by the elements at ``at``, by the first
+    candidate it does not yet contain, until it contains every candidate.  Returns the
+    new span and the picks, in candidate order: each lies outside the span of the ones
+    before it, so a subgroup of order n gets at most log2(n) of them."""
+    candidates, picks = np.asarray(candidates, dtype=np.intp), []
+    while (missing := np.flatnonzero(~span[candidates])).size:
+        x = int(candidates[missing[0]])
+        span = _extend(index, span, at + picks, x)
+        picks.append(x)
+        candidates = candidates[missing[0] + 1:]
+    return span, picks
+
+
 def _picks(index: RowIndex, mask: np.ndarray) -> list[int]:
-    """Generators of the subgroup ``mask``: in sort order, each element that the
-    earlier picks do not generate.  Raises ValidationError if ``mask`` is not closed."""
-    at, span = [], index.unit()
+    """Generators of the subgroup ``mask``: the picks of ``_grow`` over its elements in
+    sort order.  Raises ValidationError if ``mask`` is not closed."""
     try:
-        while (missing := np.flatnonzero(mask & ~span)).size:
-            span = _extend(index, span, at, int(missing[0]))
-            at.append(int(missing[0]))
+        span, at = _grow(index, index.unit(), [], np.flatnonzero(mask))
     except InternalCheckError:  # a product left an element set that is its own index
         span = None
     if span is None or not np.array_equal(span, mask):
@@ -350,24 +355,16 @@ def _picks(index: RowIndex, mask: np.ndarray) -> list[int]:
 
 
 def _normal_closure(index: RowIndex, seeds, conjugators) -> tuple[np.ndarray, list[int]]:
-    """Mask and generators of the normal closure of ``seeds`` under ``conjugators``: each
-    seed in sort order, then each conjugate g^-1 x g of a generator x, the latest found
-    first, that lies outside the subgroup generated so far."""
-    mask, at, queue = index.unit(), [], []
-
-    def add(x: int) -> None:
-        nonlocal mask
-        if not mask[x]:
-            mask = _extend(index, mask, at, x)
-            at.append(x)
-            queue.append(x)
-
-    for x in sorted(set(seeds)):
-        add(x)
+    """Mask and generators of the normal closure of ``seeds`` under ``conjugators``: the
+    picks of ``_grow`` over the seeds in sort order, then over the conjugates g^-1 x g of
+    each picked x, the latest picked first."""
+    mask, at = _grow(index, index.unit(), [], sorted(set(seeds)))
+    queue = list(at)
     while queue:
         x = queue.pop()
-        for g in conjugators:
-            add(int(index.conjugates(x, g)))
+        mask, picks = _grow(index, mask, at, [int(index.conjugates(x, g)) for g in conjugators])
+        at += picks
+        queue += picks
     return mask, at
 
 
@@ -378,14 +375,13 @@ def group_from_generators(degree: int, gens: Iterable, cap: int | None = None) -
 
 def generated_in(ambient: Group, gens: Iterable[Perm]) -> Group:
     """The subgroup of ``ambient`` generated by ``gens``, as a mask over its root's index;
-    its generators are ``gens`` without the identity and repeats."""
+    its generators are the ``gens`` that the ones before them do not generate."""
     root, inside, _ = ambient._frame()
     index = root.row_index()
     at = index.positions(list(gens))
     if (at < 0).any() or not inside[at].all():
         raise ContainmentError("a generator lies outside the ambient group")
-    at = list(dict.fromkeys(i for i in at.tolist() if i != index.identity))
-    return Group._in(root, _generated(index, at), at)
+    return Group._in(root, *_grow(index, index.unit(), [], at))
 
 
 def is_member(G: Group, x: Perm) -> bool:
@@ -545,10 +541,7 @@ class AbelianSection:
 
     @property
     def quotient_order(self) -> int:
-        n = 1
-        for m in self.orders:
-            n *= m
-        return n
+        return math.prod(self.orders)
 
     @property
     def rank(self) -> int:
@@ -598,13 +591,19 @@ def abelian_section(numerator: Group, denominator: Group) -> AbelianSection:
     in_den[den_idx] = True
 
     # column j of powers: the index of x^j, for every x, until every x has
-    # come back to the identity
+    # come back to the identity, by j = n at the latest; x^(ab) = (x^a)^b,
+    # so only a prime j multiplies rows
     powers = [np.full(n, index.identity), np.arange(n)]
-    power_rows = rows
     returned = powers[-1] == index.identity
     while not returned.all():
-        power_rows = np.take_along_axis(rows, power_rows, axis=1)
-        powers.append(index.lookup(power_rows))
+        j = len(powers)
+        if j > n:
+            raise InternalCheckError("an element's powers do not return to the identity")
+        a = next((d for d in range(2, math.isqrt(j) + 1) if j % d == 0), j)
+        if a < j:
+            powers.append(powers[j // a][powers[a]])
+        else:
+            powers.append(index.lookup(np.take_along_axis(rows, rows[powers[j - 1]], axis=1)))
         returned |= powers[-1] == index.identity
     powers = np.stack(powers, axis=1)
 

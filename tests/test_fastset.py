@@ -148,17 +148,40 @@ def test_setwise_product_matches_brute_on_centralizer_factors(smoke_setup):
     assert checked  # some prefix of factors falls short of H
 
 
+def assert_section_matches_brute_greedy(numerator, denominator):
+    section = abelian_section(numerator, denominator)
+    basis, orders, vector_of = brute_abelian_section(numerator.elements(), denominator.elements())
+    assert section.basis == tuple(basis)
+    assert section.orders == tuple(orders)
+    assert all(section.decompose(x) == v for x, v in vector_of.items())
+    position = {v: i for i, v in enumerate(itertools.product(*(range(m) for m in orders)))}
+    assert section.codes.tolist() == [position[vector_of[x]] for x in numerator.sorted_elements()]
+
+
 @pytest.mark.parametrize("instance_id", SMOKE + LEMMA_PRESETS)
 def test_abelian_section_matches_brute_greedy(instance_id):
     terms = lower_central_series(preset_setup(instance_id).G).terms
     for numerator, denominator in zip(terms, terms[1:]):
-        section = abelian_section(numerator, denominator)
-        basis, orders, vector_of = brute_abelian_section(numerator.elements(), denominator.elements())
-        assert section.basis == tuple(basis)
-        assert section.orders == tuple(orders)
-        assert all(section.decompose(x) == v for x, v in vector_of.items())
-        position = {v: i for i, v in enumerate(itertools.product(*(range(m) for m in orders)))}
-        assert section.codes.tolist() == [position[vector_of[x]] for x in numerator.sorted_elements()]
+        assert_section_matches_brute_greedy(numerator, denominator)
+
+
+def cycles(*lengths):
+    """The product of disjoint cycles of the given lengths, one generator each."""
+    degree, gens = sum(lengths), []
+    for start, n in zip(itertools.accumulate((0,) + lengths), lengths):
+        gens.append(Perm.from_cycles(degree, tuple(range(start, start + n))))
+    return group_from_generators(degree, gens)
+
+
+@pytest.mark.parametrize("lengths", [(2, 3, 5, 7), (9, 2), (27,)], ids=["c2c3c5c7", "c9c2", "c27"])
+def test_abelian_section_powers_match_brute_greedy_on_cyclic_products(lengths):
+    """Exponents 210, 18 and 27: the power columns run through many primes,
+    prime powers and products of both, over the trivial denominator and over
+    the subgroup of the first generator's cube."""
+    G = cycles(*lengths)
+    assert_section_matches_brute_greedy(G, Group.trivial(G.degree))
+    cube = G.generators[0] ** 3
+    assert_section_matches_brute_greedy(G, group_from_generators(G.degree, [cube]))
 
 
 def test_abelian_section_correction_step_matches_brute_greedy():

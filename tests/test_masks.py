@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from coprime_lab import groups
+from coprime_lab import groups, harness
 from coprime_lab.action import all_subspaces, fixed_subgroup, maximal_subgroups, validate_setup
 from coprime_lab.errors import ContainmentError, ValidationError
 from coprime_lab.groups import Group, generated_in, group_from_generators
@@ -11,9 +11,12 @@ from coprime_lab.harness import verify_derived_theorem, verify_gamma_theorem
 from coprime_lab.instances import PRESETS, build_setup, preset_entries
 from coprime_lab.perms import Perm
 
-from bruteforce import mulclose
+from bruteforce import CayleyTable, mulclose
 
 SMOKE = ["smoke-01-gl-q3n3", "smoke-02-heis-diag-c5", "smoke-03-c3-c5-c7"]
+LEMMA_PRESETS = [
+    "p2k3-06-c3swap-heis-c5", "p2k4-07-frob21-c5-c11", "p3k3-07-c7-c7-c13", "p3k3-08-c7-mixed",
+]
 
 
 def preset_setup(instance_id):
@@ -65,6 +68,35 @@ def test_generated_in_keeps_to_the_ambient_group():
         generated_in(C, [outside])
     H = generated_in(setup.G, [outside, outside, Perm.identity(setup.G.degree)])
     assert H.generators == (outside,) and H.contains(outside) and H.is_subgroup_of(setup.G)
+
+
+@pytest.mark.parametrize("instance_id", SMOKE + LEMMA_PRESETS)
+def test_generated_in_keeps_an_irredundant_subsequence_of_orbit_unions(instance_id, monkeypatch):
+    """The unions of A-orbits that random_invariant_subgroups hands to generated_in,
+    redundant elements and all: the subgroup is the brute closure of every given
+    element, and each kept generator lies outside the closure of those before it."""
+    setup = preset_setup(instance_id)
+    calls = []
+
+    def recorded(ambient, gens):
+        gens = list(gens)
+        calls.append((gens, generated_in(ambient, gens)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(harness, "generated_in", recorded)
+    for seed in range(4):
+        harness.random_invariant_subgroups(setup, seed=seed)
+    table = CayleyTable(list(setup.G.generators))
+    for gens, H in calls:
+        assert H.elements() == table.perms(table.closure(table.indices(gens)))
+        remaining = iter(gens)
+        assert all(any(x == g for x in remaining) for g in H.generators)
+        before = {Perm.identity(setup.G.degree)}
+        for i, g in enumerate(H.generators):
+            assert g not in before
+            before = table.perms(table.closure(table.indices(H.generators[: i + 1])))
+        assert 2 ** len(H.generators) <= H.order
+    assert max(len(gens) for gens, _ in calls) > max(len(H.generators) for _, H in calls)
 
 
 def test_a_set_that_is_not_closed_raises():
