@@ -7,7 +7,9 @@ basis automorphisms of order dividing p.
 G is indexed once by ``G.sorted_elements()``, so index order is sort order.
 Every automorphism is an index array over it, and every subgroup of G is a
 bool mask over it: centralizers, fixed points and fixed cosets are found by
-masking arrays of indices, and the caches are keyed by mask bytes.
+masking arrays of indices.  Each ``ActionSetup`` computes the fixed mask of
+a subgroup B <= A once, keyed by B's reduced row-echelon basis, and the
+maximal subgroups of A once; its other caches are keyed by mask bytes.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -76,11 +77,16 @@ class Automorphism:
 
     def _build_table(self) -> np.ndarray:
         source = self.source
-        for g, img in self.images.items():
-            if not source.contains(img):
-                raise ValidationError("a generator image lies outside the source group")
         index = source.row_index()
-        pairs = [(index.translate(g), index.translate(img)) for g, img in self.images.items()]
+        images = list(self.images.values())
+        if not all(isinstance(img, Perm) and img.degree == source.degree for img in images):
+            raise ValidationError("a generator image lies outside the source group")
+        at = index.positions([*self.images, *images])
+        if (at < 0).any():
+            raise ValidationError("a generator image lies outside the source group")
+        # the cached right translates, shared by every basis automorphism and later checks
+        at = at.reshape(2, -1).tolist()
+        pairs = [(index.right(g), index.right(img)) for g, img in zip(*at)]
         table = np.full(len(index), -1, dtype=np.int32)
         table[index.identity] = index.identity
         frontier = np.array([index.identity])
@@ -152,21 +158,6 @@ class ASubgroupDescriptor:
     def generated_by(cls, p: int, k: int, vector) -> "ASubgroupDescriptor":
         return cls.from_vectors(p, k, [vector])
 
-    @cached_property
-    def _elements(self) -> frozenset[tuple[int, ...]]:
-        return _span(self.p, self.k, self.vectors)
-
-    def key(self) -> frozenset[tuple[int, ...]]:
-        return self._elements
-
-
-def _span(p: int, k: int, basis) -> frozenset[tuple[int, ...]]:
-    """All p^dim linear combinations of the basis vectors."""
-    span = [tuple(0 for _ in range(k))]
-    for b in basis:
-        span = [tuple((x + c * y) % p for x, y in zip(v, b)) for c in range(p) for v in span]
-    return frozenset(span)
-
 
 def _reduced_basis(p: int, k: int, vectors) -> tuple[tuple[int, ...], ...]:
     """Row-reduced echelon basis of the subspace spanned by the given vectors."""
@@ -227,10 +218,13 @@ class ActionSetup:
     ``basis`` lists the automorphisms phi(e_1), ..., phi(e_k); general phi(u)
     values are composed (and cached) on demand.  G must be a root, a group
     built from generators or elements, so that masks of its subgroups and
-    the automorphism tables share one index.
+    the automorphism tables share one index.  The fixed mask of each B <= A
+    and the maximal subgroups of A are computed once per setup.
     """
 
-    __slots__ = ("G", "p", "k", "basis", "_phi_cache", "_fixed_cache", "_coset_cache")
+    __slots__ = (
+        "G", "p", "k", "basis", "_phi_cache", "_fixed_masks", "_fixed_cache", "_coset_cache", "_maximal",
+    )
 
     def __init__(self, G: Group, p: int, k: int, basis: Iterable[Automorphism]):
         basis = tuple(basis)
@@ -248,8 +242,10 @@ class ActionSetup:
         self.k = k
         self.basis = basis
         self._phi_cache: dict[tuple[int, ...], Automorphism] = {}
+        self._fixed_masks: dict[tuple[tuple[int, ...], ...], np.ndarray] = {}
         self._fixed_cache: dict[bytes, Group] = {}
         self._coset_cache: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
+        self._maximal: tuple[ASubgroupDescriptor, ...] | None = None
 
     def zero_vector(self) -> tuple[int, ...]:
         return tuple(0 for _ in range(self.k))
@@ -328,8 +324,15 @@ def validate_setup(setup: ActionSetup) -> SetupReport:
 
 
 def maximal_subgroups(setup: ActionSetup) -> list[ASubgroupDescriptor]:
-    """All index-p subgroups of A, exactly (p^k - 1)/(p - 1) of them."""
-    p, k = setup.p, setup.k
+    """All index-p subgroups of A, exactly (p^k - 1)/(p - 1) of them, in a new list
+    each call; they are built once per setup."""
+    if setup._maximal is None:
+        setup._maximal = tuple(_maximal_subgroups(setup.p, setup.k))
+    return list(setup._maximal)
+
+
+def _maximal_subgroups(p: int, k: int) -> list[ASubgroupDescriptor]:
+    """The kernel of each functional on (Z/p)^k whose first nonzero coefficient is 1."""
     functionals = []
     for v in itertools.product(range(p), repeat=k):
         if not any(v):
@@ -356,11 +359,16 @@ def maximal_subgroups(setup: ActionSetup) -> list[ASubgroupDescriptor]:
 
 
 def _fixed_mask(setup: ActionSetup, B: ASubgroupDescriptor) -> np.ndarray:
-    """The mask of the elements fixed by every phi(u), u in B."""
-    every = np.arange(setup.G.order)
-    fixed = np.ones(len(every), dtype=bool)
-    for u in B.vectors:
-        fixed &= setup.phi(u).table == every
+    """The mask of the elements fixed by every phi(u), u in B; computed once per
+    basis of B and read-only."""
+    fixed = setup._fixed_masks.get(B.vectors)
+    if fixed is None:
+        every = np.arange(setup.G.order)
+        fixed = np.ones(len(every), dtype=bool)
+        for u in B.vectors:
+            fixed &= setup.phi(u).table == every
+        fixed.flags.writeable = False
+        setup._fixed_masks[B.vectors] = fixed
     return fixed
 
 

@@ -6,6 +6,10 @@ over it.  Right-translating every element by f is one gather and one lookup,
 kept per element; conjugates and commutators are gathers in those translates.
 ``close`` grows a mask under index maps, visiting only the frontier, and left
 cosets and setwise products of subgroups follow from the translates as masks.
+``RowIndex.memo`` keeps the subgroup algebra done over the index, such as
+commutator subgroups and series terms, keyed by the masks it was computed
+from; its values are arrays, never groups, so the index holds no reference
+back to a group and a set-up is freed as soon as it is dropped.
 """
 
 from __future__ import annotations
@@ -26,9 +30,11 @@ class RowIndex:
     its key.  That byte order compares like the image tuples, so the keys
     are sorted and ``searchsorted`` finds a row, which is then confirmed
     equal.  The keys are a view of ``rows``, so the elements are stored once.
+    ``memo`` maps a key built from subgroup masks (``mask_key``) to the
+    arrays computed from them, for whoever computes over this index.
     """
 
-    __slots__ = ("rows", "_keys", "identity", "_right", "_inverse")
+    __slots__ = ("rows", "_keys", "identity", "_right", "_inverse", "memo", "_mask_keys")
 
     def __init__(self, elements: Sequence[Perm]):
         degree = elements[0].degree
@@ -37,6 +43,8 @@ class RowIndex:
         self._keys = self.rows.view(f"V{dtype.itemsize * degree}").ravel()
         self._right: dict[int, np.ndarray] = {}
         self._inverse: np.ndarray | None = None
+        self.memo: dict[tuple, tuple] = {}
+        self._mask_keys: dict[bytes, bytes] = {}
         self.identity = int(self.lookup(np.arange(degree)[None, :])[0])
 
     def __len__(self) -> int:
@@ -93,6 +101,11 @@ class RowIndex:
     def commutator(self, x: int, y: int) -> int:
         """Index of [x, y] = x^-1 y^-1 x y, the inverse of (y^-1 x^-1 y) x."""
         return int(self.inverse[self.right(x)[self.conjugates(self.inverse[x], y)]])
+
+    def mask_key(self, mask: np.ndarray) -> bytes:
+        """The bytes of ``mask``, as one object per distinct mask, so that memo keys share them."""
+        key = mask.tobytes()
+        return self._mask_keys.setdefault(key, key)
 
     def unit(self) -> np.ndarray:
         """The mask of the trivial subgroup."""

@@ -4,7 +4,9 @@ A group built from generators holds a Schreier-Sims chain until it is
 enumerated.  Every subgroup built inside an enumerated group, from
 centralizers to commutator subgroups, series terms and Sylow subgroups, is a
 bool mask over that group's ``fastset.RowIndex``, with no chain; each of its
-generators lies outside the subgroup generated by the ones before it.
+generators lies outside the subgroup generated by the ones before it.  A
+commutator subgroup [H, K] is computed once per pair of masks and kept in the
+index's memo.
 """
 
 from __future__ import annotations
@@ -148,6 +150,7 @@ class Group:
 
     __slots__ = (
         "degree", "generators", "cap", "_chain", "_elements", "_sorted", "_rows", "_root", "_mask", "_at",
+        "__weakref__",
     )
 
     def __init__(self, degree: int, generators: Iterable = (), cap: int | None = None):
@@ -407,15 +410,25 @@ def commutator_subgroup(H: Group, K: Group, ambient: Group) -> Group:
     """The subgroup [H, K] generated by all commutators between H and K.
 
     Computed as the normal closure, inside <H, K>, of the generator-pair
-    commutators; that closure equals the full commutator subgroup.
+    commutators; that closure equals the full commutator subgroup.  It is
+    computed once per pair of masks over the root's index and kept in the
+    index's memo as read-only arrays.
     """
     _require_subgroup(H, ambient, "H")
     _require_subgroup(K, ambient, "K")
     root = ambient._frame()[0]
     index = root.row_index()
-    hs, ks = H._over(root)[1].tolist(), K._over(root)[1].tolist()
-    comms = {index.commutator(x, y) for x in hs for y in ks} - {index.identity}
-    return Group._in(root, *_normal_closure(index, comms, list(dict.fromkeys(hs + ks))))
+    (h_mask, h_at), (k_mask, k_at) = H._over(root), K._over(root)
+    key = ("comm", index.mask_key(h_mask), index.mask_key(k_mask))
+    closed = index.memo.get(key)
+    if closed is None:
+        hs, ks = h_at.tolist(), k_at.tolist()
+        comms = {index.commutator(x, y) for x in hs for y in ks} - {index.identity}
+        mask, at = _normal_closure(index, comms, list(dict.fromkeys(hs + ks)))
+        at = np.asarray(at, dtype=np.intp)
+        mask.flags.writeable = at.flags.writeable = False
+        closed = index.memo[key] = (mask, at)
+    return Group._in(root, *closed)
 
 
 def intersection(H: Group, K: Group) -> Group:
@@ -567,6 +580,46 @@ class AbelianSection:
         return x in self._vector_of
 
 
+def _section_basis(index: RowIndex, powers: np.ndarray, in_den: np.ndarray) -> tuple[list[int], list[int]]:
+    """Greedy basis of numerator/denominator over the numerator's ``index``: the indices of
+    the representatives and their orders.  ``powers[x, j]`` is the index of x^j and
+    ``in_den`` is the denominator's mask.  Raises InternalCheckError, never loops on, when
+    a chosen representative adds no element."""
+    rows, n, degree = index.rows, len(index), index.rows.shape[1]
+    current = in_den.copy()
+    basis: list[int] = []
+    orders: list[int] = []
+    while not current.all():
+        # relative order: the least m >= 1 with x^m in current
+        rel = np.argmax(current[powers[:, 1:]], axis=1) + 1
+        rel[current] = 0
+        best = int(np.argmax(rel))
+        best_m = int(rel[best])
+        if best_m == 0:
+            raise InternalCheckError("ran out of candidates before filling the quotient")
+        # correct the representative so its class has the same order in the
+        # full quotient: (best * d)^m must fall into the denominator, for the
+        # first d of current in sort order
+        if in_den[powers[best, best_m]]:
+            chosen = best
+        else:
+            candidates = index.lookup(rows[current][:, rows[best]])
+            ok = np.flatnonzero(in_den[powers[candidates, best_m]])
+            if not ok.size:
+                raise InternalCheckError("direct-sum correction step found no representative")
+            chosen = int(candidates[ok[0]])
+        basis.append(chosen)
+        orders.append(best_m)
+        # current * <chosen>: x * chosen^j for x in current and j < m
+        products = rows[powers[chosen, :best_m]][:, rows[current]]
+        grown = np.zeros(n, dtype=bool)
+        grown[index.lookup(products.reshape(-1, degree))] = True
+        if np.count_nonzero(grown) == np.count_nonzero(current):
+            raise InternalCheckError("a basis representative adds no element to the quotient")
+        current = grown
+    return basis, orders
+
+
 def abelian_section(numerator: Group, denominator: Group) -> AbelianSection:
     """Decompose the abelian quotient numerator/denominator into cyclic factors.
 
@@ -606,35 +659,7 @@ def abelian_section(numerator: Group, denominator: Group) -> AbelianSection:
             powers.append(index.lookup(np.take_along_axis(rows, rows[powers[j - 1]], axis=1)))
         returned |= powers[-1] == index.identity
     powers = np.stack(powers, axis=1)
-
-    current = in_den.copy()
-    basis: list[int] = []
-    orders: list[int] = []
-    while not current.all():
-        # relative order: the least m >= 1 with x^m in current
-        rel = np.argmax(current[powers[:, 1:]], axis=1) + 1
-        rel[current] = 0
-        best = int(np.argmax(rel))
-        best_m = int(rel[best])
-        if best_m == 0:
-            raise InternalCheckError("ran out of candidates before filling the quotient")
-        # correct the representative so its class has the same order in the
-        # full quotient: (best * d)^m must fall into the denominator, for the
-        # first d of current in sort order
-        if in_den[powers[best, best_m]]:
-            chosen = best
-        else:
-            candidates = index.lookup(rows[current][:, rows[best]])
-            ok = np.flatnonzero(in_den[powers[candidates, best_m]])
-            if not ok.size:
-                raise InternalCheckError("direct-sum correction step found no representative")
-            chosen = int(candidates[ok[0]])
-        basis.append(chosen)
-        orders.append(best_m)
-        # current * <chosen>: x * chosen^j for x in current and j < m
-        products = rows[powers[chosen, :best_m]][:, rows[current]]
-        current = np.zeros(n, dtype=bool)
-        current[index.lookup(products.reshape(-1, degree))] = True
+    basis, orders = _section_basis(index, powers, in_den)
 
     # the representative b_1^e_1 ... b_r^e_r of every exponent vector, in
     # itertools.product order, then rep * d for every d in the denominator

@@ -1,4 +1,10 @@
-"""Lower central, derived, and upper central series; nilpotency; Fitting subgroup."""
+"""Lower central, derived, and upper central series; nilpotency; Fitting subgroup.
+
+The lower central and derived series of a subgroup are computed once per
+mask over its root's index: each descending series keeps the masks and
+generator indices of its terms in ``RowIndex.memo`` under its kind and the
+mask of its first term, and a later call rebuilds the terms from them.
+"""
 
 from __future__ import annotations
 
@@ -31,23 +37,34 @@ class SeriesResult:
 
 
 def _descending_series(G: Group, kind: str, step) -> SeriesResult:
-    terms = [G]
-    while True:
-        if len(terms) > MAX_SERIES_LENGTH:
-            raise InternalCheckError(f"{kind} series exceeded {MAX_SERIES_LENGTH} terms")
-        current = terms[-1]
-        if current.is_trivial:
-            break
-        nxt = step(current)
-        if nxt.order == current.order:
-            break
-        terms.append(nxt)
-    last = terms[-1]
+    """G, step(G), step(step(G)), ... until a term is trivial or repeats.
+
+    The terms after G are computed once per mask of G over its root's index
+    and kept in that index's memo as (mask, generator indices) pairs.
+    """
+    root, mask, _ = G._frame()
+    index = root.row_index()
+    key = (kind, index.mask_key(mask))
+    later = index.memo.get(key)
+    if later is None:
+        terms = [G]
+        while True:
+            if len(terms) > MAX_SERIES_LENGTH:
+                raise InternalCheckError(f"{kind} series exceeded {MAX_SERIES_LENGTH} terms")
+            current = terms[-1]
+            if current.is_trivial:
+                break
+            nxt = step(current)
+            if nxt.order == current.order:
+                break
+            terms.append(nxt)
+        later = index.memo[key] = tuple((term._mask, term._at) for term in terms[1:])
+    terms = (G, *(Group._in(root, *term) for term in later))
     return SeriesResult(
         kind=kind,
-        terms=tuple(terms),
+        terms=terms,
         stabilized=True,
-        class_or_length=len(terms) - 1 if last.is_trivial else None,
+        class_or_length=len(terms) - 1 if terms[-1].is_trivial else None,
     )
 
 

@@ -146,7 +146,7 @@ def check_aspecial_degree_bound(setup: ActionSetup, families: list[SpecialFamily
     Degrees outside the hypothesis are skipped.
     """
     subspaces = all_subspaces(setup.p, setup.k)
-    term_cache: dict[tuple[frozenset, str, int], Group] = {}
+    term_cache: dict[tuple[tuple, str, int], Group] = {}
     any_applicable = False
     for family in families:
         i = family.degree
@@ -173,7 +173,7 @@ def _degree_bound_witness(
     for B in subspaces:
         if B.codim > max_codim:
             break
-        cache_key = (B.key(), kind, degree)
+        cache_key = (B.vectors, kind, degree)
         target = term_cache.get(cache_key)
         if target is None:
             term, _ = _KIND_TERM_AND_CODIM[kind]

@@ -143,6 +143,13 @@ def test_image_outside_group_rejected():
         Automorphism(G, {t: Perm.from_cycles(9, (0, 1)), v: v}).table
 
 
+def test_image_of_another_degree_rejected():
+    G = heisenberg27()
+    t, v = G.generators
+    with pytest.raises(ValidationError, match="outside the source group"):
+        Automorphism(G, {t: Perm.from_cycles(10, (0, 1, 2)), v: v}).table
+
+
 def test_non_bijective_endomorphism_rejected():
     G = heisenberg27()
     ident = Perm.identity(9)
@@ -210,12 +217,12 @@ def test_all_subspaces_matches_brute(p, k):
 @pytest.mark.parametrize("p,k", [(2, 5), (2, 6), (3, 4), (5, 3)])
 def test_all_subspaces_canonical_and_distinct(p, k):
     subspaces = all_subspaces(p, k)
-    for B in subspaces:
-        span = B.key()
+    spans = [brute_span(p, k, B.vectors) for B in subspaces]
+    for B, span in zip(subspaces, spans):
         assert len(span) == p ** (k - B.codim)
         assert _reduced_basis(p, k, sorted(span)) == B.vectors
         assert ASubgroupDescriptor.from_vectors(p, k, span) == B
-    assert len({B.key() for B in subspaces}) == len(subspaces)
+    assert len(set(spans)) == len(subspaces)
 
 
 # ------------------------------------------------------------ fixed points

@@ -8,7 +8,7 @@ import pytest
 from coprime_lab.action import fixed_elements_in, maximal_subgroups
 from coprime_lab.errors import InternalCheckError
 from coprime_lab.fastset import coset_labels, setwise_product_covers
-from coprime_lab.groups import Group, abelian_section, group_from_generators
+from coprime_lab.groups import Group, _section_basis, abelian_section, group_from_generators
 from coprime_lab.harness import random_invariant_subgroups
 from coprime_lab.instances import build_setup, preset_entries
 from coprime_lab.perms import Perm
@@ -202,3 +202,14 @@ def test_abelian_section_correction_step_matches_brute_greedy():
     cyclic = {first_pick**i for i in range(4)}
     naive = next(x for x in G.sorted_elements() if x not in cyclic)
     assert naive.order() == 4 and section.basis[1] != naive
+
+
+def test_section_basis_raises_when_a_representative_adds_nothing():
+    """A power table that sends every element and power to the identity makes each
+    element's relative order 1, so the chosen representative adds no element: the
+    basis loop must raise, not pick it again forever."""
+    G = heisenberg27()
+    index = G.row_index()
+    powers = np.full((len(index), 4), index.identity)
+    with pytest.raises(InternalCheckError, match="adds no element"):
+        _section_basis(index, powers, index.unit())

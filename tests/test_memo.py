@@ -1,0 +1,143 @@
+"""Subgroup algebra kept in the root index's memo: the same subgroups on a first call and on a
+hit, one commutator closure per pair of masks, read-only cached masks, and no reference cycle."""
+
+import gc
+import sys
+import weakref
+
+import pytest
+
+from coprime_lab import groups
+from coprime_lab.action import _fixed_mask, fixed_subgroup, maximal_subgroups
+from coprime_lab.groups import commutator_subgroup, generated_in
+from coprime_lab.harness import verify_derived_theorem, verify_gamma_theorem
+from coprime_lab.instances import PRESETS, build_setup, preset_entries
+from coprime_lab.series import derived_series, lower_central_series
+
+from bruteforce import CayleyTable, brute_derived_series, brute_lower_central_series
+
+SMOKE = ["smoke-01-gl-q3n3", "smoke-02-heis-diag-c5", "smoke-03-c3-c5-c7"]
+LEMMA_PRESETS = [
+    "p2k3-06-c3swap-heis-c5", "p2k4-07-frob21-c5-c11", "p3k3-07-c7-c7-c13", "p3k3-08-c7-mixed",
+]
+
+
+def preset_setup(instance_id):
+    return build_setup(dict(preset_entries(instance_id.split("-")[0]))[instance_id])
+
+
+def twin(H, ambient):
+    """H again, generated from its elements in reverse sort order, so with other generators."""
+    return generated_in(ambient, reversed(H.sorted_elements()))
+
+
+def subgroups_under_test(setup):
+    """G and its distinct centralizers C_G(A_j), one group per mask."""
+    found = {}
+    for H in [setup.G] + [fixed_subgroup(setup, A_j) for A_j in maximal_subgroups(setup)]:
+        found.setdefault(H.mask_over(setup.G).tobytes(), H)
+    return list(found.values())
+
+
+@pytest.mark.parametrize("instance_id", SMOKE + LEMMA_PRESETS)
+def test_series_match_brute_on_a_first_call_a_hit_and_a_twin(instance_id):
+    setup = preset_setup(instance_id)
+    memo = setup.G.row_index().memo
+    for H in subgroups_under_test(setup):
+        key = H.mask_over(setup.G).tobytes()
+        for series, brute, kind in (
+            (lower_central_series, brute_lower_central_series, "lower-central"),
+            (derived_series, brute_derived_series, "derived"),
+        ):
+            expected = [set(term) for term in brute(H.elements())]
+            first = series(H)
+            assert (kind, key) in memo
+            size = len(memo)
+            again, other = series(H), series(twin(H, setup.G))
+            assert len(memo) == size  # both answered from the memo
+            for result, G in ((first, H), (again, H), (other, other.terms[0])):
+                assert result.terms[0] is G
+                assert [set(term.elements()) for term in result.terms] == expected
+                assert result.class_or_length == (len(expected) - 1 if len(expected[-1]) == 1 else None)
+                for term in result.terms[1:]:
+                    assert generated_in(setup.G, term.generators).same_subgroup(term)
+
+
+@pytest.mark.parametrize("instance_id", SMOKE + LEMMA_PRESETS)
+def test_commutator_subgroups_match_brute_on_a_first_call_a_hit_and_twins(instance_id):
+    setup = preset_setup(instance_id)
+    G, memo = setup.G, setup.G.row_index().memo
+    table = CayleyTable(list(G.generators))
+    subgroups = subgroups_under_test(setup)
+    for a, H in enumerate(subgroups):
+        for K in subgroups[a:]:
+            xs, ys = table.indices(H.elements()), table.indices(K.elements())
+            expected = table.perms(table.commutator_subgroup(xs, ys))
+            first = commutator_subgroup(H, K, G)
+            size = len(memo)
+            again, other = commutator_subgroup(H, K, G), commutator_subgroup(twin(H, G), twin(K, G), G)
+            assert len(memo) == size  # both answered from the memo
+            for result in (first, again, other):
+                assert result.elements() == expected
+                assert generated_in(G, result.generators).same_subgroup(result)
+
+
+def test_a_setup_is_freed_without_the_cycle_collector():
+    """The memo holds arrays, never groups, so nothing it keeps refers back to G."""
+    gc.collect()
+    gc.disable()
+    try:
+        setup = preset_setup("p2k3-08-wreath-c5")
+        assert verify_derived_theorem(setup, PRESETS["p2k3"].d).status == "pass"
+        assert verify_gamma_theorem(setup).status == "pass"
+        assert setup.G.row_index().memo
+        G = weakref.ref(setup.G)
+        del setup
+        assert G() is None
+    finally:
+        gc.enable()
+
+
+def test_each_commutator_closure_is_computed_once_per_root(monkeypatch):
+    setup = preset_setup("p2k3-08-wreath-c5")
+    pairs, computed = [], []
+    original = groups.commutator_subgroup
+
+    def recorded(H, K, ambient):
+        root = ambient._frame()[0]
+        pairs.append((id(root), H.mask_over(root).tobytes(), K.mask_over(root).tobytes()))
+        return original(H, K, ambient)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("coprime_lab") and getattr(module, "commutator_subgroup", None) is original:
+            monkeypatch.setattr(module, "commutator_subgroup", recorded)
+    closure = groups._normal_closure
+
+    def counted(index, seeds, conjugators):
+        computed.append(pairs[-1])
+        return closure(index, seeds, conjugators)
+
+    monkeypatch.setattr(groups, "_normal_closure", counted)
+    assert verify_derived_theorem(setup, PRESETS["p2k3"].d).status == "pass"
+    assert verify_gamma_theorem(setup).status == "pass"
+    assert len(computed) == len(set(computed)) == len(set(pairs)) < len(pairs)
+
+
+def test_cached_masks_are_read_only():
+    setup = preset_setup("smoke-02-heis-diag-c5")
+    A_j = maximal_subgroups(setup)[0]
+    fixed = _fixed_mask(setup, A_j)
+    assert _fixed_mask(setup, A_j) is fixed
+    C = fixed_subgroup(setup, A_j)
+    comm = commutator_subgroup(setup.G, setup.G, setup.G)
+    for mask in (fixed, C.mask_over(setup.G), comm.mask_over(setup.G)):
+        with pytest.raises(ValueError):
+            mask[0] = not mask[0]
+
+
+def test_maximal_subgroups_hand_out_a_new_list_each_call():
+    setup = preset_setup("smoke-02-heis-diag-c5")
+    first = maximal_subgroups(setup)
+    first.clear()
+    assert len(maximal_subgroups(setup)) == (setup.p**setup.k - 1) // (setup.p - 1)
+    assert maximal_subgroups(setup) == maximal_subgroups(setup)
