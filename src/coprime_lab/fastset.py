@@ -6,14 +6,18 @@ over it.  Right-translating every element by f is one gather and one lookup,
 kept per element; conjugates and commutators are gathers in those translates.
 ``close`` grows a mask under index maps, visiting only the frontier, and left
 cosets and setwise products of subgroups follow from the translates as masks.
-``RowIndex.memo`` keeps the subgroup algebra done over the index, such as
-commutator subgroups and series terms, keyed by the masks it was computed
-from; its values are arrays, never groups, so the index holds no reference
-back to a group and a set-up is freed as soon as it is dropped.
+``RowIndex.power(d)`` is the column x -> x^d, built once per d: a composite d
+is a gather of two smaller columns and a prime d multiplies the rows of the
+squares along its binary digits.  ``RowIndex.memo`` keeps the subgroup
+algebra done over the index, such as generators, commutator subgroups and
+series terms, keyed by the masks it was computed from; its values are
+arrays, never groups, so the index holds no reference back to a group and a
+set-up is freed as soon as it is dropped.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -30,11 +34,13 @@ class RowIndex:
     its key.  That byte order compares like the image tuples, so the keys
     are sorted and ``searchsorted`` finds a row, which is then confirmed
     equal.  The keys are a view of ``rows``, so the elements are stored once.
-    ``memo`` maps a key built from subgroup masks (``mask_key``) to the
-    arrays computed from them, for whoever computes over this index.
+    Right translates, inverses and power columns are built on first use and
+    kept; the columns are read-only.  ``memo`` maps a key built from subgroup
+    masks (``mask_key``) to the arrays computed from them, for whoever
+    computes over this index.
     """
 
-    __slots__ = ("rows", "_keys", "identity", "_right", "_inverse", "memo", "_mask_keys")
+    __slots__ = ("rows", "_keys", "identity", "_right", "_inverse", "_powers", "memo", "_mask_keys")
 
     def __init__(self, elements: Sequence[Perm]):
         degree = elements[0].degree
@@ -43,7 +49,8 @@ class RowIndex:
         self._keys = self.rows.view(f"V{dtype.itemsize * degree}").ravel()
         self._right: dict[int, np.ndarray] = {}
         self._inverse: np.ndarray | None = None
-        self.memo: dict[tuple, tuple] = {}
+        self._powers: dict[int, np.ndarray] = {}
+        self.memo: dict[tuple, object] = {}
         self._mask_keys: dict[bytes, bytes] = {}
         self.identity = int(self.lookup(np.arange(degree)[None, :])[0])
 
@@ -92,6 +99,38 @@ class RowIndex:
         if self._inverse is None:
             self._inverse = self.lookup(np.argsort(self.rows, axis=1))
         return self._inverse
+
+    def power(self, d: int) -> np.ndarray:
+        """Index of x^d for every x, as a read-only column of the narrowest unsigned type
+        that holds every index, built once per d.
+
+        (x^a)^b = x^(ab), so a composite d gathers the column of d / q at the
+        column of its least prime factor q.  A prime d multiplies the rows of
+        the squares x^(2^i) over its binary digits, and those are gathers of
+        the column at 2.
+        """
+        column = self._powers.get(d)
+        if column is None:
+            if d < 0:
+                raise ValueError(f"power columns are built for d >= 0, not {d}")
+            if d < 2:
+                column = np.arange(len(self.rows)) if d else np.full(len(self.rows), self.identity)
+            else:
+                q = next((q for q in range(2, math.isqrt(d) + 1) if d % q == 0), d)
+                if q < d:
+                    column = self.power(d // q)[self.power(q)]
+                elif d == 2:
+                    column = self.lookup(np.take_along_axis(self.rows, self.rows, axis=1))
+                else:
+                    column = np.arange(len(self.rows))  # d is odd: its last digit is x itself
+                    for i in range(1, d.bit_length()):
+                        if d >> i & 1:
+                            square = self.rows[self.power(1 << i)]
+                            column = self.lookup(np.take_along_axis(self.rows[column], square, axis=1))
+            column = column.astype(np.min_scalar_type(len(self.rows) - 1), copy=False)
+            column.flags.writeable = False
+            self._powers[d] = column
+        return column
 
     def conjugates(self, xs, g: int):
         """Index of g^-1 x g, the inverse of (x g)^-1 g, for every x in ``xs``."""

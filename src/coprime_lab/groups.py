@@ -4,9 +4,12 @@ A group built from generators holds a Schreier-Sims chain until it is
 enumerated.  Every subgroup built inside an enumerated group, from
 centralizers to commutator subgroups, series terms and Sylow subgroups, is a
 bool mask over that group's ``fastset.RowIndex``, with no chain; each of its
-generators lies outside the subgroup generated by the ones before it.  A
-commutator subgroup [H, K] is computed once per pair of masks and kept in the
-index's memo.
+generators lies outside the subgroup generated by the ones before it.  The
+generators of a subgroup given by its mask, and a commutator subgroup [H, K],
+are computed once per mask, or pair of masks, and kept in the index's memo.
+Sylow subgroups and abelian sections read the index's power columns, x -> x^d
+at divisors d of the root's order, so an abelian section runs over the root's
+index, restricted to its numerator's mask.
 """
 
 from __future__ import annotations
@@ -214,9 +217,16 @@ class Group:
 
     @classmethod
     def from_mask(cls, ambient: "Group", mask: np.ndarray) -> "Group":
-        """The subgroup whose elements ``mask`` marks over the index of ambient's root (must be closed)."""
+        """The subgroup whose elements ``mask`` marks over the index of ambient's root (must be
+        closed).  Its generators are found once per mask and kept in the index's memo."""
         root = ambient._frame()[0]
-        return cls._in(root, mask, _picks(root.row_index(), mask))
+        index = root.row_index()
+        at = index.memo.get(("picks", mask.tobytes()))
+        if at is None:
+            at = np.asarray(_picks(index, mask), dtype=np.intp)
+            at.flags.writeable = False
+            index.memo[("picks", index.mask_key(mask))] = at
+        return cls._in(root, mask, at)
 
     def _frame(self) -> tuple["Group", np.ndarray, np.ndarray]:
         """(root, mask, generator indices) over the root's index; enumerates a group with neither."""
@@ -474,18 +484,6 @@ def _r_part(n: int, r: int) -> int:
     return m
 
 
-def _power_is_identity(index: RowIndex, m: int) -> np.ndarray:
-    """Mask of the elements x with x^m = 1, by repeated squaring of the rows."""
-    rows, identity = index.rows, np.arange(index.rows.shape[1])
-    power = np.broadcast_to(identity, rows.shape)
-    while m:
-        if m & 1:
-            power = np.take_along_axis(rows, power, axis=1)
-        rows = np.take_along_axis(rows, rows, axis=1)
-        m >>= 1
-    return (power == identity).all(axis=1)
-
-
 def sylow_subgroup(G: Group, r: int) -> Group:
     """Some Sylow r-subgroup of G."""
     root, mask, _ = G._frame()
@@ -494,7 +492,7 @@ def sylow_subgroup(G: Group, r: int) -> Group:
     if G.order == target:
         return G
     # the r-elements are those whose order divides |G|_r
-    r_elements = mask & _power_is_identity(index, target)
+    r_elements = mask & (index.power(target) == index.identity)
     # unique-Sylow fast path: all r-elements form the subgroup
     if np.count_nonzero(r_elements) == target:
         try:
@@ -580,44 +578,77 @@ class AbelianSection:
         return x in self._vector_of
 
 
-def _section_basis(index: RowIndex, powers: np.ndarray, in_den: np.ndarray) -> tuple[list[int], list[int]]:
-    """Greedy basis of numerator/denominator over the numerator's ``index``: the indices of
-    the representatives and their orders.  ``powers[x, j]`` is the index of x^j and
-    ``in_den`` is the denominator's mask.  Raises InternalCheckError, never loops on, when
-    a chosen representative adds no element."""
-    rows, n, degree = index.rows, len(index), index.rows.shape[1]
+def _divisors(n: int) -> list[int]:
+    """Every divisor of n, ascending."""
+    small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    return small + [n // d for d in reversed(small) if d * d != n]
+
+
+def _powers_of(index: RowIndex, x: int, m: int) -> np.ndarray:
+    """Index of x^j for j < m.  The rows of x^0 ... x^(k-1) and x^k give those of x^k ... x^(2k-1)
+    in one gather, so the chain doubles until it is m long and is looked up at once."""
+    chain, step = index.rows[[index.identity]], index.rows[x]
+    while len(chain) < m:
+        chain, step = np.concatenate([chain, step[chain]]), step[step]
+    return index.lookup(chain[:m])
+
+
+def _section_basis(index: RowIndex, num: np.ndarray, in_den: np.ndarray, power=None) -> list[np.ndarray]:
+    """Greedy basis of numerator/denominator over the root's ``index``, where ``num`` and
+    ``in_den`` are their masks: for each representative b, of order m, the indices of b^j
+    for j < m, so b is at position 1.  ``power(d)`` is the column of x^d, ``index.power``
+    unless given.  Raises InternalCheckError, never loops on or returns a section, when a
+    power or a product leaves the numerator or a chosen representative adds no element."""
+    power = power or index.power
+    rows, degree = index.rows, index.rows.shape[1]
+    total = int(np.count_nonzero(num))
     current = in_den.copy()
-    basis: list[int] = []
-    orders: list[int] = []
-    while not current.all():
-        # relative order: the least m >= 1 with x^m in current
-        rel = np.argmax(current[powers[:, 1:]], axis=1) + 1
-        rel[current] = 0
-        best = int(np.argmax(rel))
-        best_m = int(rel[best])
-        if best_m == 0:
+    chains: list[np.ndarray] = []
+    while (size := int(np.count_nonzero(current))) < total:
+        # relative order: the least m >= 1 with x^m in current.  current contains den, so
+        # it is normal in num, and those m are the multiples of the order of x current in
+        # num / current: m is the least divisor of |num : current| that reaches current
+        candidates = np.flatnonzero(num & ~current)
+        if not candidates.size:
             raise InternalCheckError("ran out of candidates before filling the quotient")
+        rel = np.zeros(len(candidates), dtype=np.int64)
+        open_ = np.arange(len(candidates))
+        for d in _divisors(total // size):
+            reached = power(d)[candidates[open_]]
+            if not num[reached].all():
+                raise InternalCheckError("a power of a numerator element lies outside the numerator")
+            hit = current[reached]
+            rel[open_[hit]] = d
+            open_ = open_[~hit]
+            if not open_.size:
+                break
+        if open_.size:
+            raise InternalCheckError("an element's relative order does not divide the quotient's order")
+        best = int(candidates[np.argmax(rel)])
+        best_m = int(rel.max())
         # correct the representative so its class has the same order in the
         # full quotient: (best * d)^m must fall into the denominator, for the
         # first d of current in sort order
-        if in_den[powers[best, best_m]]:
+        if in_den[power(best_m)[best]]:
             chosen = best
         else:
-            candidates = index.lookup(rows[current][:, rows[best]])
-            ok = np.flatnonzero(in_den[powers[candidates, best_m]])
+            corrected = index.lookup(rows[current][:, rows[best]])
+            ok = np.flatnonzero(in_den[power(best_m)[corrected]])
             if not ok.size:
                 raise InternalCheckError("direct-sum correction step found no representative")
-            chosen = int(candidates[ok[0]])
-        basis.append(chosen)
-        orders.append(best_m)
+            chosen = int(corrected[ok[0]])
+        chain = _powers_of(index, chosen, best_m)
         # current * <chosen>: x * chosen^j for x in current and j < m
-        products = rows[powers[chosen, :best_m]][:, rows[current]]
-        grown = np.zeros(n, dtype=bool)
-        grown[index.lookup(products.reshape(-1, degree))] = True
-        if np.count_nonzero(grown) == np.count_nonzero(current):
+        products = index.lookup(rows[chain][:, rows[current]].reshape(-1, degree))
+        if not num[products].all():
+            raise InternalCheckError("a product of numerator elements lies outside the numerator")
+        grown = np.zeros(len(index), dtype=bool)
+        grown[products] = True
+        if np.count_nonzero(grown) == size:
             raise InternalCheckError("a basis representative adds no element to the quotient")
+        chains.append(chain)
         current = grown
-    return basis, orders
+    return chains
 
 
 def abelian_section(numerator: Group, denominator: Group) -> AbelianSection:
@@ -625,7 +656,8 @@ def abelian_section(numerator: Group, denominator: Group) -> AbelianSection:
 
     Uses greedy order-maximal picks with a correction step so that the chosen
     representatives give an honest direct-sum decomposition; the construction
-    ends with an exhaustive bijection check.
+    ends with an exhaustive bijection check.  It runs over the index of the
+    numerator's root, on that index's power columns.
     """
     if denominator.degree != numerator.degree or not denominator.is_subgroup_of(numerator):
         raise PreconditionError("denominator is not a subgroup of the numerator")
@@ -636,45 +668,32 @@ def abelian_section(numerator: Group, denominator: Group) -> AbelianSection:
             if not denominator.contains(commutator(a, b)):
                 raise PreconditionError("quotient is not abelian")
 
-    den_elements = denominator.elements()
-    index = numerator.row_index()
-    rows, n, degree = index.rows, len(index), numerator.degree
-    den_idx = np.sort(index.index_of(den_elements))
-    in_den = np.zeros(n, dtype=bool)
-    in_den[den_idx] = True
-
-    # column j of powers: the index of x^j, for every x, until every x has
-    # come back to the identity, by j = n at the latest; x^(ab) = (x^a)^b,
-    # so only a prime j multiplies rows
-    powers = [np.full(n, index.identity), np.arange(n)]
-    returned = powers[-1] == index.identity
-    while not returned.all():
-        j = len(powers)
-        if j > n:
-            raise InternalCheckError("an element's powers do not return to the identity")
-        a = next((d for d in range(2, math.isqrt(j) + 1) if j % d == 0), j)
-        if a < j:
-            powers.append(powers[j // a][powers[a]])
-        else:
-            powers.append(index.lookup(np.take_along_axis(rows, rows[powers[j - 1]], axis=1)))
-        returned |= powers[-1] == index.identity
-    powers = np.stack(powers, axis=1)
-    basis, orders = _section_basis(index, powers, in_den)
+    root, num, _ = numerator._frame()
+    index = root.row_index()
+    rows, degree = index.rows, numerator.degree
+    in_den = denominator.mask_over(numerator)
+    chains = _section_basis(index, num, in_den)
+    orders = [len(chain) for chain in chains]
 
     # the representative b_1^e_1 ... b_r^e_r of every exponent vector, in
     # itertools.product order, then rep * d for every d in the denominator
     reps = rows[[index.identity]]
-    for b, m in zip(basis, orders):
-        reps = rows[powers[b, :m]][:, reps].transpose(1, 0, 2).reshape(-1, degree)
+    for chain in chains:
+        reps = rows[chain][:, reps].transpose(1, 0, 2).reshape(-1, degree)
+    den_idx = np.flatnonzero(in_den)
     keys = index.lookup(rows[den_idx][:, reps].transpose(1, 0, 2).reshape(-1, degree))
+    if not num[keys].all():
+        raise InternalCheckError("a decomposed element lies outside the numerator")
     if np.bincount(keys).max() > 1:
         raise InternalCheckError("exponent vectors do not decompose the quotient uniquely")
     if len(keys) != numerator.order:
         raise InternalCheckError("section decomposition does not cover the numerator")
-    elements = numerator.sorted_elements()
+    elements = root.sorted_elements()
     vectors = list(itertools.product(*(range(m) for m in orders)))
     per_vector = len(den_idx)
     vector_of = {elements[i]: vectors[j // per_vector] for j, i in enumerate(keys.tolist())}
+    # the numerator's i-th sorted element sits at its i-th position in the root's index
     codes = np.empty(len(keys), dtype=np.int64)
-    codes[keys] = np.arange(len(keys)) // per_vector
-    return AbelianSection(numerator, denominator, [elements[b] for b in basis], orders, codes, vector_of)
+    codes[(np.cumsum(num) - 1)[keys]] = np.arange(len(keys)) // per_vector
+    basis = [elements[chain[1]] for chain in chains]
+    return AbelianSection(numerator, denominator, basis, orders, codes, vector_of)

@@ -5,10 +5,14 @@ import itertools
 import numpy as np
 import pytest
 
+from coprime_lab import groups
 from coprime_lab.action import fixed_elements_in, maximal_subgroups
-from coprime_lab.errors import InternalCheckError
+from coprime_lab.errors import InternalCheckError, ValidationError
 from coprime_lab.fastset import coset_labels, setwise_product_covers
-from coprime_lab.groups import Group, _section_basis, abelian_section, group_from_generators
+from coprime_lab.groups import (
+    Group, _section_basis, abelian_section, center, generated_in, group_from_generators,
+    sylow_subgroup,
+)
 from coprime_lab.harness import random_invariant_subgroups
 from coprime_lab.instances import build_setup, preset_entries
 from coprime_lab.perms import Perm
@@ -205,11 +209,105 @@ def test_abelian_section_correction_step_matches_brute_greedy():
 
 
 def test_section_basis_raises_when_a_representative_adds_nothing():
-    """A power table that sends every element and power to the identity makes each
-    element's relative order 1, so the chosen representative adds no element: the
-    basis loop must raise, not pick it again forever."""
+    """Power columns that send every element to the identity make each element's relative
+    order 1, so the chosen representative adds no element: the basis loop must raise, not
+    pick it again forever."""
     G = heisenberg27()
     index = G.row_index()
-    powers = np.full((len(index), 4), index.identity)
+    whole = np.ones(len(index), dtype=bool)
     with pytest.raises(InternalCheckError, match="adds no element"):
-        _section_basis(index, powers, index.unit())
+        _section_basis(index, whole, index.unit(), lambda d: np.full(len(index), index.identity))
+
+
+def test_section_basis_raises_when_a_power_leaves_the_numerator():
+    """A faulty column that sends the powers of the centre's elements to an element outside
+    the centre must raise, not decompose the centre over it."""
+    G = heisenberg27()
+    index = G.row_index()
+    centre = center(G).mask_over(G)
+    outside = int(np.flatnonzero(~centre)[0])
+    with pytest.raises(InternalCheckError, match="outside the numerator"):
+        _section_basis(index, centre, index.unit(), lambda d: np.full(len(index), outside))
+
+
+def test_section_basis_raises_when_a_product_leaves_the_numerator():
+    """The union of four cyclic subgroups of order 3 of the Heisenberg group holds every
+    power of its elements but is not a subgroup: the second representative's products with
+    the first leave it, and the basis loop must raise, not return a section."""
+    G = heisenberg27()
+    index = G.row_index()
+    t, v = G.generators
+    num = index.unit()
+    for x in index.index_of([t, v, t * v, t * v * v]).tolist():
+        num[[x, index.power(2)[x]]] = True
+    assert np.count_nonzero(num) == 9
+    with pytest.raises(InternalCheckError, match="product of numerator elements lies outside"):
+        _section_basis(index, num, index.unit())
+
+
+POWER_GROUPS = {name: lambda name=name: preset_setup(name).G for name in SMOKE}
+POWER_GROUPS.update({"c2c3c5c7": lambda: cycles(2, 3, 5, 7), "c9c2": lambda: cycles(9, 2), "c27": lambda: cycles(27)})
+
+
+def prime_parts(n):
+    """{r: |n|_r} for every prime r dividing n."""
+    parts, r = {}, 2
+    while n > 1:
+        while n % r == 0:
+            parts[r] = parts.get(r, 1) * r
+            n //= r
+        r += 1
+    return parts
+
+
+@pytest.mark.parametrize("name", list(POWER_GROUPS))
+def test_power_columns_match_perm_powers(name):
+    G = POWER_GROUPS[name]()
+    ordered = G.sorted_elements()
+    position = {x: i for i, x in enumerate(ordered)}
+    index = G.row_index()
+    exponents = {0, 1, 2, 3, 4, 6, 8, 9, 12, 27, G.order} | set(prime_parts(G.order).values())
+    for d in sorted(exponents):
+        column = index.power(d)
+        assert column.tolist() == [position[x**d] for x in ordered], d
+        assert index.power(d) is column
+        with pytest.raises(ValueError):
+            column[0] = column[-1]
+
+
+@pytest.mark.parametrize("name", list(POWER_GROUPS))
+def test_sylow_subgroups_take_the_elements_of_order_dividing_the_r_part(name):
+    G = POWER_GROUPS[name]()
+    ordered = G.sorted_elements()
+    index = G.row_index()
+    for r, part in prime_parts(G.order).items():
+        r_elements = {x for x in ordered if part % x.order() == 0}
+        column = index.power(part)
+        assert {ordered[i] for i in np.flatnonzero(column == index.identity).tolist()} == r_elements
+        P = sylow_subgroup(G, r)
+        assert P.order == part and P.elements() <= r_elements
+        if name.startswith("c"):  # abelian: the Sylow subgroup is every r-element
+            assert P.elements() == r_elements
+
+
+def test_from_mask_keeps_the_generators_of_each_closed_mask_once(monkeypatch):
+    G = heisenberg27()
+    index = G.row_index()
+    cyclic = generated_in(G, [G.generators[0]])
+    mask = cyclic.mask_over(G)
+    size, picked = len(index.memo), []
+    picks = groups._picks
+    monkeypatch.setattr(groups, "_picks", lambda index, mask: picked.append(1) or picks(index, mask))
+    first, second = Group.from_mask(G, mask.copy()), Group.from_mask(G, mask.copy())
+    assert len(index.memo) == size + 1 and len(picked) == 1
+    kept = index.memo[("picks", mask.tobytes())]
+    assert first.generators == second.generators == tuple(G.sorted_elements()[i] for i in kept.tolist())
+    assert first.elements() == second.elements() == cyclic.elements()
+    with pytest.raises(ValueError):
+        kept[0] = 0
+    not_closed = mask.copy()
+    not_closed[index.index_of([G.generators[1]])] = True
+    for _ in range(2):
+        with pytest.raises(ValidationError, match="not closed"):
+            Group.from_mask(G, not_closed)
+    assert len(index.memo) == size + 1 and len(picked) == 3

@@ -1,10 +1,15 @@
 """Tests for the graded Lie ring construction and its checks."""
 
+import math
+import tracemalloc
+
 import pytest
 
 from coprime_lab.action import ASubgroupDescriptor, ActionSetup, Automorphism, fixed_subgroup, maximal_subgroups
 from coprime_lab.errors import ContainmentError, PreconditionError
 from coprime_lab.groups import Group, center, group_from_generators
+from coprime_lab.harness import InstanceContext, lemma_report
+from coprime_lab.instances import FamilySpec, _aut_zone_spec, build_setup
 from coprime_lab.lie import (
     LieSubspace,
     axiom_report,
@@ -203,3 +208,25 @@ def test_pl_equals_l_guard():
     L = lie_ring_of(G)
     for orders in L.orders:
         assert all(m % setup.p for m in orders)
+
+
+def test_k5_lie_ring_is_built_in_bounded_memory_and_the_lemmas_pass():
+    """heisenberg27 x c5 x c7 x c11 under a rank-5 action, |G| = 10,395: the section bases
+    read the root's power columns at the divisors of |G|, so building the ring keeps no
+    table of every power of every element (185 MB under tracemalloc when it did)."""
+    zones = [
+        _aut_zone_spec("heisenberg27", {0: "invert-first", 1: "invert-second"}),
+        _aut_zone_spec("c5", {2: "pow4"}), _aut_zone_spec("c7", {3: "pow6"}), _aut_zone_spec("c11", {4: "pow10"}),
+    ]
+    setup = build_setup(FamilySpec(family="zones", params={"p": 2, "k": 5, "zones": zones}))
+    assert setup.G.order == 10_395
+    tracemalloc.start()
+    try:
+        ring = lie_ring_of(setup.G)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert math.prod(ring.component_order(w) for w in range(1, ring.class_ + 1)) == setup.G.order
+    assert peak < 32 * 2**20
+    report = lemma_report(InstanceContext(setup, "k5-heis-diag-c5-c7-c11"))
+    assert report.status == "pass", {name: check.status.value for name, check in report.checks.items()}
