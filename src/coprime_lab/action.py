@@ -424,8 +424,9 @@ def check_fg1_quotient(setup: ActionSetup, N: Group, B: ASubgroupDescriptor) -> 
     fixed_below = np.arange(len(reps))
     for u in B.vectors:
         fixed_below = fixed_below[labels[setup.phi(u).table[reps[fixed_below]]] == fixed_below]
-    image = np.unique(labels[fixed_subgroup(setup, B).mask_over(setup.G)])
-    return np.array_equal(fixed_below, image)
+    image = np.zeros(len(reps), dtype=bool)
+    image[labels[fixed_subgroup(setup, B).mask_over(setup.G)]] = True
+    return np.array_equal(fixed_below, np.flatnonzero(image))
 
 
 def check_fg2_generation(setup: ActionSetup, H: Group) -> bool:

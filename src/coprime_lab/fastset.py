@@ -3,16 +3,15 @@
 ``RowIndex`` holds the image rows of ``group.sorted_elements()``, so index
 order is sort order, and every subgroup built inside the group is a bool mask
 over it.  Right-translating every element by f is one gather and one lookup,
-kept per element; conjugates and commutators are gathers in those translates.
-``close`` grows a mask under index maps, visiting only the frontier, and left
-cosets and setwise products of subgroups follow from the translates as masks.
+kept per element; conjugates and commutators are gathers in those translates,
+and left cosets and setwise products of subgroups follow from them as masks.
 ``RowIndex.power(d)`` is the column x -> x^d, built once per d: a composite d
-is a gather of two smaller columns and a prime d multiplies the rows of the
-squares along its binary digits.  ``RowIndex.memo`` keeps the subgroup
-algebra done over the index, such as generators, commutator subgroups and
-series terms, keyed by the masks it was computed from; its values are
-arrays, never groups, so the index holds no reference back to a group and a
-set-up is freed as soon as it is dropped.
+is a gather of two smaller columns and a prime d is one row product,
+x^(d-1) x.  ``RowIndex.memo`` keeps the subgroup algebra done over the
+index, such as generators, commutator subgroups and series terms, keyed by
+the masks it was computed from; its values are arrays, never groups, so the
+index holds no reference back to a group and a set-up is freed as soon as it
+is dropped.
 """
 
 from __future__ import annotations
@@ -105,9 +104,8 @@ class RowIndex:
         that holds every index, built once per d.
 
         (x^a)^b = x^(ab), so a composite d gathers the column of d / q at the
-        column of its least prime factor q.  A prime d multiplies the rows of
-        the squares x^(2^i) over its binary digits, and those are gathers of
-        the column at 2.
+        column of its least prime factor q.  A prime d takes one row product,
+        x^d = x^(d-1) x, where d - 1 is 1 or composite.
         """
         column = self._powers.get(d)
         if column is None:
@@ -119,14 +117,8 @@ class RowIndex:
                 q = next((q for q in range(2, math.isqrt(d) + 1) if d % q == 0), d)
                 if q < d:
                     column = self.power(d // q)[self.power(q)]
-                elif d == 2:
-                    column = self.lookup(np.take_along_axis(self.rows, self.rows, axis=1))
                 else:
-                    column = np.arange(len(self.rows))  # d is odd: its last digit is x itself
-                    for i in range(1, d.bit_length()):
-                        if d >> i & 1:
-                            square = self.rows[self.power(1 << i)]
-                            column = self.lookup(np.take_along_axis(self.rows[column], square, axis=1))
+                    column = self.lookup(np.take_along_axis(self.rows, self.rows[self.power(d - 1)], axis=1))
             column = column.astype(np.min_scalar_type(len(self.rows) - 1), copy=False)
             column.flags.writeable = False
             self._powers[d] = column
@@ -151,23 +143,6 @@ class RowIndex:
         mask = np.zeros(len(self.rows), dtype=bool)
         mask[self.identity] = True
         return mask
-
-
-def close(mask: np.ndarray, maps: Sequence[np.ndarray], frontier: np.ndarray) -> np.ndarray:
-    """The least superset of ``mask`` and ``frontier`` closed under every index map.
-
-    Only the elements of ``frontier`` may have an image outside ``mask``, so
-    each round maps just the elements found in the round before.  Under right
-    translates by some elements, the closure of the identity is the subgroup
-    they generate.
-    """
-    mask = mask.copy()
-    mask[frontier] = True
-    while frontier.size and maps:
-        reached = np.concatenate([m[frontier] for m in maps])
-        frontier = np.unique(reached[~mask[reached]])
-        mask[frontier] = True
-    return mask
 
 
 def coset_labels(index: RowIndex, gens: Iterable[Perm]) -> np.ndarray:

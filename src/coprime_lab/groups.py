@@ -4,12 +4,15 @@ A group built from generators holds a Schreier-Sims chain until it is
 enumerated.  Every subgroup built inside an enumerated group, from
 centralizers to commutator subgroups, series terms and Sylow subgroups, is a
 bool mask over that group's ``fastset.RowIndex``, with no chain; each of its
-generators lies outside the subgroup generated by the ones before it.  The
-generators of a subgroup given by its mask, and a commutator subgroup [H, K],
-are computed once per mask, or pair of masks, and kept in the index's memo.
-Sylow subgroups and abelian sections read the index's power columns, x -> x^d
-at divisors d of the root's order, so an abelian section runs over the root's
-index, restricted to its numerator's mask.
+generators lies outside the subgroup generated by the ones before it.  A
+subgroup grows one generator at a time, and by one right coset of the
+subgroup generated so far at a time, so each mask it grows from must be the
+subgroup that its generators generate.  The generators of a subgroup given
+by its mask, and a commutator subgroup [H, K], are computed once per mask,
+or pair of masks, and kept in the index's memo.  Sylow subgroups and abelian
+sections read the index's power columns, x -> x^d at divisors d of the
+root's order, so an abelian section runs over the root's index, restricted
+to its numerator's mask.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ from typing import Iterable
 
 import numpy as np
 
-from . import fastset
 from .config import enumeration_cap
 from .errors import (
     CapacityError,
@@ -336,16 +338,35 @@ class Group:
 
 
 def _extend(index: RowIndex, mask: np.ndarray, at: list[int], g: int) -> np.ndarray:
-    """Mask of <S, g> for the subgroup S = ``mask`` generated by the elements at ``at``."""
-    moved = index.right(g)[mask]
-    return fastset.close(mask, [index.right(i) for i in at + [g]], moved[~mask[moved]])
+    """Mask of <S, g> for the subgroup S = ``mask``, which must be the subgroup generated
+    by the elements at ``at``.
+
+    <S, g> is grown one right coset of S at a time (Dimino): a coset S r found so far is
+    translated by each generator t, and S r t is a whole right coset, so it lies in the
+    span or is disjoint from it, and one element decides which.  A new coset is one
+    gather of a coset already found.
+    """
+    translates = [index.right(i) for i in at + [g]]
+    coset = translates[-1][np.flatnonzero(mask)]
+    span = mask.copy()
+    span[coset] = True
+    queue = [coset]
+    while queue:
+        coset = queue.pop()
+        for t in translates:
+            if not span[t[coset[0]]]:
+                new = t[coset]
+                span[new] = True
+                queue.append(new)
+    return span
 
 
 def _grow(index: RowIndex, span: np.ndarray, at: list[int], candidates) -> tuple[np.ndarray, list[int]]:
-    """Extend the subgroup ``span``, generated by the elements at ``at``, by the first
-    candidate it does not yet contain, until it contains every candidate.  Returns the
-    new span and the picks, in candidate order: each lies outside the span of the ones
-    before it, so a subgroup of order n gets at most log2(n) of them."""
+    """Extend the subgroup ``span``, which must be the one generated by the elements at
+    ``at``, coset by coset (``_extend``) by the first candidate it does not yet contain,
+    until it contains every candidate.  Returns the new span and the picks, in candidate
+    order: each lies outside the span of the ones before it, so a subgroup of order n
+    gets at most log2(n) of them."""
     candidates, picks = np.asarray(candidates, dtype=np.intp), []
     while (missing := np.flatnonzero(~span[candidates])).size:
         x = int(candidates[missing[0]])

@@ -245,7 +245,7 @@ def test_section_basis_raises_when_a_product_leaves_the_numerator():
         _section_basis(index, num, index.unit())
 
 
-POWER_GROUPS = {name: lambda name=name: preset_setup(name).G for name in SMOKE}
+POWER_GROUPS = {name: lambda name=name: preset_setup(name).G for name in SMOKE + ["p2k4-07-frob21-c5-c11"]}
 POWER_GROUPS.update({"c2c3c5c7": lambda: cycles(2, 3, 5, 7), "c9c2": lambda: cycles(9, 2), "c27": lambda: cycles(27)})
 
 
@@ -261,18 +261,23 @@ def prime_parts(n):
 
 
 @pytest.mark.parametrize("name", list(POWER_GROUPS))
-def test_power_columns_match_perm_powers(name):
+def test_power_columns_match_perm_powers(name, monkeypatch):
+    """Every column, at every divisor of |G| and a few other exponents, is x -> x^d and
+    read-only, and each prime column built costs one row product."""
     G = POWER_GROUPS[name]()
     ordered = G.sorted_elements()
     position = {x: i for i, x in enumerate(ordered)}
     index = G.row_index()
-    exponents = {0, 1, 2, 3, 4, 6, 8, 9, 12, 27, G.order} | set(prime_parts(G.order).values())
-    for d in sorted(exponents):
+    products, take = [], np.take_along_axis
+    monkeypatch.setattr(np, "take_along_axis", lambda *args, **kw: products.append(1) or take(*args, **kw))
+    divisors = {d for d in range(1, G.order + 1) if G.order % d == 0}
+    for d in sorted({0, 1, 2, 3, 4, 6, 8, 9, 12, 27} | divisors):
         column = index.power(d)
         assert column.tolist() == [position[x**d] for x in ordered], d
         assert index.power(d) is column
         with pytest.raises(ValueError):
             column[0] = column[-1]
+    assert len(products) == sum(all(d % q for q in range(2, d)) for d in index._powers if d > 1)
 
 
 @pytest.mark.parametrize("name", list(POWER_GROUPS))

@@ -2,9 +2,13 @@
 
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import coprime_lab
 from coprime_lab.action import ActionSetup, Automorphism
 from coprime_lab.cli import main as cli_main
 from coprime_lab.errors import (
@@ -281,6 +285,23 @@ def test_cli_check_preset_exit_zero(tmp_path, capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "0 failed" in out
+
+
+def test_cli_check_smoke_does_not_import_numpy_ma(tmp_path):
+    """``numpy.ma`` (imported by ``np.unique``) adds about 1 MB to peak RSS; a fresh
+    ``check --preset smoke`` process must end without it."""
+    code = (
+        "import sys; from coprime_lab.cli import main; "
+        "rc = main(['check', '--preset', 'smoke', '--jobs', '1', '--out', 'out']); "
+        "print(rc, 'numpy.ma' in sys.modules)"
+    )
+    src = str(Path(coprime_lab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    run = subprocess.run(
+        [sys.executable, "-c", code], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "0 False"
 
 
 def test_cli_check_rejects_duplicate_instance_ids(tmp_path, capsys):

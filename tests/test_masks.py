@@ -112,3 +112,57 @@ def test_a_set_that_is_not_closed_raises():
         Group.from_mask(s3, mask)
     mask[index.index_of([rotate * rotate])] = True
     assert Group.from_mask(s3, mask).order == 3
+
+
+def mask_of(index, elements):
+    mask = np.zeros(len(index), dtype=bool)
+    mask[index.index_of(list(elements))] = True
+    return mask
+
+
+@pytest.mark.parametrize("instance_id", SMOKE + LEMMA_PRESETS)
+def test_extend_matches_the_brute_closure_on_every_prefix_of_the_picks(instance_id):
+    """For each prefix of G's picks, with S its brute span, <S, g> grown coset by coset
+    equals the brute closure of the prefix and g, for sampled g inside and outside S."""
+    G = preset_setup(instance_id).G
+    index = G.row_index()
+    table = CayleyTable(list(G.generators))
+    picks = groups._picks(index, np.ones(len(index), dtype=bool))
+    elements = G.sorted_elements()
+    rng = np.random.default_rng(12)
+    for n in range(len(picks) + 1):
+        at = picks[:n]
+        S = mask_of(index, table.perms(table.closure(table.indices([elements[i] for i in [index.identity] + at]))))
+        inside, outside = np.flatnonzero(S), np.flatnonzero(~S)
+        sample = [index.identity, int(rng.choice(inside))]
+        sample += rng.choice(outside, size=min(4, outside.size), replace=False).tolist()
+        for g in sample:
+            gens = [elements[i] for i in at + [g]]
+            expected = mask_of(index, table.perms(table.closure(table.indices(gens))))
+            assert np.array_equal(groups._extend(index, S, at, g), expected), (at, g)
+
+
+def test_extend_from_the_trivial_subgroup_is_the_cyclic_subgroup():
+    G = preset_setup("p3k3-07-c7-c7-c13").G
+    index = G.row_index()
+    for x in G.sorted_elements():
+        if x.order() >= 7:
+            cyclic = mask_of(index, mulclose([x]))
+            assert np.array_equal(groups._extend(index, index.unit(), [], int(index.index_of([x])[0])), cyclic)
+    assert max(x.order() for x in G.sorted_elements()) == 91
+
+
+def test_extend_over_many_cosets_of_a_small_subgroup():
+    """heisenberg27 x c5 x c7 x c11, S = <t> of order 3 and g = v * (the cyclic generators):
+    <S, g> is the whole group, 3,465 cosets of S, three times the 1,159 breadth-first
+    rounds that reach every element from the identity under t and g."""
+    t = Perm.from_cycles(32, (0, 3, 6), (1, 4, 7), (2, 5, 8))
+    v = Perm.from_cycles(32, (0, 1, 2), (3, 5, 4))
+    cyclic = Perm.from_cycles(32, tuple(range(9, 14)), tuple(range(14, 21)), tuple(range(21, 32)))
+    G = group_from_generators(32, [t, v, cyclic])
+    index = G.row_index()
+    S = mask_of(index, mulclose([t]))
+    g = v * cyclic
+    expected = mask_of(index, mulclose([t, g]))
+    assert np.count_nonzero(expected) == len(index) == 27 * 5 * 7 * 11
+    assert np.array_equal(groups._extend(index, S, index.index_of([t]).tolist(), int(index.index_of([g])[0])), expected)
