@@ -385,13 +385,6 @@ def fixed_subgroup(setup: ActionSetup, B: ASubgroupDescriptor) -> Group:
     return cached
 
 
-def fixed_elements_in(setup: ActionSetup, B: ASubgroupDescriptor, elements: Iterable[Perm]) -> list[Perm]:
-    """Elements of the given collection fixed by every phi(u), u in B, sorted (index order is sort order)."""
-    idx = np.sort(setup.G.row_index().index_of(list(elements)))
-    ordered = setup.G.sorted_elements()
-    return [ordered[i] for i in idx[_fixed_mask(setup, B)[idx]]]
-
-
 def _require_invariant_normal(setup: ActionSetup, N: Group) -> None:
     if not N.is_subgroup_of(setup.G):
         raise PreconditionError("N is not a subgroup of G")

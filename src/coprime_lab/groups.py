@@ -1,10 +1,13 @@
 """Finite permutation groups: membership chains, subgroup masks, abelian sections.
 
 A group built from generators holds a Schreier-Sims chain until it is
-enumerated.  Every subgroup built inside an enumerated group, from
-centralizers to commutator subgroups, series terms and Sylow subgroups, is a
-bool mask over that group's ``fastset.RowIndex``, with no chain; each of its
-generators lies outside the subgroup generated by the ones before it.  A
+enumerated; from then on its ``fastset.RowIndex`` is its only per-element
+store, and ``Perm`` objects stay at the boundary (generators, element lists,
+and what membership and the abelian sections take or give).  Every subgroup
+built inside an enumerated group, from centralizers to commutator subgroups,
+series terms and Sylow subgroups, is a bool mask over that index, with no
+chain; each of its generators lies outside the subgroup generated by the
+ones before it.  A
 subgroup grows one generator at a time, and by one right coset of the
 subgroup generated so far at a time, so each mask it grows from must be the
 subgroup that its generators generate.  The generators of a subgroup given
@@ -12,12 +15,11 @@ by its mask, and a commutator subgroup [H, K], are computed once per mask,
 or pair of masks, and kept in the index's memo.  Sylow subgroups and abelian
 sections read the index's power columns, x -> x^d at divisors d of the
 root's order, so an abelian section runs over the root's index, restricted
-to its numerator's mask.
+to its numerator's mask, and keeps one code per element of that index.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from typing import Iterable
 
@@ -32,7 +34,7 @@ from .errors import (
     ValidationError,
 )
 from .fastset import RowIndex
-from .perms import Perm, commutator
+from .perms import Perm
 
 
 class _Chain:
@@ -149,12 +151,13 @@ class Group:
 
     A group built from generators keeps a Schreier-Sims chain for its order,
     the cap check and membership until it is enumerated, and is then the root
-    of its own row index.  A subgroup built inside an enumerated group is a
-    bool mask over its root's index, with its generators' indices and no chain.
+    of its own row index and drops the chain.  A subgroup built inside an
+    enumerated group is a bool mask over its root's index, with its
+    generators' indices and no chain.
     """
 
     __slots__ = (
-        "degree", "generators", "cap", "_chain", "_elements", "_sorted", "_rows", "_root", "_mask", "_at",
+        "degree", "generators", "cap", "_chain", "_sorted", "_rows", "_root", "_mask", "_at",
         "__weakref__",
     )
 
@@ -187,7 +190,6 @@ class Group:
         self.cap = cap
         self.generators = tuple(generators)
         self._chain = chain
-        self._elements: frozenset[Perm] | None = None
         self._sorted: list[Perm] | None = None
         self._rows: RowIndex | None = None
         self._root: Group | None = root
@@ -258,21 +260,14 @@ class Group:
             raise ValidationError(f"expected a Perm, got {type(x).__name__}")
         if x.degree != self.degree:
             raise ValidationError(f"element degree {x.degree} != group degree {self.degree}")
-        if self._chain is not None and self._elements is None:
+        if self._chain is not None:
             return self._chain.contains(x)
-        return x in self.elements()
+        at = int((self._root or self).row_index().positions([x])[0])
+        return at >= 0 and bool(self._mask[at])
 
     def elements(self) -> frozenset[Perm]:
-        if self._elements is None:
-            if self._chain is not None and self.order > self.cap:
-                raise CapacityError(
-                    f"group order {self.order} exceeds the enumeration cap {self.cap}"
-                )
-            listed = self.sorted_elements() if self._chain is None else self._chain.iter_elements()
-            self._elements = frozenset(listed)
-            if len(self._elements) != self.order:
-                raise InternalCheckError("element enumeration disagrees with chain order")
-        return self._elements
+        """Every element, as a new frozenset on each call; the group keeps no set of them."""
+        return frozenset(self.sorted_elements())
 
     def sorted_elements(self) -> list[Perm]:
         if self._sorted is None:
@@ -280,17 +275,23 @@ class Group:
                 every = self._root.sorted_elements()
                 self._sorted = [every[i] for i in np.flatnonzero(self._mask).tolist()]
             else:
-                self._sorted = sorted(self.elements())
+                if self.order > self.cap:
+                    raise CapacityError(f"group order {self.order} exceeds the enumeration cap {self.cap}")
+                listed = sorted(self._chain.iter_elements())
+                if any(x == y for x, y in zip(listed, listed[1:])):
+                    raise InternalCheckError("element enumeration disagrees with chain order")
+                self._sorted = listed
         return self._sorted
 
     def row_index(self) -> RowIndex:
         """The rows of ``sorted_elements()`` with a vectorized row -> index lookup; a group that
-        is not a mask over another becomes the root of this index."""
+        is not a mask over another becomes the root of this index and drops its chain."""
         if self._rows is None:
             self._rows = RowIndex(self.sorted_elements())
             if self._mask is None:
                 self._mask = np.ones(len(self._rows), dtype=bool)
                 self._at = self._rows.index_of(self.generators)
+                self._chain = None
         return self._rows
 
     @property
@@ -321,12 +322,7 @@ class Group:
         if self._shares_root(ambient):
             index = (self._root or self).row_index()
             return all(self._mask[index.conjugates(self._at, g)].all() for g in ambient._at.tolist())
-        for g in ambient.generators:
-            g_inv = g.inverse()
-            for x in self.generators:
-                if not self.contains(g_inv * x * g):
-                    return False
-        return True
+        return all(self.contains(g.inverse() * x * g) for g in ambient.generators for x in self.generators)
 
     def random_element(self, rng) -> Perm:
         if self._chain is None:
@@ -366,11 +362,14 @@ def _grow(index: RowIndex, span: np.ndarray, at: list[int], candidates) -> tuple
     ``at``, coset by coset (``_extend``) by the first candidate it does not yet contain,
     until it contains every candidate.  Returns the new span and the picks, in candidate
     order: each lies outside the span of the ones before it, so a subgroup of order n
-    gets at most log2(n) of them."""
+    gets at most log2(n) of them.  Raises InternalCheckError, never loops, when a grown
+    span misses its pick."""
     candidates, picks = np.asarray(candidates, dtype=np.intp), []
     while (missing := np.flatnonzero(~span[candidates])).size:
         x = int(candidates[missing[0]])
         span = _extend(index, span, at + picks, x)
+        if not span[x]:
+            raise InternalCheckError("a generated subgroup does not contain its new generator")
         picks.append(x)
         candidates = candidates[missing[0] + 1:]
     return span, picks
@@ -477,10 +476,11 @@ def intersection(H: Group, K: Group) -> Group:
 def generated_subgroup(degree: int, parts: Iterable[Group], cap: int | None = None) -> Group:
     """Subgroup generated by the union of the given subgroups."""
     parts = list(parts)
-    gens = [g for part in parts for g in part.generators]
     if parts and all(part._shares_root(parts[0]) for part in parts):
-        return generated_in(parts[0]._frame()[0], gens)
-    return Group(degree, gens, cap=cap)
+        root = parts[0]._frame()[0]
+        index = root.row_index()
+        return Group._in(root, *_grow(index, index.unit(), [], np.concatenate([part._at for part in parts])))
+    return Group(degree, [g for part in parts for g in part.generators], cap=cap)
 
 
 def _conjugation_maps(G: Group) -> tuple[RowIndex, np.ndarray, list[np.ndarray]]:
@@ -554,22 +554,24 @@ def subgroup_conjugate_sets(G: Group, P: Group) -> list[np.ndarray]:
 class AbelianSection:
     """An abelian quotient numerator/denominator written additively.
 
-    ``basis`` holds coset representatives whose classes decompose the quotient
-    as a direct sum of cyclic groups with the given ``orders``; every element
-    of the numerator has a unique exponent vector.  ``codes[i]`` is the
-    position of the exponent vector of the numerator's i-th sorted element in
-    ``itertools.product`` order over the orders.
+    ``basis`` holds coset representatives, at ``basis_at`` in the numerator's
+    root index, whose classes decompose the quotient as a direct sum of cyclic
+    groups with the given ``orders``.  An element's code is the position of
+    its exponent vector in ``itertools.product`` order over the orders, and
+    ``root_codes``, the one per-element map, holds the code of every element
+    of the root index, -1 off the numerator.
     """
 
-    __slots__ = ("numerator", "denominator", "basis", "orders", "codes", "_vector_of")
+    __slots__ = ("numerator", "denominator", "basis", "basis_at", "orders", "root_codes")
 
-    def __init__(self, numerator: Group, denominator: Group, basis, orders, codes, vector_of):
+    def __init__(self, numerator: Group, denominator: Group, basis_at, orders, root_codes):
         self.numerator = numerator
         self.denominator = denominator
-        self.basis = tuple(basis)
+        self.basis_at = tuple(basis_at)
+        elements = numerator._frame()[0].sorted_elements()
+        self.basis = tuple(elements[i] for i in self.basis_at)
         self.orders = tuple(orders)
-        self.codes = codes
-        self._vector_of = vector_of
+        self.root_codes = root_codes
 
     @property
     def quotient_order(self) -> int:
@@ -579,12 +581,28 @@ class AbelianSection:
     def rank(self) -> int:
         return len(self.basis)
 
+    @property
+    def codes(self) -> np.ndarray:
+        """The code of the numerator's i-th sorted element, which sits at its i-th position in the root index."""
+        return self.root_codes[self.root_codes >= 0]
+
+    def vector(self, code: int) -> tuple[int, ...]:
+        """The exponent vector with the given code."""
+        return tuple(int(e) for e in np.unravel_index(code, self.orders))
+
+    def _code(self, x: Perm) -> int:
+        """The code of the coset of x, or -1 for an x outside the numerator."""
+        if x.degree != self.numerator.degree:
+            return -1
+        at = int(self.numerator._frame()[0].row_index().positions([x])[0])
+        return -1 if at < 0 else int(self.root_codes[at])
+
     def decompose(self, x: Perm) -> tuple[int, ...]:
         """Exponent vector of the coset of x; x must lie in the numerator."""
-        try:
-            return self._vector_of[x]
-        except KeyError:
-            raise ContainmentError("element is not in the numerator of the section") from None
+        code = self._code(x)
+        if code < 0:
+            raise ContainmentError("element is not in the numerator of the section")
+        return self.vector(code)
 
     def compose(self, vector) -> Perm:
         """A coset representative for the given exponent vector."""
@@ -596,7 +614,7 @@ class AbelianSection:
         return rep
 
     def contains(self, x: Perm) -> bool:
-        return x in self._vector_of
+        return self._code(x) >= 0
 
 
 def _divisors(n: int) -> list[int]:
@@ -684,15 +702,16 @@ def abelian_section(numerator: Group, denominator: Group) -> AbelianSection:
         raise PreconditionError("denominator is not a subgroup of the numerator")
     if not denominator.is_normal_in(numerator):
         raise PreconditionError("denominator is not normal in the numerator")
-    for i, a in enumerate(numerator.generators):
-        for b in numerator.generators[i:]:
-            if not denominator.contains(commutator(a, b)):
+    root, num, at = numerator._frame()
+    index = root.row_index()
+    in_den = denominator.mask_over(numerator)
+    at = at.tolist()
+    for i, a in enumerate(at):
+        for b in at[i:]:
+            if not in_den[index.commutator(a, b)]:
                 raise PreconditionError("quotient is not abelian")
 
-    root, num, _ = numerator._frame()
-    index = root.row_index()
     rows, degree = index.rows, numerator.degree
-    in_den = denominator.mask_over(numerator)
     chains = _section_basis(index, num, in_den)
     orders = [len(chain) for chain in chains]
 
@@ -709,12 +728,7 @@ def abelian_section(numerator: Group, denominator: Group) -> AbelianSection:
         raise InternalCheckError("exponent vectors do not decompose the quotient uniquely")
     if len(keys) != numerator.order:
         raise InternalCheckError("section decomposition does not cover the numerator")
-    elements = root.sorted_elements()
-    vectors = list(itertools.product(*(range(m) for m in orders)))
-    per_vector = len(den_idx)
-    vector_of = {elements[i]: vectors[j // per_vector] for j, i in enumerate(keys.tolist())}
-    # the numerator's i-th sorted element sits at its i-th position in the root's index
-    codes = np.empty(len(keys), dtype=np.int64)
-    codes[(np.cumsum(num) - 1)[keys]] = np.arange(len(keys)) // per_vector
-    basis = [elements[chain[1]] for chain in chains]
-    return AbelianSection(numerator, denominator, basis, orders, codes, vector_of)
+    root_codes = np.full(len(index), -1, dtype=np.int64)
+    root_codes[keys] = np.arange(len(keys)) // len(den_idx)
+    root_codes.flags.writeable = False
+    return AbelianSection(numerator, denominator, [int(chain[1]) for chain in chains], orders, root_codes)

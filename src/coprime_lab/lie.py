@@ -2,12 +2,14 @@
 
 The ring is the direct sum of the lower-central sections, written additively;
 the bracket is induced by group commutation and stored as structure constants
-on the section bases. Each component is enumerated once, as an int array of
-its exponent vectors in ``itertools.product`` order, so that a vector's
-mixed-radix code is its row there. A homogeneous subspace is one bool mask
-per weight over those codes, and A acts on each component through one
-integer matrix per element u, so fixed points, spans, intersections and
-containment are array operations.
+on the section bases.  The constants, like the action's matrices, are read
+from each section's codes over the group's root index, and are cross-checked
+at construction against commutators taken as permutation products.  Each
+component is enumerated once, as an int array of its exponent vectors in
+``itertools.product`` order, so that a vector's mixed-radix code is its row
+there. A homogeneous subspace is one bool mask per weight over those codes,
+and A acts on each component through one integer matrix per element u, so
+fixed points, spans, intersections and containment are array operations.
 """
 
 from __future__ import annotations
@@ -39,9 +41,7 @@ class GradedLieRing:
     row in ``vectors(weight)``, so codes sort like the vectors' tuples.
     """
 
-    __slots__ = (
-        "group", "components", "orders", "table", "class_", "_moduli", "_radix", "_vectors", "_codes"
-    )
+    __slots__ = ("group", "components", "orders", "table", "class_", "_moduli", "_radix", "_vectors")
 
     def __init__(self, group: Group, components, table):
         self.group = group
@@ -55,7 +55,6 @@ class GradedLieRing:
             for orders in self.orders
         )
         self._vectors: list[np.ndarray | None] = [None] * self.class_
-        self._codes: list[np.ndarray | None] = [None] * self.class_
 
     def component(self, weight: int) -> AbelianSection:
         return self.components[weight - 1]
@@ -78,15 +77,7 @@ class GradedLieRing:
 
     def element_codes(self, weight: int) -> np.ndarray:
         """The code of every element of the group's root index in the section; -1 off its numerator."""
-        codes = self._codes[weight - 1]
-        if codes is None:
-            section = self.component(weight)
-            numerator = section.numerator.mask_over(self.group)
-            # the numerator's sorted elements sit at its positions in the root index, in order
-            codes = np.full(len(numerator), -1, dtype=np.int64)
-            codes[numerator] = section.codes
-            self._codes[weight - 1] = codes
-        return codes
+        return self.component(weight).root_codes
 
     def bracket(self, wi: int, va, wj: int, vb) -> tuple[int, ...] | None:
         """Bi-additive extension of the structure constants; None past the class."""
@@ -129,21 +120,19 @@ def lie_ring_of(G: Group, seed: int = 0) -> GradedLieRing:
     cls = series.class_or_length
     terms = series.terms
     components = [abelian_section(terms[i], terms[i + 1]) for i in range(cls)]
+    index = G._frame()[0].row_index()
     table: dict[tuple[int, int, int, int], tuple[int, ...]] = {}
     for wi in range(1, cls + 1):
         for wj in range(1, cls + 1):
             if wi + wj > cls:
                 continue
             target = components[wi + wj - 1]
-            for a, u in enumerate(components[wi - 1].basis):
-                for b, v in enumerate(components[wj - 1].basis):
-                    c = commutator(u, v)
-                    try:
-                        table[(wi, wj, a, b)] = target.decompose(c)
-                    except ContainmentError:
-                        raise InternalCheckError(
-                            "commutator of lifted basis elements left the expected section"
-                        ) from None
+            for a, u in enumerate(components[wi - 1].basis_at):
+                for b, v in enumerate(components[wj - 1].basis_at):
+                    code = int(target.root_codes[index.commutator(u, v)])
+                    if code < 0:
+                        raise InternalCheckError("commutator of lifted basis elements left the expected section")
+                    table[(wi, wj, a, b)] = target.vector(code)
     ring = GradedLieRing(G, components, table)
     report = axiom_report(ring)
     bad = [name for name, ok in report.items() if not ok]
@@ -154,21 +143,27 @@ def lie_ring_of(G: Group, seed: int = 0) -> GradedLieRing:
 
 
 def _cross_check_brackets(ring: GradedLieRing, seed: int) -> None:
+    """The bracket of random lifted pairs against their commutator as a permutation product."""
     cls = ring.class_
     weight_pairs = [(i, j) for i in range(1, cls + 1) for j in range(1, cls + 1) if i + j <= cls]
     if not weight_pairs:
         return
-    element_lists = [section.numerator.sorted_elements() for section in ring.components]
+    root = ring.group._frame()[0]
+    elements = root.sorted_elements()
+    # each numerator's root indices, in its sort order
+    positions = [np.flatnonzero(section.root_codes >= 0) for section in ring.components]
     rng = random.Random(seed)
+    pairs = []
     for _ in range(CROSS_CHECK_PAIRS):
         wi, wj = rng.choice(weight_pairs)
-        x = rng.choice(element_lists[wi - 1])
-        y = rng.choice(element_lists[wj - 1])
-        expected = ring.component(wi + wj).decompose(commutator(x, y))
-        got = ring.bracket(
-            wi, ring.component(wi).decompose(x), wj, ring.component(wj).decompose(y)
-        )
-        if got != expected:
+        pairs.append((wi, wj, rng.choice(positions[wi - 1]), rng.choice(positions[wj - 1])))
+    found = root.row_index().positions([commutator(elements[x], elements[y]) for _, _, x, y in pairs])
+    for (wi, wj, x, y), c in zip(pairs, found.tolist()):
+        left, right, target = ring.component(wi), ring.component(wj), ring.component(wi + wj)
+        if c < 0 or target.root_codes[c] < 0:
+            raise InternalCheckError("commutator of a lifted pair left the expected section")
+        got = ring.bracket(wi, left.vector(left.root_codes[x]), wj, right.vector(right.root_codes[y]))
+        if got != target.vector(target.root_codes[c]):
             raise InternalCheckError("bracket of lifted pair disagrees with the group commutator")
 
 
@@ -411,20 +406,15 @@ class LieAction:
         cached = self._maps.get(u)
         if cached is not None:
             return cached
-        table, G = self.setup.phi(u).table, self.setup.G
-        ordered, index = G.sorted_elements(), G.row_index()
+        if self.ring.group._frame()[0] is not self.setup.G:
+            raise InternalCheckError("the ring is not built over the index of the setup's group")
+        table = self.setup.phi(u).table
         out = []
-        for w in range(1, self.ring.class_ + 1):
-            section = self.ring.component(w)
-            images = []
-            for i in table[index.index_of(section.basis)].tolist():
-                try:
-                    images.append(section.decompose(ordered[i]))
-                except ContainmentError:
-                    raise InternalCheckError(
-                        "the action does not preserve the lower central sections"
-                    ) from None
-            out.append(np.array(images, dtype=np.int64).reshape(section.rank, section.rank))
+        for w, section in enumerate(self.ring.components, start=1):
+            codes = section.root_codes[table[list(section.basis_at)]]
+            if (codes < 0).any():
+                raise InternalCheckError("the action does not preserve the lower central sections")
+            out.append(self.ring.vectors(w)[codes])
         self._maps[u] = tuple(out)
         return self._maps[u]
 
@@ -586,19 +576,21 @@ def check_span_lemma(
             for i in range(len(subspaces))
             for j in range(len(centralizers))
         ]
-    # per weight, one row per centralizer C_k, and one row per input subspace R_r marking what it misses
+    # per weight, one row per centralizer C_k and one column per input subspace R_r marking what
+    # it misses.  Their count product is exact in float32: no count exceeds the component order,
+    # at most |G| < 2^24 under the default cap of 200,000; a larger component counts in float64.
     cents, misses = [], []
     for w in range(1, L.class_ + 1):
-        shape = (-1, L.component_order(w))
-        cents.append(np.array([C.masks[w - 1] for C in centralizers], dtype=bool).reshape(shape))
-        misses.append(~np.array([R.masks[w - 1] for R in subspaces], dtype=bool).reshape(shape))
+        order = L.component_order(w)
+        cents.append(np.array([C.masks[w - 1] for C in centralizers], dtype=bool).reshape(-1, order))
+        missed = ~np.array([R.masks[w - 1] for R in subspaces], dtype=bool).reshape(-1, order)
+        misses.append(missed.T.astype(np.float32 if order < 1 << 24 else np.float64))
     for left, right, label in pairs:
         product = left.bracket_with(right)
         # escapes[k, r]: product ^ C_k has a vector outside R_r
         escapes = np.zeros((len(centralizers), len(subspaces)), dtype=bool)
         for w, mask in enumerate(product.masks):
-            cuts = cents[w] & mask
-            escapes |= (cuts[:, None, :] & misses[w][None, :, :]).any(axis=2)
+            escapes |= (cents[w] & mask).astype(misses[w].dtype) @ misses[w] > 0
         outside = np.flatnonzero(escapes.all(axis=1))
         if outside.size:
             return SpanLemmaOutcome(

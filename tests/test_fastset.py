@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from coprime_lab import groups
-from coprime_lab.action import fixed_elements_in, maximal_subgroups
-from coprime_lab.errors import InternalCheckError, ValidationError
+from coprime_lab.action import maximal_subgroups
+from coprime_lab.errors import ContainmentError, InternalCheckError, ValidationError
 from coprime_lab.fastset import coset_labels, setwise_product_covers
 from coprime_lab.groups import (
     Group, _section_basis, abelian_section, center, generated_in, group_from_generators,
@@ -18,7 +18,10 @@ from coprime_lab.instances import build_setup, preset_entries
 from coprime_lab.perms import Perm
 from coprime_lab.series import lower_central_series
 
-from bruteforce import brute_abelian_section, mulclose
+from bruteforce import (
+    brute_abelian_section, brute_action_tables, brute_fixed_elements, brute_lower_central_series, brute_span,
+    mulclose,
+)
 
 SMOKE = ["smoke-01-gl-q3n3", "smoke-02-heis-diag-c5", "smoke-03-c3-c5-c7"]
 LEMMA_PRESETS = [
@@ -132,13 +135,16 @@ def test_setwise_product_does_not_cover_s3():
 
 
 def test_setwise_product_matches_brute_on_centralizer_factors(smoke_setup):
-    """fg2's factors: the C_H(A_j), largest first, on random invariant subgroups H."""
+    """fg2's factors: the C_H(A_j), largest first, on random invariant subgroups H, each
+    from the brute fixed points of the span of A_j over independently tabulated phi(u)."""
     setup = smoke_setup
+    tables = brute_action_tables(setup.G, [auto.images for auto in setup.basis], setup.p)
     checked = 0
     for H in [setup.G] + random_invariant_subgroups(setup, seed=1):
         parts = []
         for A_j in maximal_subgroups(setup):
-            fixed = fixed_elements_in(setup, A_j, H.elements())
+            autos = [tables[u] for u in brute_span(setup.p, setup.k, A_j.vectors)]
+            fixed = brute_fixed_elements(setup.G, autos) & H.elements()
             parts.append(Group.from_elements(setup.G.degree, fixed))
         parts.sort(key=lambda part: part.order, reverse=True)
         for count in range(1, len(parts) + 1):
@@ -167,6 +173,31 @@ def test_abelian_section_matches_brute_greedy(instance_id):
     terms = lower_central_series(preset_setup(instance_id).G).terms
     for numerator, denominator in zip(terms, terms[1:]):
         assert_section_matches_brute_greedy(numerator, denominator)
+
+
+@pytest.mark.parametrize("instance_id", SMOKE + LEMMA_PRESETS)
+def test_section_membership_outside_the_numerator(instance_id):
+    """contains is False and decompose raises ContainmentError for every element of G
+    outside the numerator, for permutations outside G, and for permutations of another
+    degree, including a multiple of G's degree; both answer for every element inside."""
+    G = preset_setup(instance_id).G
+    terms = lower_central_series(G).terms
+    brute = brute_lower_central_series(G.elements())
+    assert [len(term) for term in brute] == [term.order for term in terms]
+    members = set(G.sorted_elements())
+    strangers = [Perm(images) for images in itertools.islice(itertools.permutations(range(G.degree)), 200)]
+    strangers = [x for x in strangers if x not in members]
+    strangers += [Perm.identity(G.degree + 1), Perm.identity(2 * G.degree), Perm.identity(1)]
+    assert len(strangers) > 3
+    for numerator, denominator, inside in zip(terms, terms[1:], brute):
+        section = abelian_section(numerator, denominator)
+        for x in G.sorted_elements() + strangers:
+            assert section.contains(x) == (x in inside)
+            if x in inside:
+                assert len(section.decompose(x)) == section.rank
+            else:
+                with pytest.raises(ContainmentError):
+                    section.decompose(x)
 
 
 def cycles(*lengths):

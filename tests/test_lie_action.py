@@ -21,10 +21,12 @@ from coprime_lab.lie import (
 from coprime_lab.status import CheckStatus
 
 from bruteforce import (
+    brute_abelian_section,
     brute_action_tables,
     brute_additive_closure,
     brute_fixed_cosets,
     brute_greedy_generators,
+    brute_lower_central_series,
     brute_span,
 )
 from test_lie import heis_setup
@@ -61,6 +63,35 @@ def test_fixed_subspace_matches_brute_fixed_cosets(lie_case):
             lower = section.denominator.elements()
             got = {frozenset(section.compose(v) * d for d in lower) for v in fixed.weight_set(w)}
             assert got == cosets, (B.vectors, w)
+
+
+@pytest.mark.parametrize(
+    "instance_id", ["smoke-02-heis-diag-c5", "p2k3-06-c3swap-heis-c5", "p3k3-07-c7-c7-c13", "p3k3-08-c7-mixed"]
+)
+def test_matrices_are_the_brute_decompositions_of_basis_images(instance_id):
+    """Row a of the weight-w matrix of phi(e_j) is the exponent vector of phi(e_j)(b_a), with
+    phi(e_j) and the section decompositions both computed by brute force.  (The fourth
+    lemmas preset, p2k4-07, is not nilpotent and has no ring.)"""
+    setup = preset_setup(instance_id)
+    ring = lie_ring_of(setup.G)
+    action = LieAction(ring, setup)
+    tables = brute_action_tables(setup.G, [auto.images for auto in setup.basis], setup.p)
+    terms = brute_lower_central_series(setup.G.elements())
+    assert len(terms) == ring.class_ + 1
+    for w, (upper, lower) in enumerate(zip(terms, terms[1:]), start=1):
+        basis, orders, vector_of = brute_abelian_section(upper, lower)
+        assert ring.component(w).basis == tuple(basis) and ring.orders[w - 1] == tuple(orders)
+        for u in setup.basis_vectors():
+            expected = [vector_of[tables[u][b]] for b in basis]
+            assert action._matrices(u)[w - 1].tolist() == [list(row) for row in expected], (u, w)
+
+
+def test_matrices_reject_a_ring_over_another_index():
+    G, setup = heis_setup()
+    twin, _ = heis_setup()
+    assert twin.same_subgroup(G) and twin is not G
+    with pytest.raises(InternalCheckError, match="setup's group"):
+        LieAction(lie_ring_of(twin), setup)._matrices(setup.basis_vectors()[0])
 
 
 def test_from_vectors_matches_brute_closure(lie_case):

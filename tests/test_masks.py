@@ -1,17 +1,21 @@
 """Subgroups of an enumerated group as masks over its index: no chains, same generators."""
 
+import random
+
 import numpy as np
 import pytest
 
 from coprime_lab import groups, harness
 from coprime_lab.action import all_subspaces, fixed_subgroup, maximal_subgroups, validate_setup
-from coprime_lab.errors import ContainmentError, ValidationError
-from coprime_lab.groups import Group, generated_in, group_from_generators
-from coprime_lab.harness import verify_derived_theorem, verify_gamma_theorem
+from coprime_lab.errors import ContainmentError, InternalCheckError, ValidationError
+from coprime_lab.groups import Group, commutator_subgroup, generated_in, group_from_generators, normal_closure
+from coprime_lab.harness import InstanceContext, lemma_report, verify_derived_theorem, verify_gamma_theorem
 from coprime_lab.instances import PRESETS, build_setup, preset_entries
 from coprime_lab.perms import Perm
 
-from bruteforce import CayleyTable, mulclose
+from bruteforce import (
+    CayleyTable, brute_action_tables, brute_commutator_subgroup, brute_fixed_elements, brute_span, mulclose,
+)
 
 SMOKE = ["smoke-01-gl-q3n3", "smoke-02-heis-diag-c5", "smoke-03-c3-c5-c7"]
 LEMMA_PRESETS = [
@@ -38,6 +42,73 @@ def test_theorem_suites_build_no_chain_once_g_and_its_tables_exist(monkeypatch):
     gamma = verify_gamma_theorem(setup)
     assert derived.status == gamma.status == "pass"
     assert builds == []
+
+
+@pytest.mark.parametrize("instance_id", SMOKE)
+def test_set_up_and_every_suite_keep_one_element_store(instance_id, monkeypatch):
+    """Set-up, the lemma suite and both theorem suites never build an element set, and the
+    root keeps no chain once it is enumerated: its row index is the one element store."""
+    asked, original = [], groups.Group.elements
+
+    def elements(group):
+        asked.append(group)
+        return original(group)
+
+    monkeypatch.setattr(groups.Group, "elements", elements)
+    setup = preset_setup(instance_id)
+    assert validate_setup(setup).ok
+    assert setup.G._chain is None
+    assert lemma_report(InstanceContext(setup, instance_id)).status == "pass"
+    assert verify_derived_theorem(setup, PRESETS["smoke"].d).status == "pass"
+    assert verify_gamma_theorem(setup).status == "pass"
+    assert asked == []
+
+
+def strangers(G, count, seed):
+    """Permutations of G's degree that lie outside G."""
+    rng, members, out = random.Random(seed), set(G.sorted_elements()), []
+    while len(out) < count:
+        images = list(range(G.degree))
+        rng.shuffle(images)
+        if Perm(images) not in members:
+            out.append(Perm(images))
+    return out
+
+
+def assert_contains_matches(H, expected, G):
+    """H.contains agrees with the element set ``expected`` on all of G and on permutations outside G."""
+    for x in G.sorted_elements() + strangers(G, 20, H.order):
+        assert H.contains(x) == (x in expected), x
+    with pytest.raises(ValidationError):
+        H.contains(Perm.identity(G.degree + 1))
+
+
+@pytest.mark.parametrize("instance_id", SMOKE)
+def test_contains_on_mask_subgroups_matches_brute_element_sets(instance_id):
+    setup = preset_setup(instance_id)
+    G = setup.G
+    tables = brute_action_tables(G, [auto.images for auto in setup.basis], setup.p)
+    fixed = []
+    for B in all_subspaces(setup.p, setup.k):
+        expected = brute_fixed_elements(G, [tables[u] for u in brute_span(setup.p, setup.k, B.vectors)])
+        C = fixed_subgroup(setup, B)
+        assert C._mask is not None and C._chain is None
+        assert_contains_matches(C, expected, G)
+        fixed.append((C, expected))
+    every = set(G.sorted_elements())
+    pairs = [(G, every, G, every)] + [(*fixed[i], *fixed[-1 - i]) for i in range(min(3, len(fixed)))]
+    for H, h_elements, K, k_elements in pairs:
+        assert_contains_matches(commutator_subgroup(H, K, G), brute_commutator_subgroup(h_elements, k_elements), G)
+
+
+def test_normal_closure_raises_when_a_grown_span_misses_its_generator(monkeypatch):
+    """An _extend that returns its mask unchanged would re-queue the same conjugates forever."""
+    G = group_from_generators(9, [
+        Perm.from_cycles(9, (0, 3, 6), (1, 4, 7), (2, 5, 8)), Perm.from_cycles(9, (0, 1, 2), (3, 5, 4)),
+    ])
+    monkeypatch.setattr(groups, "_extend", lambda index, mask, at, g: mask)
+    with pytest.raises(InternalCheckError, match="new generator"):
+        normal_closure([G.generators[0]], G)
 
 
 def greedy_generators(elements):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from coprime_lab.errors import (
     CapacityError,
     ContainmentError,
+    InternalCheckError,
     PreconditionError,
     ValidationError,
 )
@@ -206,6 +207,28 @@ def test_random_element_is_member_and_deterministic():
     assert all(G.contains(x) for x in xs)
     rng2 = random.Random(3)
     assert xs == [G.random_element(rng2) for _ in range(20)]
+
+
+def test_an_enumeration_that_repeats_an_element_raises(monkeypatch):
+    """A chain that lists one element twice, and so misses another, is caught when the
+    sorted elements are built, before any index over them exists."""
+    G = group_from_generators(9, heisenberg27_gens())
+    listed = _Chain.iter_elements
+    monkeypatch.setattr(_Chain, "iter_elements", lambda chain: listed(chain)[:-1] + listed(chain)[:1])
+    with pytest.raises(InternalCheckError, match="chain order"):
+        G.sorted_elements()
+    with pytest.raises(InternalCheckError, match="chain order"):
+        G.row_index()
+
+
+def test_root_drops_its_chain_once_indexed_and_answers_from_the_index():
+    G = group_from_generators(9, wreath81_gens())
+    outside = Perm([1, 0, 2, 3, 4, 5, 6, 7, 8])
+    assert G._chain is not None and not G.contains(outside)
+    index = G.row_index()
+    assert G._chain is None and G.order == len(index) == 81
+    assert all(G.contains(x) for x in G.sorted_elements()) and not G.contains(outside)
+    assert G.elements() == frozenset(G.sorted_elements()) and G.elements() is not G.elements()
 
 
 def test_enumeration_cap_enforced():
