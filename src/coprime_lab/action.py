@@ -4,12 +4,13 @@ A is never represented as a permutation group; it lives as exponent vectors
 in (Z/p)^k together with a homomorphism into Aut(G) given by k commuting
 basis automorphisms of order dividing p.
 
-G is indexed once by ``G.sorted_elements()``, so index order is sort order.
-Every automorphism is an index array over it, and every subgroup of G is a
-bool mask over it: centralizers, fixed points and fixed cosets are found by
-masking arrays of indices.  Each ``ActionSetup`` computes the fixed mask of
-a subgroup B <= A once, keyed by B's reduced row-echelon basis, and the
-maximal subgroups of A once; its other caches are keyed by mask bytes.
+G is enumerated once into the sorted rows of its index, so index order is
+sort order.  Every automorphism is an index array over it, and every
+subgroup of G is a bool mask over it: centralizers, fixed points and fixed
+cosets are found by masking arrays of indices.  Each ``ActionSetup``
+computes the fixed mask of a subgroup B <= A once, keyed by B's reduced
+row-echelon basis, and the maximal subgroups of A once; its other caches
+are keyed by mask bytes.
 """
 
 from __future__ import annotations
@@ -34,17 +35,19 @@ from .series import _is_prime, is_nilpotent
 
 
 class Automorphism:
-    """A group automorphism given by images of the generators.
+    """A group automorphism, stored as its table once it is built.
 
-    The full map is tabulated on first use as an int32 index array ``T``
-    over ``E = source.sorted_elements()``: ``E[T[i]]`` is the image of
-    ``E[i]``, and index order is sort order, so composing is a gather.  The
-    table is extended over the Cayley graph; the extension verifies the
-    homomorphism property on every (element, generator) edge and
+    The full map is an int32 index array ``T`` over the source's index:
+    element ``T[i]`` is the image of element i, and index order is sort
+    order, so composing is a gather.  An automorphism given by the images of
+    the generators keeps them only until its table is built, on first use:
+    the table is extended over the Cayley graph, and the extension verifies
+    the homomorphism property on every (element, generator) edge and
     bijectivity, so a malformed image map is rejected with a ValidationError.
+    ``images`` reads the generators' images back from the table.
     """
 
-    __slots__ = ("source", "images", "_table")
+    __slots__ = ("source", "_given", "_table")
 
     def __init__(self, source: Group, images: Mapping[Perm, Perm]):
         self.source = source
@@ -53,7 +56,7 @@ class Automorphism:
             if g not in images:
                 raise ValidationError("images must cover every generator of the source group")
             img[g] = images[g]
-        self.images = img
+        self._given: dict[Perm, Perm] | None = img
         self._table: np.ndarray | None = None
 
     @classmethod
@@ -63,25 +66,29 @@ class Automorphism:
     @classmethod
     def _from_table(cls, source: Group, table: np.ndarray) -> "Automorphism":
         auto = cls.__new__(cls)
-        auto.source = source
-        gens, elements = source.generators, source.sorted_elements()
-        auto.images = {g: elements[table[i]] for g, i in zip(gens, source.row_index().index_of(gens))}
-        auto._table = table
+        auto.source, auto._given, auto._table = source, None, table
         return auto
 
     @property
     def table(self) -> np.ndarray:
         if self._table is None:
             self._table = self._build_table()
+            self._given = None
         return self._table
+
+    @property
+    def images(self) -> dict[Perm, Perm]:
+        """The image of every generator of the source, read from the table as a new dict."""
+        index, gens = self.source.row_index(), self.source.generators
+        return dict(zip(gens, index.perms(self.table[index.index_of(gens)])))
 
     def _build_table(self) -> np.ndarray:
         source = self.source
         index = source.row_index()
-        images = list(self.images.values())
+        images = list(self._given.values())
         if not all(isinstance(img, Perm) and img.degree == source.degree for img in images):
             raise ValidationError("a generator image lies outside the source group")
-        at = index.positions([*self.images, *images])
+        at = index.positions([*self._given, *images])
         if (at < 0).any():
             raise ValidationError("a generator image lies outside the source group")
         # the cached right translates, shared by every basis automorphism and later checks
@@ -110,8 +117,8 @@ class Automorphism:
         return table
 
     def apply(self, x: Perm) -> Perm:
-        source = self.source
-        return source.sorted_elements()[self.table[source.row_index().index_of([x])[0]]]
+        index = self.source.row_index()
+        return index.perms(self.table[index.index_of([x])])[0]
 
     def then(self, other: "Automorphism") -> "Automorphism":
         """Composite: apply self, then other."""
@@ -129,10 +136,10 @@ class Automorphism:
         return Automorphism._from_table(self.source, table)
 
     def is_identity(self) -> bool:
-        return all(g == img for g, img in self.images.items())
+        return np.array_equal(self.table, np.arange(len(self.table)))
 
     def agrees_with(self, other: "Automorphism") -> bool:
-        return all(other.images[g] == img for g, img in self.images.items())
+        return np.array_equal(self.table, other.table)
 
 
 @dataclass(frozen=True)
@@ -287,9 +294,9 @@ class ActionSetup:
             return False
         return self.is_invariant_mask(mask)
 
-    def orbit_of_element(self, x: Perm) -> frozenset[Perm]:
-        at, ordered = self.G.row_index().index_of([x])[0], self.G.sorted_elements()
-        return frozenset(ordered[self.phi(u).table[at]] for u in self.all_vectors())
+    def orbit_of_element(self, at: int) -> frozenset[int]:
+        """The A-orbit of element ``at`` of G's index, as indices."""
+        return frozenset(int(self.phi(u).table[at]) for u in self.all_vectors())
 
 
 @dataclass

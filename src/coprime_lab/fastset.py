@@ -1,17 +1,18 @@
 """An enumerated group as a row array with an exact, vectorized row -> index lookup.
 
-``RowIndex`` holds the image rows of ``group.sorted_elements()``, so index
-order is sort order, and every subgroup built inside the group is a bool mask
-over it.  Right-translating every element by f is one gather and one lookup,
-kept per element; conjugates and commutators are gathers in those translates,
-and left cosets and setwise products of subgroups follow from them as masks.
-``RowIndex.power(d)`` is the column x -> x^d, built once per d: a composite d
-is a gather of two smaller columns and a prime d is one row product,
-x^(d-1) x.  ``RowIndex.memo`` keeps the subgroup algebra done over the
-index, such as generators, commutator subgroups and series terms, keyed by
-the masks it was computed from; its values are arrays, never groups, so the
-index holds no reference back to a group and a set-up is freed as soon as it
-is dropped.
+``RowIndex`` holds the sorted image rows of a group's elements, so index order
+is sort order and every subgroup built inside the group is a bool mask over
+it.  The rows are the group's one per-element store; ``perms`` makes ``Perm``
+objects from them on request.  Right-translating every element by f is one
+gather and one lookup, kept per element; conjugates and commutators are
+gathers in those translates, and left cosets and setwise products of
+subgroups follow from them as masks.  ``RowIndex.power(d)`` is the column
+x -> x^d, built once per d: a composite d is a gather of two smaller columns
+and a prime d is one row product, x^(d-1) x.  ``RowIndex.memo`` keeps the
+subgroup algebra done over the index, such as generators, commutator
+subgroups and series terms, keyed by the masks it was computed from; its
+values are arrays, never groups, so the index holds no reference back to a
+group and a set-up is freed as soon as it is dropped.
 """
 
 from __future__ import annotations
@@ -25,33 +26,50 @@ from .errors import InternalCheckError
 from .perms import Perm
 
 
+def rows_of(elements: Iterable[Perm], degree: int) -> np.ndarray:
+    """The image rows of ``elements``: big-endian unsigned integers, 16-bit up to degree
+    65,536 and 32-bit past it, so that a row's bytes compare like its image tuple."""
+    dtype = np.dtype(">u2") if degree <= 1 << 16 else np.dtype(">u4")
+    return np.array([x.images for x in elements], dtype=dtype).reshape(-1, degree)
+
+
+def row_keys(rows: np.ndarray) -> np.ndarray:
+    """Each row's bytes as one void scalar, a view of ``rows``: its sort and lookup key."""
+    return rows.view(f"V{rows.dtype.itemsize * rows.shape[1]}").ravel()
+
+
+def sort_rows(rows: np.ndarray) -> np.ndarray:
+    """``rows`` in key order, which is the order of the image tuples."""
+    return rows[np.argsort(row_keys(rows))]
+
+
 class RowIndex:
     """Row i of ``rows`` is element i of a sorted element list.
 
-    ``rows`` holds big-endian unsigned integers, 16-bit up to degree 65,536
-    and 32-bit past it, and each row's bytes, viewed as one void scalar, are
-    its key.  That byte order compares like the image tuples, so the keys
-    are sorted and ``searchsorted`` finds a row, which is then confirmed
-    equal.  The keys are a view of ``rows``, so the elements are stored once.
-    Right translates, inverses and power columns are built on first use and
-    kept; the columns are read-only.  ``memo`` maps a key built from subgroup
-    masks (``mask_key``) to the arrays computed from them, for whoever
-    computes over this index.
+    ``rows`` come in ``rows_of``'s row type, sorted by ``sort_rows``, and each
+    row's key (``row_keys``) is unique: two equal neighbours raise
+    InternalCheckError.
+    ``searchsorted`` finds a row among the keys, and the row is then
+    confirmed equal.  The keys are a view of ``rows``, so the elements are
+    stored once.  Right translates, inverses and power columns are built on
+    first use and kept; the columns are read-only.  ``memo`` maps a key built
+    from subgroup masks (``mask_key``) to the arrays computed from them, for
+    whoever computes over this index.
     """
 
     __slots__ = ("rows", "_keys", "identity", "_right", "_inverse", "_powers", "memo", "_mask_keys")
 
-    def __init__(self, elements: Sequence[Perm]):
-        degree = elements[0].degree
-        dtype = np.dtype(">u2") if degree <= 1 << 16 else np.dtype(">u4")
-        self.rows = np.array([x.images for x in elements], dtype=dtype).reshape(len(elements), degree)
-        self._keys = self.rows.view(f"V{dtype.itemsize * degree}").ravel()
+    def __init__(self, rows: np.ndarray):
+        self.rows = rows
+        self._keys = row_keys(rows)
+        if (self._keys[1:] == self._keys[:-1]).any():
+            raise InternalCheckError("the sorted rows list an element twice")
         self._right: dict[int, np.ndarray] = {}
         self._inverse: np.ndarray | None = None
         self._powers: dict[int, np.ndarray] = {}
         self.memo: dict[tuple, object] = {}
         self._mask_keys: dict[bytes, bytes] = {}
-        self.identity = int(self.lookup(np.arange(degree)[None, :])[0])
+        self.identity = int(self.lookup(np.arange(rows.shape[1])[None, :])[0])
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -73,13 +91,15 @@ class RowIndex:
 
     def positions(self, elements: Iterable[Perm]) -> np.ndarray:
         """Index of every given element, in the given order, or -1 for one outside the group."""
-        rows = np.array([x.images for x in elements], dtype=self.rows.dtype)
-        return self._find(rows.reshape(-1, self.rows.shape[1]))
+        return self._find(rows_of(elements, self.rows.shape[1]))
 
     def index_of(self, elements: Iterable[Perm]) -> np.ndarray:
         """Index of every given element, in the given order."""
-        rows = np.array([x.images for x in elements], dtype=self.rows.dtype)
-        return self.lookup(rows.reshape(-1, self.rows.shape[1]))
+        return self.lookup(rows_of(elements, self.rows.shape[1]))
+
+    def perms(self, at) -> list[Perm]:
+        """The elements at the indices ``at``, in that order, as new ``Perm`` objects."""
+        return [Perm._raw(tuple(row)) for row in self.rows[np.asarray(at, dtype=np.intp)].tolist()]
 
     def translate(self, f: Perm) -> np.ndarray:
         """Index of x * f for every x, in index order."""

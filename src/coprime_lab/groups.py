@@ -1,13 +1,12 @@
-"""Finite permutation groups: membership chains, subgroup masks, abelian sections.
+"""Finite permutation groups: enumeration, subgroup masks, abelian sections.
 
-A group built from generators holds a Schreier-Sims chain until it is
-enumerated; from then on its ``fastset.RowIndex`` is its only per-element
-store, and ``Perm`` objects stay at the boundary (generators, element lists,
-and what membership and the abelian sections take or give).  Every subgroup
-built inside an enumerated group, from centralizers to commutator subgroups,
-series terms and Sylow subgroups, is a bool mask over that index, with no
-chain; each of its generators lies outside the subgroup generated by the
-ones before it.  A
+A group built from generators or elements is enumerated into the sorted rows
+of its ``fastset.RowIndex``, and those rows are its only per-element store;
+``Perm`` objects stay at the boundary (generators, element lists, and what
+membership and the abelian sections take or give).  Every subgroup built
+inside an enumerated group, from centralizers to commutator subgroups, series
+terms and Sylow subgroups, is a bool mask over that index; each of its
+generators lies outside the subgroup generated by the ones before it.  A
 subgroup grows one generator at a time, and by one right coset of the
 subgroup generated so far at a time, so each mask it grows from must be the
 subgroup that its generators generate.  The generators of a subgroup given
@@ -21,7 +20,7 @@ to its numerator's mask, and keeps one code per element of that index.
 from __future__ import annotations
 
 import math
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -33,133 +32,49 @@ from .errors import (
     PreconditionError,
     ValidationError,
 )
-from .fastset import RowIndex
+from .fastset import RowIndex, row_keys, rows_of, sort_rows
 from .perms import Perm
 
 
-class _Chain:
-    """A deterministic Schreier-Sims stabilizer chain, held as per-level lists.
+def _enumerate(degree: int, generators: Sequence[Perm], cap: int) -> np.ndarray:
+    """The sorted rows of the group that ``generators`` generate.
 
-    Level i fixes ``base[:i]`` pointwise; its group is generated by the
-    strong generators ``gens[i:]``.  ``transversals[i]`` maps each point
-    delta of the orbit of ``base[i]`` to a representative u with
-    u(base[i]) = delta, and ``inverses[i]`` maps delta to u^-1.
+    Breadth first from the identity over x -> x g, where the row of x g is g's
+    row gathered at x's.  Each round translates the rows found in the round
+    before by one generator at a time, and keeps the candidates whose keys are
+    not yet in the set of keys found; the rows are sorted once, at the end.
+    Raises CapacityError as soon as more than ``cap`` rows are found, so it holds
+    at most ``cap`` rows and their keys, and one batch of at most as many candidates.
     """
-
-    __slots__ = ("degree", "base", "gens", "transversals", "inverses")
-
-    def __init__(self, degree: int):
-        self.degree = degree
-        self.base: list[int] = []
-        self.gens: list[list[Perm]] = []
-        self.transversals: list[dict[int, Perm]] = []
-        self.inverses: list[dict[int, Perm]] = []
-
-    def order(self) -> int:
-        return math.prod(map(len, self.transversals))
-
-    def sift(self, p: Perm, level: int = 0) -> Perm:
-        base, inverses = self.base, self.inverses
-        for i in range(level, len(base)):
-            point = base[i]
-            target = p.images[point]
-            if target != point:
-                u_inv = inverses[i].get(target)
-                if u_inv is None:
-                    return p
-                p = p * u_inv
-        return p
-
-    def contains(self, p: Perm) -> bool:
-        return self.sift(p).is_identity()
-
-    def extend(self, g: Perm, level: int = 0) -> bool:
-        """Add g to the group of ``level``; return True when that group grew.
-
-        The residue of g becomes a strong generator of the first level whose
-        base point it moves, or of a new last level based at its least moved
-        point; that level and every level above it, down to ``level``, is
-        then rebuilt and Schreier-processed, deepest first.
-        """
-        residue = self.sift(g, level)
-        if residue.is_identity():
-            return False
-        landed = level
-        while landed < len(self.base) and residue.images[self.base[landed]] == self.base[landed]:
-            landed += 1
-        if landed == len(self.base):
-            self.base.append(min(i for i, j in enumerate(residue.images) if i != j))
-            self.gens.append([])
-            self.transversals.append({})
-            self.inverses.append({})
-        self.gens[landed].append(residue)
-        for i in range(landed, level - 1, -1):
-            self._rebuild_tree(i)
-            self._process_schreier(i)
-        return True
-
-    def _rebuild_tree(self, level: int) -> None:
-        root = self.base[level]
-        ident = Perm.identity(self.degree)
-        gens = [h for hs in self.gens[level:] for h in hs]
-        transversal = {root: ident}
-        inverses = {root: ident}
-        frontier = [root]
-        while frontier:
-            next_frontier = []
-            for point in frontier:
-                u = transversal[point]
-                for h in gens:
-                    target = h.images[point]
-                    if target not in transversal:
-                        rep = u * h
-                        transversal[target] = rep
-                        inverses[target] = rep.inverse()
-                        next_frontier.append(target)
-            frontier = next_frontier
-        self.transversals[level] = transversal
-        self.inverses[level] = inverses
-
-    def _process_schreier(self, level: int) -> None:
-        # Schreier's lemma over a snapshot of the generators: every Schreier
-        # generator of this level must land in the next level's group.
-        gens = [h for hs in self.gens[level:] for h in hs]
-        transversal, inverses = self.transversals[level], self.inverses[level]
-        for point in sorted(transversal):
-            u = transversal[point]
-            for h in gens:
-                s = u * h * inverses[h.images[point]]
-                if not s.is_identity():
-                    self.extend(s, level + 1)
-
-    def iter_elements(self) -> list[Perm]:
-        """Every element, in the order deeper rest x this level's transversal."""
-        elements = [Perm.identity(self.degree)]
-        for transversal in reversed(self.transversals):
-            elements = [rest * u for rest in elements for u in transversal.values()]
-        return elements
-
-    def random_element(self, rng) -> Perm:
-        p = Perm.identity(self.degree)
-        for transversal in reversed(self.transversals):
-            p = p * transversal[rng.choice(sorted(transversal))]
-        return p
+    moves = rows_of(generators, degree)
+    frontier = np.arange(degree, dtype=moves.dtype)[None, :]
+    seen, found, size = {frontier.tobytes()}, [frontier], 1
+    while len(frontier):
+        fresh = []
+        for g in moves:
+            batch = set(row_keys(g[frontier]).tolist())
+            batch -= seen
+            seen |= batch
+            size += len(batch)
+            if size > cap:
+                raise CapacityError(f"group order exceeds the enumeration cap {cap}")
+            fresh += batch
+        frontier = np.frombuffer(b"".join(fresh), dtype=moves.dtype).reshape(-1, degree)
+        found.append(frontier)
+    return sort_rows(np.concatenate(found, dtype=moves.dtype))
 
 
 class Group:
     """A finite permutation group with generator set and membership structure.
 
-    A group built from generators keeps a Schreier-Sims chain for its order,
-    the cap check and membership until it is enumerated, and is then the root
-    of its own row index and drops the chain.  A subgroup built inside an
+    A group built from generators is enumerated on first use, by ``_enumerate``,
+    and is then the root of its own row index.  A subgroup built inside an
     enumerated group is a bool mask over its root's index, with its
-    generators' indices and no chain.
+    generators' indices; its generators are made as ``Perm`` objects only
+    when asked for.
     """
 
-    __slots__ = (
-        "degree", "generators", "cap", "_chain", "_sorted", "_rows", "_root", "_mask", "_at",
-        "__weakref__",
-    )
+    __slots__ = ("degree", "_generators", "cap", "_rows", "_root", "_mask", "_at", "__weakref__")
 
     def __init__(self, degree: int, generators: Iterable = (), cap: int | None = None):
         if not isinstance(degree, int) or degree < 1:
@@ -176,33 +91,31 @@ class Group:
                 continue
             seen.add(g)
             gens.append(g)
-        chain = _Chain(degree)
-        for g in gens:
-            chain.extend(g)
-        self._fill(degree, cap, gens, chain)
+        self._fill(degree, cap, gens)
 
-    def _fill(
-        self, degree: int, cap: int, generators, chain: _Chain | None, root=None, mask=None, at=None
-    ) -> "Group":
+    def _fill(self, degree: int, cap: int, generators, root=None, mask=None, at=None) -> "Group":
         """Sets every slot; the one place that does.  ``_mask`` and ``_at`` mark the elements and
-        generators over the index of ``_root``, or of the group itself when it is a root."""
+        generators over the index of ``_root``, or of the group itself when it is a root; with
+        ``generators`` None, the generators are made from ``_at`` when first asked for."""
         self.degree = degree
         self.cap = cap
-        self.generators = tuple(generators)
-        self._chain = chain
-        self._sorted: list[Perm] | None = None
+        self._generators = None if generators is None else tuple(generators)
         self._rows: RowIndex | None = None
         self._root: Group | None = root
         self._mask: np.ndarray | None = mask
         self._at: np.ndarray | None = at
         return self
 
+    def _make_root(self, rows: np.ndarray) -> RowIndex:
+        """Become the root of the index over the sorted ``rows``."""
+        self._rows = RowIndex(rows)
+        self._mask = np.ones(len(rows), dtype=bool)
+        self._at = self._rows.index_of(self.generators)
+        return self._rows
+
     @classmethod
     def _in(cls, root: "Group", mask: np.ndarray, at) -> "Group":
-        elements = root.sorted_elements()
-        return cls.__new__(cls)._fill(
-            root.degree, root.cap, [elements[i] for i in at], None, root, mask, np.asarray(at, dtype=np.intp)
-        )
+        return cls.__new__(cls)._fill(root.degree, root.cap, None, root, mask, np.asarray(at, dtype=np.intp))
 
     @classmethod
     def trivial(cls, degree: int, cap: int | None = None) -> "Group":
@@ -211,12 +124,12 @@ class Group:
     @classmethod
     def from_elements(cls, degree: int, elements: Iterable[Perm], cap: int | None = None) -> "Group":
         """Build a group from its full element set (must be closed), as the root of its own index."""
-        group = cls.__new__(cls)._fill(degree, enumeration_cap(cap), (), None)
-        group._sorted = sorted(set(elements))
-        if not group._sorted or not group._sorted[0].is_identity():
-            raise ValidationError(f"element set of size {len(group._sorted)} is not closed")
-        at = _picks(group.row_index(), group._mask)
-        group.generators, group._at = tuple(group._sorted[i] for i in at), np.asarray(at, dtype=np.intp)
+        group = cls.__new__(cls)._fill(degree, enumeration_cap(cap), ())
+        rows = sort_rows(rows_of(set(elements), degree))
+        if not len(rows) or (rows[0] != np.arange(degree)).any():
+            raise ValidationError(f"element set of size {len(rows)} is not closed")
+        at = _picks(group._make_root(rows), group._mask)
+        group._generators, group._at = None, np.asarray(at, dtype=np.intp)
         return group
 
     @classmethod
@@ -231,6 +144,12 @@ class Group:
             at.flags.writeable = False
             index.memo[("picks", index.mask_key(mask))] = at
         return cls._in(root, mask, at)
+
+    @property
+    def generators(self) -> tuple[Perm, ...]:
+        if self._generators is None:
+            self._generators = tuple((self._root or self).row_index().perms(self._at))
+        return self._generators
 
     def _frame(self) -> tuple["Group", np.ndarray, np.ndarray]:
         """(root, mask, generator indices) over the root's index; enumerates a group with neither."""
@@ -251,47 +170,34 @@ class Group:
 
     @property
     def order(self) -> int:
-        if self._chain is not None:
-            return self._chain.order()
-        return int(np.count_nonzero(self._mask))
+        return int(np.count_nonzero(self._frame()[1]))
 
     def contains(self, x: Perm) -> bool:
         if not isinstance(x, Perm):
             raise ValidationError(f"expected a Perm, got {type(x).__name__}")
         if x.degree != self.degree:
             raise ValidationError(f"element degree {x.degree} != group degree {self.degree}")
-        if self._chain is not None:
-            return self._chain.contains(x)
-        at = int((self._root or self).row_index().positions([x])[0])
-        return at >= 0 and bool(self._mask[at])
+        root, mask, _ = self._frame()
+        at = int(root.row_index().positions([x])[0])
+        return at >= 0 and bool(mask[at])
 
     def elements(self) -> frozenset[Perm]:
         """Every element, as a new frozenset on each call; the group keeps no set of them."""
         return frozenset(self.sorted_elements())
 
     def sorted_elements(self) -> list[Perm]:
-        if self._sorted is None:
-            if self._chain is None:
-                every = self._root.sorted_elements()
-                self._sorted = [every[i] for i in np.flatnonzero(self._mask).tolist()]
-            else:
-                if self.order > self.cap:
-                    raise CapacityError(f"group order {self.order} exceeds the enumeration cap {self.cap}")
-                listed = sorted(self._chain.iter_elements())
-                if any(x == y for x, y in zip(listed, listed[1:])):
-                    raise InternalCheckError("element enumeration disagrees with chain order")
-                self._sorted = listed
-        return self._sorted
+        """Every element in sort order, as a new list on each call."""
+        root, mask, _ = self._frame()
+        return root.row_index().perms(np.flatnonzero(mask))
 
     def row_index(self) -> RowIndex:
-        """The rows of ``sorted_elements()`` with a vectorized row -> index lookup; a group that
-        is not a mask over another becomes the root of this index and drops its chain."""
+        """The index over this group's sorted rows; a group that is not a mask over another
+        is enumerated from its generators and becomes the root of this index."""
         if self._rows is None:
-            self._rows = RowIndex(self.sorted_elements())
-            if self._mask is None:
-                self._mask = np.ones(len(self._rows), dtype=bool)
-                self._at = self._rows.index_of(self.generators)
-                self._chain = None
+            if self._root is None:
+                self._make_root(_enumerate(self.degree, self.generators, self.cap))
+            else:
+                self._rows = RowIndex(self._root.row_index().rows[self._mask])
         return self._rows
 
     @property
@@ -325,9 +231,8 @@ class Group:
         return all(self.contains(g.inverse() * x * g) for g in ambient.generators for x in self.generators)
 
     def random_element(self, rng) -> Perm:
-        if self._chain is None:
-            return rng.choice(self.sorted_elements())
-        return self._chain.random_element(rng)
+        root, mask, _ = self._frame()
+        return root.row_index().perms([rng.choice(np.flatnonzero(mask))])[0]
 
     def __repr__(self) -> str:
         return f"Group(degree={self.degree}, order={self.order}, ngens={len(self.generators)})"
@@ -568,8 +473,7 @@ class AbelianSection:
         self.numerator = numerator
         self.denominator = denominator
         self.basis_at = tuple(basis_at)
-        elements = numerator._frame()[0].sorted_elements()
-        self.basis = tuple(elements[i] for i in self.basis_at)
+        self.basis = tuple(numerator._frame()[0].row_index().perms(self.basis_at))
         self.orders = tuple(orders)
         self.root_codes = root_codes
 

@@ -210,12 +210,10 @@ def find_invariant_normal_subgroups(setup: ActionSetup, seed: int = 0, limit: in
     candidates: list[Group] = [generated_in(G, ()), G]
     candidates.extend(lower_central_series(G).terms)
     candidates.extend(derived_series(G).terms)
-    rng = random.Random(seed)
-    elements = G.sorted_elements()
+    rng, index = random.Random(seed), G.row_index()
     for _ in range(4):
-        x = rng.choice(elements)
-        orbit = setup.orbit_of_element(x)
-        candidates.append(normal_closure(orbit, G))
+        orbit = setup.orbit_of_element(rng.randrange(len(index)))
+        candidates.append(normal_closure(index.perms(sorted(orbit)), G))
     out: list[Group] = []
     seen: set[bytes] = set()
     for N in candidates:
@@ -231,14 +229,13 @@ def find_invariant_normal_subgroups(setup: ActionSetup, seed: int = 0, limit: in
 
 def random_invariant_subgroups(setup: ActionSetup, seed: int = 0, count: int = 5) -> list[Group]:
     """Subgroups generated by A-orbits of random elements (hence A-invariant)."""
-    rng = random.Random(seed)
-    elements = setup.G.sorted_elements()
+    rng, index = random.Random(seed), setup.G.row_index()
     out = []
     for _ in range(count):
-        gens: set = set()
+        gens: set[int] = set()
         for _ in range(rng.randint(1, 2)):
-            gens |= setup.orbit_of_element(rng.choice(elements))
-        out.append(generated_in(setup.G, sorted(gens)))
+            gens |= setup.orbit_of_element(rng.randrange(len(index)))
+        out.append(generated_in(setup.G, index.perms(sorted(gens))))
     return out
 
 

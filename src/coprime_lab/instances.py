@@ -231,9 +231,8 @@ def gen_direct_sum(setups: list[ActionSetup], k: int | None = None, cap=None) ->
         images: dict[Perm, Perm] = {}
         for s, off in zip(setups, offsets):
             if j < s.k:
-                auto = s.basis[j]
-                for g in s.G.generators:
-                    images[_embed(g, off, total)] = _embed(auto.images[g], off, total)
+                for g, img in s.basis[j].images.items():
+                    images[_embed(g, off, total)] = _embed(img, off, total)
             else:
                 for g in s.G.generators:
                     emb = _embed(g, off, total)
@@ -468,9 +467,9 @@ def setup_to_dict(setup: ActionSetup) -> dict:
     action = {}
     for j, vec in enumerate(setup.basis_vectors()):
         key = ",".join(str(c) for c in vec)
-        auto = setup.basis[j]
+        images = setup.basis[j].images
         action[key] = {
-            str(i): list(auto.images[g].images) for i, g in enumerate(setup.G.generators)
+            str(i): list(images[g].images) for i, g in enumerate(setup.G.generators)
         }
     return {
         "schema": SCHEMA_VERSION,
@@ -579,9 +578,9 @@ def setup_from_dict(data: dict, cap=None, where: str = "instance") -> ActionSetu
     for vec, img_map in parsed.items():
         if sum(vec) == 0 or vec in {tuple(1 if i == j else 0 for i in range(k)) for j in range(k)}:
             continue
-        phi = setup.phi(vec)
+        images = setup.phi(vec).images
         for idx, img in img_map.items():
-            if phi.images[G.generators[idx]] != img:
+            if images[G.generators[idx]] != img:
                 fail(
                     f"action[{','.join(map(str, vec))}]",
                     "stanza disagrees with the composition of the basis automorphisms",

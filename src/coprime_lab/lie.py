@@ -148,8 +148,7 @@ def _cross_check_brackets(ring: GradedLieRing, seed: int) -> None:
     weight_pairs = [(i, j) for i in range(1, cls + 1) for j in range(1, cls + 1) if i + j <= cls]
     if not weight_pairs:
         return
-    root = ring.group._frame()[0]
-    elements = root.sorted_elements()
+    index = ring.group._frame()[0].row_index()
     # each numerator's root indices, in its sort order
     positions = [np.flatnonzero(section.root_codes >= 0) for section in ring.components]
     rng = random.Random(seed)
@@ -157,7 +156,8 @@ def _cross_check_brackets(ring: GradedLieRing, seed: int) -> None:
     for _ in range(CROSS_CHECK_PAIRS):
         wi, wj = rng.choice(weight_pairs)
         pairs.append((wi, wj, rng.choice(positions[wi - 1]), rng.choice(positions[wj - 1])))
-    found = root.row_index().positions([commutator(elements[x], elements[y]) for _, _, x, y in pairs])
+    lifted = index.perms([at for _, _, x, y in pairs for at in (x, y)])
+    found = index.positions([commutator(x, y) for x, y in zip(lifted[::2], lifted[1::2])])
     for (wi, wj, x, y), c in zip(pairs, found.tolist()):
         left, right, target = ring.component(wi), ring.component(wj), ring.component(wi + wj)
         if c < 0 or target.root_codes[c] < 0:

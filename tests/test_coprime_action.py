@@ -105,6 +105,24 @@ def test_coprimality_violation_flagged():
     assert any("divisible" in p for p in report.problems)
 
 
+def test_basis_of_the_wrong_order_flagged():
+    G = c3_squared()
+    a, b = G.generators
+    setup = ActionSetup(G, 5, 1, [Automorphism(G, {a: a.inverse(), b: b})])
+    assert validate_setup(setup).problems == ["basis automorphism 0 has order not dividing p = 5"]
+
+
+def test_basis_that_does_not_commute_flagged():
+    G = c3_squared()
+    a, b = G.generators
+    swap, inv_a = Automorphism(G, {a: b, b: a}), Automorphism(G, {a: a.inverse(), b: b})
+    assert validate_setup(ActionSetup(G, 2, 2, [swap, inv_a])).problems == [
+        "basis automorphisms 0 and 1 do not commute"
+    ]
+    assert swap.images == {a: b, b: a} and inv_a.then(inv_a).is_identity()
+    assert not swap.then(inv_a).agrees_with(inv_a.then(swap)) and swap.agrees_with(swap.power(3))
+
+
 def test_inversion_is_valid_order_two():
     G = c3_squared()
     setup = inversion_setup(G)

@@ -220,6 +220,21 @@ def test_cli_check_capacity_limit_is_an_error_not_a_failure(capsys):
     assert lines[-1] == "5 reports, 0 failed, 2 errored"
 
 
+def test_cli_check_instance_file_over_the_cap_is_one_error(tmp_path, capsys):
+    """A file whose group has more elements than --cap cannot be loaded: one error report."""
+    spec = dict(preset_entries("smoke"))["smoke-02-heis-diag-c5"]
+    path = save_instance(build_setup(spec), tmp_path / "heis.json")
+    rc = cli_main(["check", "--instances", str(path), "--cap", "20", "--out", str(tmp_path / "out"), "--jobs", "1"])
+    assert rc == 2
+    assert capsys.readouterr().out.splitlines()[-1] == "1 reports, 0 failed, 1 errored"
+    (report,) = (tmp_path / "out").glob("*.report.json")
+    data = json.loads(report.read_text())
+    assert data["status"] == "error"
+    assert [check["detail"] for check in data["checks"].values()] == [
+        "CapacityError: group order exceeds the enumeration cap 20"
+    ]
+
+
 def test_summary_and_aggregate_rows():
     result = run_suite(preset_entries("smoke"), SuiteOptions(mode="both", d=0, seed=0))
     rows = result.summary_rows()

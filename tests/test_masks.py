@@ -1,6 +1,8 @@
-"""Subgroups of an enumerated group as masks over its index: no chains, same generators."""
+"""Subgroups of an enumerated group as masks over its index, with the same generators, and
+the index as the group's one element store."""
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ from coprime_lab.action import all_subspaces, fixed_subgroup, maximal_subgroups,
 from coprime_lab.errors import ContainmentError, InternalCheckError, ValidationError
 from coprime_lab.groups import Group, commutator_subgroup, generated_in, group_from_generators, normal_closure
 from coprime_lab.harness import InstanceContext, lemma_report, verify_derived_theorem, verify_gamma_theorem
-from coprime_lab.instances import PRESETS, build_setup, preset_entries
+from coprime_lab.instances import PRESETS, build_setup, get_block, preset_entries, product_group
 from coprime_lab.perms import Perm
 
 from bruteforce import (
@@ -27,27 +29,57 @@ def preset_setup(instance_id):
     return build_setup(dict(preset_entries(instance_id.split("-")[0]))[instance_id])
 
 
-def test_theorem_suites_build_no_chain_once_g_and_its_tables_exist(monkeypatch):
+def test_theorem_suites_enumerate_no_group_once_g_and_its_tables_exist(monkeypatch):
     setup = preset_setup("p2k3-08-wreath-c5")
     assert validate_setup(setup).ok  # enumerates G and builds every basis table
     builds = []
-    original = groups._Chain.__init__
+    original = groups._enumerate
 
-    def counted(self, degree):
+    def counted(degree, generators, cap):
         builds.append(degree)
-        original(self, degree)
+        return original(degree, generators, cap)
 
-    monkeypatch.setattr(groups._Chain, "__init__", counted)
+    monkeypatch.setattr(groups, "_enumerate", counted)
     derived = verify_derived_theorem(setup, PRESETS["p2k3"].d)
     gamma = verify_gamma_theorem(setup)
     assert derived.status == gamma.status == "pass"
     assert builds == []
 
 
+def test_an_enumerated_root_holds_its_rows_and_few_perms(monkeypatch):
+    """heisenberg27 x c5 x c7 x c11, |G| = 10,395: enumeration makes no Perm per element, and
+    the root then holds little beyond its rows (0.6 MB); it made 12,829 Perms and held 4.5 MB
+    while a sorted Perm list was kept beside the rows."""
+    product = product_group([get_block(name).group() for name in ("heisenberg27", "c5", "c7", "c11")])[0]
+    made = []
+    raw, init = Perm._raw.__func__, Perm.__init__
+
+    def counted_raw(cls, images):
+        made.append(1)
+        return raw(cls, images)
+
+    def counted_init(self, images):
+        made.append(1)
+        init(self, images)
+
+    monkeypatch.setattr(Perm, "_raw", classmethod(counted_raw))
+    monkeypatch.setattr(Perm, "__init__", counted_init)
+    tracemalloc.start()
+    try:
+        G = Group(product.degree, product.generators)
+        index = G.row_index()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(index) == 10_395 and index.rows.nbytes < 0.7 * 2**20
+    assert len(made) < 100
+    assert held < 1.5 * 2**20
+
+
 @pytest.mark.parametrize("instance_id", SMOKE)
 def test_set_up_and_every_suite_keep_one_element_store(instance_id, monkeypatch):
-    """Set-up, the lemma suite and both theorem suites never build an element set, and the
-    root keeps no chain once it is enumerated: its row index is the one element store."""
+    """Set-up, the lemma suite and both theorem suites never build an element set: the root's
+    row index is the one element store."""
     asked, original = [], groups.Group.elements
 
     def elements(group):
@@ -57,7 +89,7 @@ def test_set_up_and_every_suite_keep_one_element_store(instance_id, monkeypatch)
     monkeypatch.setattr(groups.Group, "elements", elements)
     setup = preset_setup(instance_id)
     assert validate_setup(setup).ok
-    assert setup.G._chain is None
+    assert setup.G._root is None and setup.G._rows is not None
     assert lemma_report(InstanceContext(setup, instance_id)).status == "pass"
     assert verify_derived_theorem(setup, PRESETS["smoke"].d).status == "pass"
     assert verify_gamma_theorem(setup).status == "pass"
@@ -92,7 +124,7 @@ def test_contains_on_mask_subgroups_matches_brute_element_sets(instance_id):
     for B in all_subspaces(setup.p, setup.k):
         expected = brute_fixed_elements(G, [tables[u] for u in brute_span(setup.p, setup.k, B.vectors)])
         C = fixed_subgroup(setup, B)
-        assert C._mask is not None and C._chain is None
+        assert C._mask is not None and C._root is G
         assert_contains_matches(C, expected, G)
         fixed.append((C, expected))
     every = set(G.sorted_elements())

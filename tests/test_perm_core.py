@@ -1,7 +1,9 @@
 """Tests for permutations, groups, subgroup operations, and abelian sections."""
 
 import random
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,9 +15,10 @@ from coprime_lab.errors import (
     PreconditionError,
     ValidationError,
 )
+from coprime_lab import groups
+from coprime_lab.fastset import RowIndex
 from coprime_lab.groups import (
     Group,
-    _Chain,
     abelian_section,
     center,
     commutator_subgroup,
@@ -154,9 +157,8 @@ def _random_generating_sets():
         yield deg, gens
 
 
-def test_chain_orders_on_random_groups():
-    # late generators that fix earlier base points must still grow the
-    # shallower orbits (regression: A4 from (0 1 2) and (1 2 3))
+def test_enumeration_orders_on_random_groups():
+    # A4 from (0 1 2) and (1 2 3): neither generator alone reaches every point
     a4 = group_from_generators(4, [Perm.from_cycles(4, (0, 1, 2)), Perm.from_cycles(4, (1, 2, 3))])
     assert a4.order == 12
     for deg, gens in _random_generating_sets():
@@ -165,39 +167,45 @@ def test_chain_orders_on_random_groups():
         assert G.elements() == frozenset(mulclose(gens))
 
 
-def test_chain_matches_closure_oracle():
-    """A bare chain against plain closure: order, levels, membership both ways, enumeration, random elements."""
+def _enumeration_cases():
     cases = [(4, [Perm.from_cycles(4, (0, 1, 2)), Perm.from_cycles(4, (1, 2, 3))])]
     cases += list(_random_generating_sets())
     cases += [(G.degree, list(G.generators)) for G in (build_setup(s).G for _, s in preset_entries("smoke"))]
+    return cases
+
+
+def test_enumeration_matches_closure_oracle():
+    """Enumeration from generators against plain closure: order, sorted elements, membership
+    both ways on random permutations, and deterministic random elements."""
     rng = random.Random(5)
     non_members = 0
-    for degree, gens in cases:
-        chain = _Chain(degree)
-        for g in gens:
-            chain.extend(g)
+    for degree, gens in _enumeration_cases():
         closure = mulclose(gens)
-        listed = chain.iter_elements()
-        assert chain.order() == len(closure) == len(listed)
-        assert set(listed) == closure
-        for i, point in enumerate(chain.base):
-            assert all(g.images[b] == b for g in chain.gens[i] for b in chain.base[:i])
-            for delta, u in chain.transversals[i].items():
-                assert u.images[point] == delta
-                assert (u * chain.inverses[i][delta]).is_identity()
-        assert all(chain.contains(x) for x in closure)
+        G = group_from_generators(degree, gens)
+        assert G.order == len(closure) == len(G.row_index())
+        assert G.sorted_elements() == sorted(closure)
+        assert all(G.contains(x) for x in closure)
         for _ in range(50):
             images = list(range(degree))
             rng.shuffle(images)
             x = Perm(images)
-            assert chain.contains(x) == (x in closure)
+            assert G.contains(x) == (x in closure)
             non_members += x not in closure
-        draws = [chain.random_element(random.Random(3)) for _ in range(2)]
+        draws = [G.random_element(random.Random(3)) for _ in range(2)]
         stream, again = random.Random(8), random.Random(8)
-        xs = [chain.random_element(stream) for _ in range(10)]
-        assert draws[0] == draws[1] and xs == [chain.random_element(again) for _ in range(10)]
+        xs = [G.random_element(stream) for _ in range(10)]
+        assert draws[0] == draws[1] and xs == [G.random_element(again) for _ in range(10)]
         assert all(x in closure for x in xs)
     assert non_members > 0
+
+
+def test_enumerated_rows_do_not_depend_on_the_generating_set():
+    """Reordered generators, and the identity or a redundant product added, give the same rows."""
+    for degree, gens in _enumeration_cases():
+        rows = group_from_generators(degree, gens).row_index().rows
+        product = gens[0] * gens[-1] if gens else Perm.identity(degree)
+        for variant in (gens[::-1], [Perm.identity(degree), *gens], [*gens, product], [product, *gens[1:], *gens]):
+            assert np.array_equal(group_from_generators(degree, variant).row_index().rows, rows)
 
 
 def test_random_element_is_member_and_deterministic():
@@ -210,31 +218,52 @@ def test_random_element_is_member_and_deterministic():
 
 
 def test_an_enumeration_that_repeats_an_element_raises(monkeypatch):
-    """A chain that lists one element twice, and so misses another, is caught when the
-    sorted elements are built, before any index over them exists."""
+    """Sorted rows that list one element twice, and so miss another, are refused when the
+    index over them is built, however the root is made."""
     G = group_from_generators(9, heisenberg27_gens())
-    listed = _Chain.iter_elements
-    monkeypatch.setattr(_Chain, "iter_elements", lambda chain: listed(chain)[:-1] + listed(chain)[:1])
-    with pytest.raises(InternalCheckError, match="chain order"):
-        G.sorted_elements()
-    with pytest.raises(InternalCheckError, match="chain order"):
-        G.row_index()
+    elements = G.sorted_elements()
+    rows = G.row_index().rows.copy()
+    rows[-1] = rows[-2]
+    with pytest.raises(InternalCheckError, match="twice"):
+        RowIndex(rows)
+    sort_rows = groups.sort_rows
+
+    def repeating(rows):
+        rows = sort_rows(rows)
+        rows[-1] = rows[-2]
+        return rows
+
+    monkeypatch.setattr(groups, "sort_rows", repeating)
+    with pytest.raises(InternalCheckError, match="twice"):
+        group_from_generators(9, heisenberg27_gens()).row_index()
+    with pytest.raises(InternalCheckError, match="twice"):
+        Group.from_elements(9, elements)
 
 
-def test_root_drops_its_chain_once_indexed_and_answers_from_the_index():
+def test_root_answers_from_its_index():
     G = group_from_generators(9, wreath81_gens())
     outside = Perm([1, 0, 2, 3, 4, 5, 6, 7, 8])
-    assert G._chain is not None and not G.contains(outside)
+    assert G._rows is None and not G.contains(outside)
     index = G.row_index()
-    assert G._chain is None and G.order == len(index) == 81
+    assert G.order == len(index) == 81 and G._mask.all()
     assert all(G.contains(x) for x in G.sorted_elements()) and not G.contains(outside)
+    assert G.sorted_elements() is not G.sorted_elements()
     assert G.elements() == frozenset(G.sorted_elements()) and G.elements() is not G.elements()
 
 
 def test_enumeration_cap_enforced():
     G = group_from_generators(9, wreath81_gens(), cap=50)
-    with pytest.raises(CapacityError):
+    with pytest.raises(CapacityError, match="^group order exceeds the enumeration cap 50$"):
         G.elements()
+
+
+def test_enumeration_cap_is_the_largest_order_allowed():
+    assert group_from_generators(9, wreath81_gens(), cap=81).order == 81
+    with pytest.raises(CapacityError, match="cap 80$"):
+        group_from_generators(9, wreath81_gens(), cap=80).order
+    assert group_from_generators(3, [], cap=1).order == 1
+    with pytest.raises(CapacityError, match="cap 2$"):
+        group_from_generators(3, [Perm([1, 2, 0])], cap=2).order
 
 
 def test_enumeration_cap_env_override(monkeypatch):
@@ -243,6 +272,21 @@ def test_enumeration_cap_env_override(monkeypatch):
     assert G.cap == 40
     with pytest.raises(CapacityError):
         G.elements()
+
+
+def test_symmetric_group_over_the_default_cap_is_refused_in_bounded_memory(monkeypatch):
+    """S_12 from a transposition and a 12-cycle: the cap is checked as rows are found, so
+    the refusal holds at most the cap's worth of rows and one batch of candidates."""
+    monkeypatch.delenv("COPRIME_LAB_CAP", raising=False)
+    G = group_from_generators(12, [Perm.from_cycles(12, (0, 1)), Perm.from_cycles(12, tuple(range(12)))])
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match="cap 200000$"):
+            G.row_index()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
 
 
 # ------------------------------------------------- commutators / closures
