@@ -5,12 +5,15 @@ in (Z/p)^k together with a homomorphism into Aut(G) given by k commuting
 basis automorphisms of order dividing p.
 
 G is enumerated once into the sorted rows of its index, so index order is
-sort order.  Every automorphism is an index array over it, and every
-subgroup of G is a bool mask over it: centralizers, fixed points and fixed
-cosets are found by masking arrays of indices.  Each ``ActionSetup``
-computes the fixed mask of a subgroup B <= A once, keyed by B's reduced
-row-echelon basis, and the maximal subgroups of A once; its other caches
-are keyed by mask bytes.
+sort order.  Every automorphism is an index array over it, evaluated from
+the generators' images along the one spanning tree of G's Cayley graph that
+the index keeps, and every subgroup of G is a bool mask over it:
+centralizers, fixed points and fixed cosets are found by masking arrays of
+indices.  Each ``ActionSetup`` computes the fixed mask of a subgroup B <= A
+once, keyed by B's reduced row-echelon basis, and the maximal subgroups of
+A once; its other caches are keyed by mask bytes, among them the coset map
+of each normal subgroup N, built once N is checked to be A-invariant and
+normal.
 """
 
 from __future__ import annotations
@@ -41,9 +44,11 @@ class Automorphism:
     element ``T[i]`` is the image of element i, and index order is sort
     order, so composing is a gather.  An automorphism given by the images of
     the generators keeps them only until its table is built, on first use:
-    the table is extended over the Cayley graph, and the extension verifies
-    the homomorphism property on every (element, generator) edge and
-    bijectivity, so a malformed image map is rejected with a ValidationError.
+    the table is evaluated along the spanning tree of the source's Cayley
+    graph that its index keeps (``RowIndex.tree``), one gather per round,
+    then checked for the homomorphism property on every (element, generator)
+    edge and for bijectivity, so a malformed image map is rejected with a
+    ValidationError.
     ``images`` reads the generators' images back from the table.
     """
 
@@ -91,25 +96,22 @@ class Automorphism:
         at = index.positions([*self._given, *images])
         if (at < 0).any():
             raise ValidationError("a generator image lies outside the source group")
-        # the cached right translates, shared by every basis automorphism and later checks
-        at = at.reshape(2, -1).tolist()
-        pairs = [(index.right(g), index.right(img)) for g, img in zip(*at)]
-        table = np.full(len(index), -1, dtype=np.int32)
-        table[index.identity] = index.identity
-        frontier = np.array([index.identity])
-        while frontier.size:
-            reached = []
-            for t_g, t_img in pairs:
-                y, ty = t_g[frontier], t_img[table[frontier]]
-                known = table[y]
-                fresh = known < 0
-                if not np.array_equal(known[~fresh], ty[~fresh]):
-                    raise ValidationError("generator images do not define a homomorphism")
-                table[y[fresh]] = ty[fresh]
-                reached.append(y[fresh])
-            frontier = np.concatenate(reached)
-        if (table < 0).any():
+        gens, imgs = at.reshape(2, -1).tolist()
+        tree = index.tree(gens)
+        if len(tree.order) != len(index):
             raise InternalCheckError("automorphism table does not cover the group")
+        # x = parent * g maps to T(parent) * T(g): the image translates, kept by the index
+        img_t = [index.right_along(tree, i) for i in imgs]
+        table = np.empty(len(index), dtype=np.int32)
+        table[index.identity] = index.identity
+        if img_t:
+            stacked = np.stack(img_t)
+            for start, stop in zip(tree.rounds[1:-1], tree.rounds[2:]):
+                children = tree.order[start:stop]
+                table[children] = stacked[tree.gen[children], table[tree.parent[children]]]
+        for g, t_img in zip(gens, img_t):
+            if not np.array_equal(table[index.right(g)], t_img[table]):
+                raise ValidationError("generator images do not define a homomorphism")
         hit = np.zeros(len(table), dtype=bool)
         hit[table] = True
         if not hit.all():
@@ -392,24 +394,24 @@ def fixed_subgroup(setup: ActionSetup, B: ASubgroupDescriptor) -> Group:
     return cached
 
 
-def _require_invariant_normal(setup: ActionSetup, N: Group) -> None:
-    if not N.is_subgroup_of(setup.G):
-        raise PreconditionError("N is not a subgroup of G")
-    if not N.is_normal_in(setup.G):
-        raise PreconditionError("N is not normal in G")
-    if not setup.is_invariant_subgroup(N):
-        raise PreconditionError("N is not A-invariant")
-
-
 def _coset_index_map(setup: ActionSetup, N: Group) -> tuple[np.ndarray, np.ndarray]:
     """Coset labels over G's index, and the index of each coset's least element.
 
-    Cosets are numbered in the order of their least elements.
+    Cosets are numbered in the order of their least elements.  N must be an
+    A-invariant normal subgroup of G, else PreconditionError: normality and
+    invariance are checked once per mask of N, when its map is first built,
+    and a failing N is checked, and raises, on every call.
     """
+    if not N.is_subgroup_of(setup.G):
+        raise PreconditionError("N is not a subgroup of G")
     key = N.mask_over(setup.G).tobytes()
     cached = setup._coset_cache.get(key)
     if cached is not None:
         return cached
+    if not N.is_normal_in(setup.G):
+        raise PreconditionError("N is not normal in G")
+    if not setup.is_invariant_subgroup(N):
+        raise PreconditionError("N is not A-invariant")
     least = fastset.coset_labels(setup.G.row_index(), N.generators)
     reps = np.flatnonzero(least == np.arange(len(least)))
     result = (np.searchsorted(reps, least), reps)
@@ -419,7 +421,6 @@ def _coset_index_map(setup: ActionSetup, N: Group) -> tuple[np.ndarray, np.ndarr
 
 def check_fg1_quotient(setup: ActionSetup, N: Group, B: ASubgroupDescriptor) -> bool:
     """Fixed points in G/N equal the image of C_G(B): C_{G/N}(B) = C_G(B)N/N."""
-    _require_invariant_normal(setup, N)
     labels, reps = _coset_index_map(setup, N)
     fixed_below = np.arange(len(reps))
     for u in B.vectors:
@@ -467,7 +468,6 @@ def invariant_sylow(setup: ActionSetup, H: Group, r: int) -> Group:
 
 def induced_action_on_quotient(setup: ActionSetup, N: Group) -> ActionSetup:
     """The induced setup on a faithful permutation representation of G/N."""
-    _require_invariant_normal(setup, N)
     labels, reps = _coset_index_map(setup, N)
     index = setup.G.row_index()
     degree = max(len(reps), 1)

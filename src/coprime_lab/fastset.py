@@ -3,10 +3,15 @@
 ``RowIndex`` holds the sorted image rows of a group's elements, so index order
 is sort order and every subgroup built inside the group is a bool mask over
 it.  The rows are the group's one per-element store; ``perms`` makes ``Perm``
-objects from them on request.  Right-translating every element by f is one
-gather and one lookup, kept per element; conjugates and commutators are
-gathers in those translates, and left cosets and setwise products of
-subgroups follow from them as masks.  ``RowIndex.power(d)`` is the column
+objects from them on request.  Right-translating every element by element i
+is one gather and one lookup, kept per element; conjugates and commutators
+are gathers in those translates, and left cosets and setwise products of
+subgroups follow from them as masks.  ``RowIndex.tree`` is a breadth-first
+spanning tree of the Cayley graph of a generator tuple, built once per tuple
+from the generators' translates: each element's parent and generator, round
+by round.  Along it, the translate by any element is composed from generator
+translates by gathers alone (``right_along``), and automorphism tables are
+evaluated one round at a time.  ``RowIndex.power(d)`` is the column
 x -> x^d, built once per d: a composite d is a gather of two smaller columns
 and a prime d is one row product, x^(d-1) x.  ``RowIndex.memo`` keeps the
 subgroup algebra done over the index, such as generators, commutator
@@ -18,7 +23,7 @@ group and a set-up is freed as soon as it is dropped.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -31,6 +36,23 @@ def rows_of(elements: Iterable[Perm], degree: int) -> np.ndarray:
     65,536 and 32-bit past it, so that a row's bytes compare like its image tuple."""
     dtype = np.dtype(">u2") if degree <= 1 << 16 else np.dtype(">u4")
     return np.array([x.images for x in elements], dtype=dtype).reshape(-1, degree)
+
+
+class SpanningTree(NamedTuple):
+    """A breadth-first spanning tree of the Cayley graph x -- x g over the generators at
+    the indices ``gens``.
+
+    ``order`` lists the elements reached, the identity first and then round by round,
+    round r being ``order[rounds[r]:rounds[r + 1]]``.  Every element x of a round after
+    the first is parent[x] * gens[gen[x]], with parent[x] in the round before; the
+    identity's entries, and those of an element not reached, mean nothing.
+    """
+
+    gens: tuple[int, ...]
+    order: np.ndarray
+    parent: np.ndarray
+    gen: np.ndarray
+    rounds: np.ndarray
 
 
 def row_keys(rows: np.ndarray) -> np.ndarray:
@@ -51,13 +73,13 @@ class RowIndex:
     InternalCheckError.
     ``searchsorted`` finds a row among the keys, and the row is then
     confirmed equal.  The keys are a view of ``rows``, so the elements are
-    stored once.  Right translates, inverses and power columns are built on
-    first use and kept; the columns are read-only.  ``memo`` maps a key built
-    from subgroup masks (``mask_key``) to the arrays computed from them, for
-    whoever computes over this index.
+    stored once.  Right translates, inverses, power columns and spanning
+    trees are built on first use and kept; the columns are read-only.
+    ``memo`` maps a key built from subgroup masks (``mask_key``) to the
+    arrays computed from them, for whoever computes over this index.
     """
 
-    __slots__ = ("rows", "_keys", "identity", "_right", "_inverse", "_powers", "memo", "_mask_keys")
+    __slots__ = ("rows", "_keys", "identity", "_right", "_inverse", "_powers", "_trees", "memo", "_mask_keys")
 
     def __init__(self, rows: np.ndarray):
         self.rows = rows
@@ -67,6 +89,7 @@ class RowIndex:
         self._right: dict[int, np.ndarray] = {}
         self._inverse: np.ndarray | None = None
         self._powers: dict[int, np.ndarray] = {}
+        self._trees: dict[tuple[int, ...], SpanningTree] = {}
         self.memo: dict[tuple, object] = {}
         self._mask_keys: dict[bytes, bytes] = {}
         self.identity = int(self.lookup(np.arange(rows.shape[1])[None, :])[0])
@@ -101,15 +124,38 @@ class RowIndex:
         """The elements at the indices ``at``, in that order, as new ``Perm`` objects."""
         return [Perm._raw(tuple(row)) for row in self.rows[np.asarray(at, dtype=np.intp)].tolist()]
 
-    def translate(self, f: Perm) -> np.ndarray:
-        """Index of x * f for every x, in index order."""
-        return self.lookup(np.asarray(f.images, dtype=self.rows.dtype)[self.rows])
-
     def right(self, i: int) -> np.ndarray:
         """Index of x * e_i for every x: the translate by element i, built once."""
         t = self._right.get(i)
         if t is None:
             t = self._right[i] = self.lookup(self.rows[i][self.rows])
+        return t
+
+    def tree(self, gens: Sequence[int]) -> SpanningTree:
+        """The spanning tree over the generators at the indices ``gens``, built once per tuple."""
+        gens = tuple(int(g) for g in gens)
+        tree = self._trees.get(gens)
+        if tree is None:
+            tree = self._trees[gens] = _spanning_tree(self, gens)
+        return tree
+
+    def right_along(self, tree: SpanningTree, i: int) -> np.ndarray:
+        """``right(i)`` for an element i that ``tree`` reaches, composed by gathers alone.
+
+        x e_i is x c g_1 ... g_m for the nearest ancestor c of i whose translate is kept (or
+        the identity) and the generators g_1 ... g_m on the tree path from c down to i; the
+        composite is kept as i's translate.
+        """
+        path, at = [], i
+        while at not in self._right and at != self.identity:
+            path.append(int(tree.gen[at]))
+            at = int(tree.parent[at])
+        t = self._right.get(at)
+        if t is None:
+            t = np.arange(len(self.rows))
+        for j in reversed(path):
+            t = self.right(tree.gens[j])[t]
+        self._right[i] = t
         return t
 
     @property
@@ -163,6 +209,34 @@ class RowIndex:
         mask = np.zeros(len(self.rows), dtype=bool)
         mask[self.identity] = True
         return mask
+
+
+def _spanning_tree(index: RowIndex, gens: tuple[int, ...]) -> SpanningTree:
+    """Breadth first from the identity over x -> x g, one gather of g's translate per
+    generator and round; an element joins the tree from the first edge that reaches it."""
+    n = len(index)
+    seen = np.zeros(n, dtype=bool)
+    seen[index.identity] = True
+    parent = np.zeros(n, dtype=np.int32)
+    gen = np.zeros(n, dtype=np.min_scalar_type(max(len(gens) - 1, 0)))
+    frontier = np.array([index.identity], dtype=np.int32)
+    found, rounds = [frontier], [0, 1]
+    translates = [index.right(g) for g in gens]
+    while len(frontier):
+        reached = []
+        for j, t in enumerate(translates):
+            y = t[frontier]
+            fresh = ~seen[y]
+            y = y[fresh]
+            seen[y] = True
+            parent[y] = frontier[fresh]
+            gen[y] = j
+            reached.append(y)
+        frontier = np.concatenate(reached, dtype=np.int32) if reached else frontier[:0]
+        found.append(frontier)
+        rounds.append(rounds[-1] + len(frontier))
+    order = np.concatenate(found)
+    return SpanningTree(gens, order, parent, gen, np.array(rounds[:-1]))
 
 
 def coset_labels(index: RowIndex, gens: Iterable[Perm]) -> np.ndarray:

@@ -301,6 +301,54 @@ def test_fg1_requires_invariance():
         check_fg1_quotient(setup, factor, ASubgroupDescriptor.full(2, 1))
 
 
+def s3_trivial_action():
+    """S3 under the trivial action of Z/5."""
+    G = group_from_generators(3, [Perm.from_cycles(3, (0, 1)), Perm.from_cycles(3, (0, 1, 2))])
+    return trivial_action(G, 5, 1)
+
+
+@pytest.mark.parametrize("case,message", [
+    ("not-normal", "N is not normal in G"),
+    ("not-invariant", "N is not A-invariant"),
+    ("outside", "N is not a subgroup of G"),
+])
+def test_fg1_precondition_fails_on_every_call(case, message):
+    if case == "not-normal":
+        setup = s3_trivial_action()
+        N = group_from_generators(3, [Perm.from_cycles(3, (0, 1))])
+    elif case == "not-invariant":
+        setup = swap_setup()
+        N = group_from_generators(6, [setup.G.generators[0]])  # swapped with the other factor
+    else:
+        setup = swap_setup()
+        N = group_from_generators(6, [Perm.from_cycles(6, (0, 3))])
+    full = ASubgroupDescriptor.full(setup.p, setup.k)
+    for _ in range(3):
+        with pytest.raises(PreconditionError, match=f"^{message}$"):
+            check_fg1_quotient(setup, N, full)
+        with pytest.raises(PreconditionError, match=f"^{message}$"):
+            induced_action_on_quotient(setup, N)
+    assert check_fg1_quotient(setup, Group.trivial(setup.G.degree), full)  # the setup still works
+
+
+def test_fg1_checks_normality_and_invariance_once_per_subgroup(monkeypatch):
+    setup = preset_setup("smoke-02-heis-diag-c5")
+    normal_checks, invariant_checks = [], []
+    is_normal_in, is_invariant = Group.is_normal_in, ActionSetup.is_invariant_subgroup
+    monkeypatch.setattr(Group, "is_normal_in", lambda H, G: normal_checks.append(H) or is_normal_in(H, G))
+    monkeypatch.setattr(
+        ActionSetup, "is_invariant_subgroup", lambda s, H: invariant_checks.append(H) or is_invariant(s, H)
+    )
+    subgroups = find_invariant_normal_subgroups(setup, seed=0)
+    normal_checks.clear(), invariant_checks.clear()
+    masks = {N.mask_over(setup.G).tobytes() for N in subgroups}
+    for _ in range(2):
+        for N in subgroups:
+            for B in maximal_subgroups(setup):
+                check_fg1_quotient(setup, N, B)
+    assert len(normal_checks) == len(invariant_checks) == len(masks) > 1
+
+
 def test_fg2_trivial_action():
     setup = trivial_action(heisenberg27(), 2, 2)
     assert check_fg2_generation(setup, setup.G)

@@ -79,8 +79,8 @@ def test_lookup_rejects_rows_outside_the_group():
         assert not G.contains(x)
         with pytest.raises(InternalCheckError):
             index.lookup(np.array([x.images], dtype=np.int32))
-        with pytest.raises(InternalCheckError):
-            index.translate(x)
+        with pytest.raises(InternalCheckError):  # the translate of every element by x
+            index.lookup(np.array(x.images, dtype=np.int32)[index.rows])
     mixed = np.array([G.generators[0].images, outside[0].images], dtype=np.int32)
     with pytest.raises(InternalCheckError):
         index.lookup(mixed)
@@ -94,7 +94,7 @@ def test_rows_widen_past_degree_65536():
     index = group_from_generators(degree, [swap]).row_index()
     assert index.rows.dtype.itemsize == 4
     assert index.rows[1, 0] == degree - 1
-    assert index.translate(swap).tolist() == [1, 0]
+    assert index.right(1).tolist() == [1, 0]
     assert index.index_of([swap, Perm.identity(degree)]).tolist() == [1, 0]
 
 
@@ -104,7 +104,7 @@ def test_translate_matches_products(smoke_setup):
     position = {x: i for i, x in enumerate(ordered)}
     index = G.row_index()
     for f in list(G.generators) + ordered[:: max(1, len(ordered) // 7)]:
-        assert index.translate(f).tolist() == [position[x * f] for x in ordered]
+        assert index.right(position[f]).tolist() == [position[x * f] for x in ordered]
 
 
 def test_coset_labels_match_brute_cosets(smoke_setup):

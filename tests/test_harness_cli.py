@@ -235,6 +235,21 @@ def test_cli_check_instance_file_over_the_cap_is_one_error(tmp_path, capsys):
     ]
 
 
+def test_cli_check_instance_file_whose_group_has_no_generators_passes(tmp_path, capsys):
+    """The trivial group given by no generators: every basis automorphism is its one-entry
+    table, and the lemma, derived and gamma suites all pass."""
+    path = tmp_path / "trivial.json"
+    action = {"1,0,0": {}, "0,1,0": {}, "0,0,1": {}}
+    path.write_text(json.dumps({"schema": 1, "p": 2, "k": 3, "group": {"degree": 3, "generators": []}, "action": action}))
+    rc = cli_main(["check", "--instances", str(path), "--d", "0", "--out", str(tmp_path / "out"), "--jobs", "1"])
+    assert capsys.readouterr().out.splitlines()[-1] == "3 reports, 0 failed, 0 errored"
+    assert rc == 0
+    reports = [json.loads(report.read_text()) for report in sorted((tmp_path / "out").glob("*.report.json"))]
+    assert [(report["mode"], report["status"]) for report in reports] == [
+        ("derived", "pass"), ("gamma", "pass"), ("lemmas", "pass")
+    ]
+
+
 def test_summary_and_aggregate_rows():
     result = run_suite(preset_entries("smoke"), SuiteOptions(mode="both", d=0, seed=0))
     rows = result.summary_rows()
