@@ -45,10 +45,10 @@ class Automorphism:
     order, so composing is a gather.  An automorphism given by the images of
     the generators keeps them only until its table is built, on first use:
     the table is evaluated along the spanning tree of the source's Cayley
-    graph that its index keeps (``RowIndex.tree``), one gather per round,
-    then checked for the homomorphism property on every (element, generator)
-    edge and for bijectivity, so a malformed image map is rejected with a
-    ValidationError.
+    graph over its generators that its index keeps (``RowIndex.tree``), one
+    gather per round, then checked for the homomorphism property on every
+    (element, generator) edge and for bijectivity, so a malformed image map
+    is rejected with a ValidationError.
     ``images`` reads the generators' images back from the table.
     """
 
@@ -84,8 +84,8 @@ class Automorphism:
     @property
     def images(self) -> dict[Perm, Perm]:
         """The image of every generator of the source, read from the table as a new dict."""
-        index, gens = self.source.row_index(), self.source.generators
-        return dict(zip(gens, index.perms(self.table[index.index_of(gens)])))
+        index = self.source.row_index()
+        return dict(zip(self.source.generators, index.perms(self.table[index.gens])))
 
     def _build_table(self) -> np.ndarray:
         source = self.source
@@ -93,15 +93,12 @@ class Automorphism:
         images = list(self._given.values())
         if not all(isinstance(img, Perm) and img.degree == source.degree for img in images):
             raise ValidationError("a generator image lies outside the source group")
-        at = index.positions([*self._given, *images])
-        if (at < 0).any():
+        imgs = index.positions(images)
+        if (imgs < 0).any():
             raise ValidationError("a generator image lies outside the source group")
-        gens, imgs = at.reshape(2, -1).tolist()
-        tree = index.tree(gens)
-        if len(tree.order) != len(index):
-            raise InternalCheckError("automorphism table does not cover the group")
-        # x = parent * g maps to T(parent) * T(g): the image translates, kept by the index
-        img_t = [index.right_along(tree, i) for i in imgs]
+        # the given generators are the index's, in order; x = parent * g maps to T(parent) * T(g)
+        tree = index.tree
+        img_t = [index.right(i) for i in imgs.tolist()]
         table = np.empty(len(index), dtype=np.int32)
         table[index.identity] = index.identity
         if img_t:
@@ -109,7 +106,7 @@ class Automorphism:
             for start, stop in zip(tree.rounds[1:-1], tree.rounds[2:]):
                 children = tree.order[start:stop]
                 table[children] = stacked[tree.gen[children], table[tree.parent[children]]]
-        for g, t_img in zip(gens, img_t):
+        for g, t_img in zip(index.gens.tolist(), img_t):
             if not np.array_equal(table[index.right(g)], t_img[table]):
                 raise ValidationError("generator images do not define a homomorphism")
         hit = np.zeros(len(table), dtype=bool)
@@ -226,8 +223,8 @@ class ActionSetup:
 
     ``basis`` lists the automorphisms phi(e_1), ..., phi(e_k); general phi(u)
     values are composed (and cached) on demand.  G must be a root, a group
-    built from generators or elements, so that masks of its subgroups and
-    the automorphism tables share one index.  The fixed mask of each B <= A
+    built from generators, so that masks of its subgroups and the
+    automorphism tables share one index.  The fixed mask of each B <= A
     and the maximal subgroups of A are computed once per setup.
     """
 
@@ -245,7 +242,7 @@ class ActionSetup:
             if auto.source is not G:
                 raise ValidationError("basis automorphisms must act on the setup's group")
         if G._root is not None:
-            raise ValidationError("the setup's group must be built from generators or elements")
+            raise ValidationError("the setup's group must be built from generators")
         self.G = G
         self.p = p
         self.k = k
@@ -404,7 +401,8 @@ def _coset_index_map(setup: ActionSetup, N: Group) -> tuple[np.ndarray, np.ndarr
     """
     if not N.is_subgroup_of(setup.G):
         raise PreconditionError("N is not a subgroup of G")
-    key = N.mask_over(setup.G).tobytes()
+    mask, at = N._over(setup.G)
+    key = mask.tobytes()
     cached = setup._coset_cache.get(key)
     if cached is not None:
         return cached
@@ -412,7 +410,7 @@ def _coset_index_map(setup: ActionSetup, N: Group) -> tuple[np.ndarray, np.ndarr
         raise PreconditionError("N is not normal in G")
     if not setup.is_invariant_subgroup(N):
         raise PreconditionError("N is not A-invariant")
-    least = fastset.coset_labels(setup.G.row_index(), N.generators)
+    least = fastset.coset_labels(setup.G.row_index(), at)
     reps = np.flatnonzero(least == np.arange(len(least)))
     result = (np.searchsorted(reps, least), reps)
     setup._coset_cache[key] = result
@@ -442,7 +440,7 @@ def check_fg2_generation(setup: ActionSetup, H: Group) -> bool:
     if generated.order != H.order:
         return False
     if is_nilpotent(H):
-        factors = [part.generators for part in sorted(parts, key=lambda part: part.order, reverse=True)]
+        factors = [part._at for part in sorted(parts, key=lambda part: part.order, reverse=True)]
         if not fastset.setwise_product_covers(setup.G.row_index(), factors, h_mask):
             return False
     return True
@@ -476,7 +474,7 @@ def induced_action_on_quotient(setup: ActionSetup, N: Group) -> ActionSetup:
         """The permutation of the cosets x N by right multiplication with element i."""
         return Perm._raw(tuple(labels[index.right(i)[reps]].tolist()))
 
-    at = index.index_of(setup.G.generators).tolist()
+    at = setup.G._at.tolist()
     gen_images = {g: coset_perm(i) for g, i in zip(setup.G.generators, at)}
     quotient = Group(degree, list(gen_images.values()), cap=setup.G.cap)
     if quotient.order != setup.G.order // N.order:

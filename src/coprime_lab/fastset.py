@@ -3,21 +3,22 @@
 ``RowIndex`` holds the sorted image rows of a group's elements, so index order
 is sort order and every subgroup built inside the group is a bool mask over
 it.  The rows are the group's one per-element store; ``perms`` makes ``Perm``
-objects from them on request.  Right-translating every element by element i
-is one gather and one lookup, kept per element; conjugates and commutators
-are gathers in those translates, and left cosets and setwise products of
-subgroups follow from them as masks.  ``RowIndex.tree`` is a breadth-first
-spanning tree of the Cayley graph of a generator tuple, built once per tuple
-from the generators' translates: each element's parent and generator, round
-by round.  Along it, the translate by any element is composed from generator
-translates by gathers alone (``right_along``), and automorphism tables are
-evaluated one round at a time.  ``RowIndex.power(d)`` is the column
-x -> x^d, built once per d: a composite d is a gather of two smaller columns
-and a prime d is one row product, x^(d-1) x.  ``RowIndex.memo`` keeps the
-subgroup algebra done over the index, such as generators, commutator
-subgroups and series terms, keyed by the masks it was computed from; its
-values are arrays, never groups, so the index holds no reference back to a
-group and a set-up is freed as soon as it is dropped.
+objects from them on request.  The index knows the group's generators, and
+``RowIndex.tree`` is the one breadth-first spanning tree of the Cayley graph
+over them: each element's parent and generator, round by round.  The right
+translate x -> x e_i by element i is kept per element and follows one rule:
+a generator's translate is looked up by whole rows, so a product outside the
+group raises, and every other translate is composed from the generators'
+translates along the tree, by gathers alone.  Conjugates and commutators are
+gathers in those translates, left cosets and setwise products of subgroups
+follow from them as masks, and automorphism tables are evaluated along the
+tree one round at a time.  ``RowIndex.power(d)`` is the column x -> x^d,
+built once per d: a composite d is a gather of two smaller columns and a
+prime d is one row product, x^(d-1) x.  ``RowIndex.memo`` keeps the subgroup
+algebra done over the index, such as generators, commutator subgroups and
+series terms, keyed by the masks it was computed from; its values are
+arrays, never groups, so the index holds no reference back to a group and a
+set-up is freed as soon as it is dropped.
 """
 
 from __future__ import annotations
@@ -39,16 +40,14 @@ def rows_of(elements: Iterable[Perm], degree: int) -> np.ndarray:
 
 
 class SpanningTree(NamedTuple):
-    """A breadth-first spanning tree of the Cayley graph x -- x g over the generators at
-    the indices ``gens``.
+    """A breadth-first spanning tree of the Cayley graph x -- x g over an index's generators.
 
-    ``order`` lists the elements reached, the identity first and then round by round,
-    round r being ``order[rounds[r]:rounds[r + 1]]``.  Every element x of a round after
-    the first is parent[x] * gens[gen[x]], with parent[x] in the round before; the
-    identity's entries, and those of an element not reached, mean nothing.
+    ``order`` lists the elements, the identity first and then round by round, round r
+    being ``order[rounds[r]:rounds[r + 1]]``.  Every element x of a round after the first
+    is parent[x] * g for the generator g at ``gens[gen[x]]`` of the index, with parent[x]
+    in the round before; the identity's entries mean nothing.
     """
 
-    gens: tuple[int, ...]
     order: np.ndarray
     parent: np.ndarray
     gen: np.ndarray
@@ -66,22 +65,27 @@ def sort_rows(rows: np.ndarray) -> np.ndarray:
 
 
 class RowIndex:
-    """Row i of ``rows`` is element i of a sorted element list.
+    """Row i of ``rows`` is element i of a sorted element list, generated by the
+    elements whose rows are ``generators``.
 
     ``rows`` come in ``rows_of``'s row type, sorted by ``sort_rows``, and each
     row's key (``row_keys``) is unique: two equal neighbours raise
     InternalCheckError.
     ``searchsorted`` finds a row among the keys, and the row is then
     confirmed equal.  The keys are a view of ``rows``, so the elements are
-    stored once.  Right translates, inverses, power columns and spanning
-    trees are built on first use and kept; the columns are read-only.
+    stored once.  ``gens`` holds the generators' indices, in the given order.
+    Right translates follow one rule: a generator's translate is looked up,
+    so it is checked to stay in the group, and every other translate is
+    composed from the generators' along ``tree``, so it is exact by
+    construction.  Translates, inverses, power columns and the tree are
+    built on first use and kept; the columns are read-only.
     ``memo`` maps a key built from subgroup masks (``mask_key``) to the
     arrays computed from them, for whoever computes over this index.
     """
 
-    __slots__ = ("rows", "_keys", "identity", "_right", "_inverse", "_powers", "_trees", "memo", "_mask_keys")
+    __slots__ = ("rows", "_keys", "identity", "gens", "_right", "_inverse", "_powers", "_tree", "memo", "_mask_keys")
 
-    def __init__(self, rows: np.ndarray):
+    def __init__(self, rows: np.ndarray, generators: np.ndarray):
         self.rows = rows
         self._keys = row_keys(rows)
         if (self._keys[1:] == self._keys[:-1]).any():
@@ -89,10 +93,12 @@ class RowIndex:
         self._right: dict[int, np.ndarray] = {}
         self._inverse: np.ndarray | None = None
         self._powers: dict[int, np.ndarray] = {}
-        self._trees: dict[tuple[int, ...], SpanningTree] = {}
+        self._tree: SpanningTree | None = None
         self.memo: dict[tuple, object] = {}
         self._mask_keys: dict[bytes, bytes] = {}
         self.identity = int(self.lookup(np.arange(rows.shape[1])[None, :])[0])
+        self.gens = self.lookup(generators)
+        self.gens.flags.writeable = False
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -125,38 +131,41 @@ class RowIndex:
         return [Perm._raw(tuple(row)) for row in self.rows[np.asarray(at, dtype=np.intp)].tolist()]
 
     def right(self, i: int) -> np.ndarray:
-        """Index of x * e_i for every x: the translate by element i, built once."""
-        t = self._right.get(i)
-        if t is None:
-            t = self._right[i] = self.lookup(self.rows[i][self.rows])
-        return t
+        """Index of x * e_i for every x: the translate by element i, built once.
 
-    def tree(self, gens: Sequence[int]) -> SpanningTree:
-        """The spanning tree over the generators at the indices ``gens``, built once per tuple."""
-        gens = tuple(int(g) for g in gens)
-        tree = self._trees.get(gens)
-        if tree is None:
-            tree = self._trees[gens] = _spanning_tree(self, gens)
-        return tree
-
-    def right_along(self, tree: SpanningTree, i: int) -> np.ndarray:
-        """``right(i)`` for an element i that ``tree`` reaches, composed by gathers alone.
-
-        x e_i is x c g_1 ... g_m for the nearest ancestor c of i whose translate is kept (or
-        the identity) and the generators g_1 ... g_m on the tree path from c down to i; the
-        composite is kept as i's translate.
+        A generator's translate is looked up by whole rows.  Any other e_i is
+        c g_1 ... g_m, for the nearest ancestor c of i on the tree whose translate is
+        kept (or the identity) and the generators g_1 ... g_m on the path from c down
+        to i, so x e_i is composed from their translates by gathers alone.
         """
-        path, at = [], i
-        while at not in self._right and at != self.identity:
-            path.append(int(tree.gen[at]))
-            at = int(tree.parent[at])
-        t = self._right.get(at)
-        if t is None:
-            t = np.arange(len(self.rows))
-        for j in reversed(path):
-            t = self.right(tree.gens[j])[t]
+        t = self._right.get(i)
+        if t is not None:
+            return t
+        if i in self.gens:
+            t = self.lookup(self.rows[i][self.rows])
+        else:
+            tree, path, at = self.tree, [], i
+            while at not in self._right and at != self.identity:
+                path.append(int(tree.gen[at]))
+                at = int(tree.parent[at])
+            t = self._right.get(at)
+            if t is None:
+                t = np.arange(len(self.rows))
+            for j in reversed(path):
+                t = self.right(int(self.gens[j]))[t]
         self._right[i] = t
         return t
+
+    @property
+    def tree(self) -> SpanningTree:
+        """The spanning tree over the generators, built once; raises InternalCheckError
+        if it does not reach every element."""
+        if self._tree is None:
+            tree = _spanning_tree(self)
+            if len(tree.order) != len(self.rows):
+                raise InternalCheckError("the generators do not generate the indexed group")
+            self._tree = tree
+        return self._tree
 
     @property
     def inverse(self) -> np.ndarray:
@@ -211,17 +220,17 @@ class RowIndex:
         return mask
 
 
-def _spanning_tree(index: RowIndex, gens: tuple[int, ...]) -> SpanningTree:
+def _spanning_tree(index: RowIndex) -> SpanningTree:
     """Breadth first from the identity over x -> x g, one gather of g's translate per
     generator and round; an element joins the tree from the first edge that reaches it."""
     n = len(index)
     seen = np.zeros(n, dtype=bool)
     seen[index.identity] = True
     parent = np.zeros(n, dtype=np.int32)
-    gen = np.zeros(n, dtype=np.min_scalar_type(max(len(gens) - 1, 0)))
+    gen = np.zeros(n, dtype=np.min_scalar_type(max(len(index.gens) - 1, 0)))
     frontier = np.array([index.identity], dtype=np.int32)
     found, rounds = [frontier], [0, 1]
-    translates = [index.right(g) for g in gens]
+    translates = [index.right(g) for g in index.gens.tolist()]
     while len(frontier):
         reached = []
         for j, t in enumerate(translates):
@@ -236,17 +245,18 @@ def _spanning_tree(index: RowIndex, gens: tuple[int, ...]) -> SpanningTree:
         found.append(frontier)
         rounds.append(rounds[-1] + len(frontier))
     order = np.concatenate(found)
-    return SpanningTree(gens, order, parent, gen, np.array(rounds[:-1]))
+    return SpanningTree(order, parent, gen, np.array(rounds[:-1]))
 
 
-def coset_labels(index: RowIndex, gens: Iterable[Perm]) -> np.ndarray:
-    """The least index of the left coset xF of F = <gens>, for every x.
+def coset_labels(index: RowIndex, gens: Sequence[int]) -> np.ndarray:
+    """The least index of the left coset xF of F = <gens>, for every x, where ``gens``
+    are indices over the index.
 
     Min-label propagation over the translates x -> x * g: a label only ever
     moves to a smaller index of the same coset, and once no translate or
     jump lowers any label, every label is its coset's least index.
     """
-    translates = [index.right(i) for i in index.index_of(gens).tolist()]
+    translates = [index.right(int(i)) for i in gens]
     label = np.arange(len(index))
     while True:
         new = label
@@ -258,9 +268,9 @@ def coset_labels(index: RowIndex, gens: Iterable[Perm]) -> np.ndarray:
         label = new
 
 
-def setwise_product_covers(index: RowIndex, factors: Sequence[Sequence[Perm]], target: np.ndarray) -> bool:
+def setwise_product_covers(index: RowIndex, factors: Sequence[Sequence[int]], target: np.ndarray) -> bool:
     """Whether the ordered product F_1 F_2 ... of subgroups, each given by its
-    generators, is the subgroup that the mask ``target`` marks over the index.
+    generators' indices, is the subgroup that the mask ``target`` marks over the index.
 
     Every factor must lie in the target.  S * F is the union of the left
     cosets of F that S meets, so the product is grown as a mask from the
@@ -270,7 +280,7 @@ def setwise_product_covers(index: RowIndex, factors: Sequence[Sequence[Perm]], t
     for gens in factors:
         if np.array_equal(acc, target):
             break
-        if gens:
+        if len(gens):
             label = coset_labels(index, gens)
             met = np.zeros(len(index), dtype=bool)
             met[label[acc]] = True

@@ -1,9 +1,9 @@
 """Finite permutation groups: enumeration, subgroup masks, abelian sections.
 
-A group built from generators or elements is enumerated into the sorted rows
-of its ``fastset.RowIndex``, and those rows are its only per-element store;
-``Perm`` objects stay at the boundary (generators, element lists, and what
-membership and the abelian sections take or give).  Every subgroup built
+A group built from generators is enumerated into the sorted rows of its
+``fastset.RowIndex``, which knows those generators, and the rows are its only
+per-element store; ``Perm`` objects stay at the boundary (generators, element
+lists, and what membership and the abelian sections take or give).  Every subgroup built
 inside an enumerated group, from centralizers to commutator subgroups, series
 terms and Sylow subgroups, is a bool mask over that index; each of its
 generators lies outside the subgroup generated by the ones before it.  A
@@ -107,10 +107,10 @@ class Group:
         return self
 
     def _make_root(self, rows: np.ndarray) -> RowIndex:
-        """Become the root of the index over the sorted ``rows``."""
-        self._rows = RowIndex(rows)
+        """Become the root of the index over the sorted ``rows``, which its generators generate."""
+        self._rows = RowIndex(rows, rows_of(self.generators, self.degree))
         self._mask = np.ones(len(rows), dtype=bool)
-        self._at = self._rows.index_of(self.generators)
+        self._at = self._rows.gens
         return self._rows
 
     @classmethod
@@ -120,17 +120,6 @@ class Group:
     @classmethod
     def trivial(cls, degree: int, cap: int | None = None) -> "Group":
         return cls(degree, (), cap=cap)
-
-    @classmethod
-    def from_elements(cls, degree: int, elements: Iterable[Perm], cap: int | None = None) -> "Group":
-        """Build a group from its full element set (must be closed), as the root of its own index."""
-        group = cls.__new__(cls)._fill(degree, enumeration_cap(cap), ())
-        rows = sort_rows(rows_of(set(elements), degree))
-        if not len(rows) or (rows[0] != np.arange(degree)).any():
-            raise ValidationError(f"element set of size {len(rows)} is not closed")
-        at = _picks(group._make_root(rows), group._mask)
-        group._generators, group._at = None, np.asarray(at, dtype=np.intp)
-        return group
 
     @classmethod
     def from_mask(cls, ambient: "Group", mask: np.ndarray) -> "Group":
@@ -197,7 +186,8 @@ class Group:
             if self._root is None:
                 self._make_root(_enumerate(self.degree, self.generators, self.cap))
             else:
-                self._rows = RowIndex(self._root.row_index().rows[self._mask])
+                rows = self._root.row_index().rows
+                self._rows = RowIndex(rows[self._mask], rows[self._at])
         return self._rows
 
     @property
@@ -283,11 +273,8 @@ def _grow(index: RowIndex, span: np.ndarray, at: list[int], candidates) -> tuple
 def _picks(index: RowIndex, mask: np.ndarray) -> list[int]:
     """Generators of the subgroup ``mask``: the picks of ``_grow`` over its elements in
     sort order.  Raises ValidationError if ``mask`` is not closed."""
-    try:
-        span, at = _grow(index, index.unit(), [], np.flatnonzero(mask))
-    except InternalCheckError:  # a product left an element set that is its own index
-        span = None
-    if span is None or not np.array_equal(span, mask):
+    span, at = _grow(index, index.unit(), [], np.flatnonzero(mask))
+    if not np.array_equal(span, mask):
         raise ValidationError(f"element set of size {np.count_nonzero(mask)} is not closed")
     return at
 
@@ -367,15 +354,17 @@ def commutator_subgroup(H: Group, K: Group, ambient: Group) -> Group:
 
 
 def intersection(H: Group, K: Group) -> Group:
-    """H intersect K: the meet of their masks, or of their element sets across roots."""
+    """H intersect K: the meet of their masks, over H's root when the roots differ."""
     if H.degree != K.degree:
         raise ValidationError("cannot intersect groups of different degree")
     if H._shares_root(K):
         return Group.from_mask(H, H._mask & K._mask)
-    if H.order > K.order:
-        H, K = K, H
-    common = H.elements() & K.elements()
-    return Group.from_elements(H.degree, common, cap=H.cap)
+    (h_root, h_mask, _), (k_root, k_mask, _) = H._frame(), K._frame()
+    inside = np.flatnonzero(h_mask)
+    found = k_root.row_index()._find(h_root.row_index().rows[inside])
+    meet = np.zeros_like(h_mask)
+    meet[inside[(found >= 0) & k_mask[found]]] = True
+    return Group.from_mask(H, meet)
 
 
 def generated_subgroup(degree: int, parts: Iterable[Group], cap: int | None = None) -> Group:

@@ -90,7 +90,7 @@ def upper_central_series(G: Group) -> SeriesResult:
         if len(terms) > MAX_SERIES_LENGTH:
             raise InternalCheckError(f"upper central series exceeded {MAX_SERIES_LENGTH} terms")
         prev = terms[-1]
-        label = coset_labels(index, prev.generators)
+        label = coset_labels(index, prev._at)
         lifted = mask.copy()
         for conj in maps:
             lifted &= label[conj] == label

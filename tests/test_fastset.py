@@ -117,7 +117,7 @@ def test_coset_labels_match_brute_cosets(smoke_setup):
     for F in subgroups:
         elements = mulclose(list(F.generators)) or {Perm.identity(G.degree)}
         least = [min(position[x * f] for f in elements) for x in ordered]
-        assert coset_labels(G.row_index(), F.generators).tolist() == least
+        assert coset_labels(G.row_index(), G.row_index().index_of(F.generators)).tolist() == least
 
 
 def test_setwise_product_does_not_cover_s3():
@@ -125,12 +125,14 @@ def test_setwise_product_does_not_cover_s3():
     a, b, c = Perm.from_cycles(3, (0, 1)), Perm.from_cycles(3, (0, 2)), Perm.from_cycles(3, (1, 2))
     ident = Perm.identity(3)
     whole = np.ones(G.order, dtype=bool)
+    index = G.row_index()
+    at_a, at_b, at_c = index.index_of([a, b, c]).reshape(3, 1)
     assert len(brute_product([{ident, a}, {ident, b}])) == 4
-    assert not setwise_product_covers(G.row_index(), [(a,), (b,)], whole)
+    assert not setwise_product_covers(index, [at_a, at_b], whole)
     assert len(brute_product([{ident, a}, {ident, b}, {ident, c}])) == 6
-    assert setwise_product_covers(G.row_index(), [(a,), (b,), (c,)], whole)
-    assert setwise_product_covers(G.row_index(), [G.generators], whole)
-    assert not setwise_product_covers(G.row_index(), [], whole)
+    assert setwise_product_covers(index, [at_a, at_b, at_c], whole)
+    assert setwise_product_covers(index, [index.index_of(G.generators)], whole)
+    assert not setwise_product_covers(index, [], whole)
     assert setwise_product_covers(Group.trivial(3).row_index(), [], np.ones(1, dtype=bool))
 
 
@@ -139,19 +141,21 @@ def test_setwise_product_matches_brute_on_centralizer_factors(smoke_setup):
     from the brute fixed points of the span of A_j over independently tabulated phi(u)."""
     setup = smoke_setup
     tables = brute_action_tables(setup.G, [auto.images for auto in setup.basis], setup.p)
+    index = setup.G.row_index()
     checked = 0
     for H in [setup.G] + random_invariant_subgroups(setup, seed=1):
         parts = []
         for A_j in maximal_subgroups(setup):
             autos = [tables[u] for u in brute_span(setup.p, setup.k, A_j.vectors)]
-            fixed = brute_fixed_elements(setup.G, autos) & H.elements()
-            parts.append(Group.from_elements(setup.G.degree, fixed))
+            fixed = np.zeros(len(index), dtype=bool)
+            fixed[index.index_of(brute_fixed_elements(setup.G, autos) & H.elements())] = True
+            parts.append(Group.from_mask(setup.G, fixed))
         parts.sort(key=lambda part: part.order, reverse=True)
         for count in range(1, len(parts) + 1):
             factors = parts[:count]
             covers = brute_product([part.elements() for part in factors]) == set(H.elements())
             product_is_h = setwise_product_covers(
-                setup.G.row_index(), [part.generators for part in factors], H.mask_over(setup.G)
+                index, [index.index_of(part.generators) for part in factors], H.mask_over(setup.G)
             )
             assert product_is_h == covers
             checked += not covers

@@ -155,12 +155,17 @@ def greedy_generators(elements):
 
 @pytest.mark.parametrize("instance_id", SMOKE)
 def test_generators_follow_the_greedy_rule_on_every_centralizer(instance_id):
+    """Each centralizer's generators are the greedy picks, both as ``fixed_subgroup`` finds
+    them and from the brute fixed elements' mask over a fresh root, with an empty memo."""
     setup = preset_setup(instance_id)
+    tables = brute_action_tables(setup.G, [auto.images for auto in setup.basis], setup.p)
+    fresh = group_from_generators(setup.G.degree, setup.G.generators)
     for B in all_subspaces(setup.p, setup.k):
         C = fixed_subgroup(setup, B)
         expected = greedy_generators(C.elements())
         assert C.generators == expected, B
-        assert Group.from_elements(setup.G.degree, C.elements()).generators == expected, B
+        brute = brute_fixed_elements(setup.G, [tables[u] for u in brute_span(setup.p, setup.k, B.vectors)])
+        assert Group.from_mask(fresh, mask_of(fresh.row_index(), brute)).generators == expected, B
 
 
 def test_generated_in_keeps_to_the_ambient_group():
@@ -205,16 +210,11 @@ def test_generated_in_keeps_an_irredundant_subsequence_of_orbit_unions(instance_
 def test_a_set_that_is_not_closed_raises():
     s3 = group_from_generators(3, [Perm.from_cycles(3, (0, 1)), Perm.from_cycles(3, (0, 1, 2))])
     ident, flip, rotate = Perm.identity(3), Perm.from_cycles(3, (0, 1)), Perm.from_cycles(3, (0, 1, 2))
-    for elements in ([ident, rotate], [flip, rotate], [ident, flip, rotate], []):
-        with pytest.raises(ValidationError, match="not closed"):
-            Group.from_elements(3, elements)
     index = s3.row_index()
-    mask = np.zeros(len(index), dtype=bool)
-    mask[index.index_of([ident, rotate])] = True
-    with pytest.raises(ValidationError, match="not closed"):
-        Group.from_mask(s3, mask)
-    mask[index.index_of([rotate * rotate])] = True
-    assert Group.from_mask(s3, mask).order == 3
+    for elements in ([ident, rotate], [flip, rotate], [ident, flip, rotate], [rotate * rotate], []):
+        with pytest.raises(ValidationError, match="not closed"):
+            Group.from_mask(s3, mask_of(index, elements))
+    assert Group.from_mask(s3, mask_of(index, [ident, rotate, rotate * rotate])).order == 3
 
 
 def mask_of(index, elements):

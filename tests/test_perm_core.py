@@ -1,5 +1,6 @@
 """Tests for permutations, groups, subgroup operations, and abelian sections."""
 
+import itertools
 import random
 import tracemalloc
 
@@ -16,7 +17,7 @@ from coprime_lab.errors import (
     ValidationError,
 )
 from coprime_lab import groups
-from coprime_lab.fastset import RowIndex
+from coprime_lab.fastset import RowIndex, rows_of
 from coprime_lab.groups import (
     Group,
     abelian_section,
@@ -219,13 +220,12 @@ def test_random_element_is_member_and_deterministic():
 
 def test_an_enumeration_that_repeats_an_element_raises(monkeypatch):
     """Sorted rows that list one element twice, and so miss another, are refused when the
-    index over them is built, however the root is made."""
+    index over them is built, given directly or enumerated from generators."""
     G = group_from_generators(9, heisenberg27_gens())
-    elements = G.sorted_elements()
     rows = G.row_index().rows.copy()
     rows[-1] = rows[-2]
     with pytest.raises(InternalCheckError, match="twice"):
-        RowIndex(rows)
+        RowIndex(rows, rows_of(G.generators, 9))
     sort_rows = groups.sort_rows
 
     def repeating(rows):
@@ -236,8 +236,6 @@ def test_an_enumeration_that_repeats_an_element_raises(monkeypatch):
     monkeypatch.setattr(groups, "sort_rows", repeating)
     with pytest.raises(InternalCheckError, match="twice"):
         group_from_generators(9, heisenberg27_gens()).row_index()
-    with pytest.raises(InternalCheckError, match="twice"):
-        Group.from_elements(9, elements)
 
 
 def test_root_answers_from_its_index():
@@ -360,6 +358,42 @@ def test_intersection_and_center_against_brute():
     t = heisenberg27_gens()[0]
     H = group_from_generators(9, [t])
     assert intersection(G, H).same_subgroup(H)
+
+
+def test_intersection_across_roots_matches_brute_element_sets():
+    """Groups of different roots where neither contains the other: the meet, either way
+    round, is the brute intersection and lies in both."""
+    def on(degree, *cycles):
+        return [Perm.from_cycles(degree, *c) for c in cycles]
+
+    groups_ = [
+        on(5, [(0, 1, 2, 3)], [(0, 2)]),  # D4
+        on(5, [(0, 1, 2)], [(0, 1)]),  # S3 on 0..2, meets D4 in <(0 2)>
+        on(5, [(0, 1), (2, 3, 4)]),  # C6, meets S3 in <(0 1)>
+        on(5, [(0, 1, 2, 3, 4)]),  # C5
+        on(5, [(0, 1), (2, 3)], [(0, 2), (1, 3)]),  # V4, inside D4
+    ]
+    rng = random.Random(11)
+    points = list(range(6))
+    for _ in range(8):
+        gens = []
+        for _ in range(2):
+            rng.shuffle(points)
+            gens.append(Perm.from_cycles(6, tuple(points[:rng.choice([2, 3])])))
+        groups_.append(gens)
+    crossed = 0
+    for hg, kg in itertools.combinations(groups_, 2):
+        if hg[0].degree != kg[0].degree:
+            continue
+        expected = mulclose(hg) & mulclose(kg)
+        if expected in (mulclose(hg), mulclose(kg)):
+            continue
+        H, K = group_from_generators(hg[0].degree, hg), group_from_generators(kg[0].degree, kg)
+        for meet in (intersection(H, K), intersection(K, H)):
+            assert meet.elements() == expected
+            assert meet.is_subgroup_of(H) and meet.is_subgroup_of(K)
+        crossed += len(expected) > 1
+    assert crossed
 
 
 def test_sylow_subgroup_orders():

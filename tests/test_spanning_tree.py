@@ -1,4 +1,5 @@
-"""Automorphism tables evaluated along one spanning tree of each root's Cayley graph."""
+"""Right translates and automorphism tables composed along one spanning tree of each root's
+Cayley graph."""
 
 import itertools
 import random
@@ -10,6 +11,7 @@ from coprime_lab import fastset
 from coprime_lab.action import Automorphism
 from coprime_lab.errors import ValidationError
 from coprime_lab.fastset import RowIndex
+from coprime_lab.harness import InstanceContext, lemma_report, verify_derived_theorem, verify_gamma_theorem
 from coprime_lab.groups import group_from_generators
 from coprime_lab.instances import PRESETS, build_setup, load_instance, preset_entries, save_instance
 from coprime_lab.perms import Perm
@@ -45,8 +47,8 @@ def test_every_preset_basis_table_matches_the_brute_table(instance_id, spec):
 def test_the_tree_spans_the_group_round_by_round():
     setup = preset_setup("smoke-02-heis-diag-c5")
     index, gens = setup.G.row_index(), setup.G._at.tolist()
-    tree = index.tree(gens)
-    assert index.tree(gens) is tree
+    tree = index.tree
+    assert index.tree is tree and index.gens.tolist() == gens
     assert sorted(tree.order.tolist()) == list(range(len(index)))
     assert tree.order[0] == index.identity and tree.rounds[0] == 0 and tree.rounds[-1] == len(index)
     depth = np.zeros(len(index), dtype=int)
@@ -73,23 +75,22 @@ def test_image_translates_composed_along_the_tree_match_the_lookup(instance_id):
     # a fresh index: the identity (empty path), a generator, then every element in random order
     G = group_from_generators(setup.G.degree, setup.G.generators)
     index = G.row_index()
-    tree = index.tree(G._at.tolist())
-    assert index.right_along(tree, index.identity).tolist() == list(range(len(index)))
+    assert index.right(index.identity).tolist() == list(range(len(index)))
     g = int(G._at[-1])
-    assert np.array_equal(index.right_along(tree, g), translate_by_lookup(index, g))
+    assert np.array_equal(index.right(g), translate_by_lookup(index, g))
     elements = list(range(len(index)))
     random.Random(instance_id).shuffle(elements)
     for i in elements[:200]:
-        assert np.array_equal(index.right_along(tree, i), translate_by_lookup(index, i)), i
+        assert np.array_equal(index.right(i), translate_by_lookup(index, i)), i
 
 
 def test_building_every_basis_table_of_a_set_up_builds_the_tree_once(monkeypatch, tmp_path):
     built = []
     original = fastset._spanning_tree
 
-    def counted(index, gens):
-        built.append((index, gens))
-        return original(index, gens)
+    def counted(index):
+        built.append((index, tuple(index.gens.tolist())))
+        return original(index)
 
     monkeypatch.setattr(fastset, "_spanning_tree", counted)
     setup = preset_setup("p2k4-07-frob21-c5-c11")
@@ -134,10 +135,46 @@ def test_set_up_looks_up_only_generator_translates_and_positions(instance_id, mo
     assert max(rows for _, i, rows in found if i is None) <= 2 * len(setup.G.generators)
 
 
+@pytest.mark.parametrize("instance_id", SMOKE + LEMMA_PRESETS)
+def test_every_suite_looks_up_only_generator_translates(instance_id, monkeypatch):
+    """Through set-up, the lemma suite and both theorem suites, every translate that ``right``
+    looks up by whole rows is a generator's, on every index; afterwards every translate
+    that G's index keeps, composed or looked up, equals the whole-row lookup."""
+    translating, looked_up = [], []
+    find, right = RowIndex._find, RowIndex.right
+
+    def counted_right(self, i):
+        translating.append(i)
+        try:
+            return right(self, i)
+        finally:
+            translating.pop()
+
+    def counted_find(self, rows):
+        if translating:
+            looked_up.append((self, translating[-1]))
+        return find(self, rows)
+
+    monkeypatch.setattr(RowIndex, "right", counted_right)
+    monkeypatch.setattr(RowIndex, "_find", counted_find)
+    setup = preset_setup(instance_id)
+    ctx = InstanceContext(setup, instance_id)
+    assert lemma_report(ctx).status == "pass"
+    assert verify_derived_theorem(setup, PRESETS[instance_id.split("-")[0]].d, ctx=ctx).status == "pass"
+    assert verify_gamma_theorem(setup, ctx=ctx).status == "pass"
+    index = setup.G.row_index()
+    assert {i for at, i in looked_up if at is index} == set(setup.G._at.tolist())
+    assert all(i in at.gens for at, i in looked_up)
+    monkeypatch.undo()
+    assert len(index._right) > 2 * len(setup.G._at)
+    for i, t in index._right.items():
+        assert np.array_equal(t, translate_by_lookup(index, i)), i
+
+
 def test_a_group_with_no_generators_has_the_one_entry_table():
     G = group_from_generators(3, [])
     assert Automorphism(G, {}).table.tolist() == [0]
-    assert G.row_index().tree(()).order.tolist() == [0]
+    assert G.row_index().tree.order.tolist() == [0]
 
 
 @pytest.mark.parametrize("generators", [
