@@ -2,7 +2,11 @@
 
 A "zone" is one direct factor of G together with the assignment of which
 basis vectors of A act on it (by a named block automorphism, or by cycling
-p copies of the block).  Direct sums of zones realise every shipped preset;
+p copies of the block).  A zone is data, not a setup: a direct-sum part
+(degree, order, generators, images), where images[j] lists the generators'
+images under basis vector j.  The zones of an instance are embedded as the
+parts of one direct sum, which builds one group and one automorphism per
+basis vector, refused up front when the parts' orders multiply past the cap.
 GL-module and extraspecial families construct their factors directly.
 """
 
@@ -44,6 +48,7 @@ class Block:
 
     name: str
     degree: int
+    order: int
     gens: tuple[Perm, ...]
     auts: dict[str, tuple[Perm, ...]] = field(default_factory=dict)
 
@@ -57,7 +62,7 @@ def _cyclic_block(q: int) -> Block:
     for t in range(2, q):
         if math.gcd(t, q) == 1:
             auts[f"pow{t}"] = (g**t,)
-    return Block(name=f"c{q}", degree=q, gens=(g,), auts=auts)
+    return Block(name=f"c{q}", degree=q, order=q, gens=(g,), auts=auts)
 
 
 def _heisenberg27_block() -> Block:
@@ -66,6 +71,7 @@ def _heisenberg27_block() -> Block:
     return Block(
         name="heisenberg27",
         degree=9,
+        order=27,
         gens=(t, v),
         auts={
             "invert-both": (t.inverse(), v.inverse()),
@@ -81,6 +87,7 @@ def _wreath81_block() -> Block:
     return Block(
         name="wreath81",
         degree=9,
+        order=81,
         gens=(t, u0),
         auts={
             "invert-base": (t, u0.inverse()),
@@ -95,6 +102,7 @@ def _frobenius21_block() -> Block:
     return Block(
         name="frob21",
         degree=7,
+        order=21,
         gens=(r, s),
         auts={"invert-rotation": (r.inverse(), s)},
     )
@@ -106,6 +114,7 @@ def _dihedral7_block() -> Block:
     return Block(
         name="d7",
         degree=7,
+        order=14,
         gens=(r, s),
         auts={"square-rotation": (r**2, s)},
     )
@@ -127,7 +136,7 @@ def get_block(name: str) -> Block:
         return cached
     if name in _BLOCK_BUILDERS:
         block = _BLOCK_BUILDERS[name]()
-    elif name.startswith("c") and name[1:].isdigit():
+    elif name.startswith("c") and name[1:].isdigit() and int(name[1:]) > 0:
         block = _cyclic_block(int(name[1:]))
     else:
         raise GenerationError(f"unknown block {name!r}")
@@ -145,67 +154,67 @@ def _embed(p: Perm, offset: int, total: int) -> Perm:
     return Perm._raw(tuple(images))
 
 
-def product_group(factors: list[Group], cap=None) -> tuple[Group, list[int]]:
-    """Direct product on disjoint domains; returns the group and the offsets."""
-    offsets = []
-    total = 0
-    for f in factors:
-        offsets.append(total)
-        total += f.degree
-    order = 1
-    for f in factors:
-        order *= f.order
+def _product(parts, k: int, cap) -> tuple[Group, list[int], list[dict[Perm, Perm]]]:
+    """The direct product of the parts on disjoint domains, their offsets, and for each
+    j < k the map from its generators to their images under basis vector j.
+
+    A part is (degree, order, generators, images), where images[j] lists the
+    generators' images under basis vector j.  The product is refused before any
+    enumeration when the product of the parts' orders exceeds the cap.
+    """
     cap = enumeration_cap(cap)
+    order = math.prod(part[1] for part in parts)
     if order > cap:
         raise CapacityError(f"direct product order {order} exceeds the cap {cap}")
-    gens = []
-    for f, off in zip(factors, offsets):
-        gens.extend(_embed(g, off, total) for g in f.generators)
-    G = Group(max(total, 1), gens, cap=cap)
+    offsets = list(itertools.accumulate((part[0] for part in parts), initial=0))
+    total = offsets.pop()
+    gens, images = [], [{} for _ in range(k)]
+    for (_, _, part_gens, part_images), offset in zip(parts, offsets):
+        embedded = [_embed(g, offset, total) for g in part_gens]
+        gens += embedded
+        for out, imgs in zip(images, part_images):
+            out.update(zip(embedded, (_embed(img, offset, total) for img in imgs)))
+    return Group(max(total, 1), gens, cap=cap), offsets, images
+
+
+def product_group(factors: list[Group], cap=None) -> tuple[Group, list[int]]:
+    """Direct product on disjoint domains; returns the group and the offsets."""
+    G, offsets, _ = _product([(f.degree, f.order, f.generators, ()) for f in factors], 0, cap)
     return G, offsets
+
+
+def _direct_sum(p: int, k: int, parts, cap=None) -> ActionSetup:
+    """The direct product of the parts (see ``_product``) with the diagonal A-action:
+    one group, one automorphism per basis vector, verified when its table is built."""
+    G, _, images = _product(parts, k, cap)
+    return ActionSetup(G, p, k, [Automorphism(G, imgs) for imgs in images])
 
 
 # ------------------------------------------------------------------ zones
 
 
-def _aut_zone(block_name: str, p: int, k: int, assignments: dict[int, str], cap=None) -> ActionSetup:
-    """One copy of a block; basis vector j acts by the named automorphism."""
+def _aut_zone(block_name: str, k: int, assignments: dict[int, str]) -> tuple:
+    """One copy of a block, as a direct-sum part; basis vector j acts by the named automorphism."""
     block = get_block(block_name)
-    G = block.group(cap=cap)
-    basis = []
-    for j in range(k):
-        aut_name = assignments.get(j)
-        if aut_name is None:
-            basis.append(Automorphism.identity(G))
-            continue
+    for j, aut_name in assignments.items():
+        if not 0 <= j < k:
+            raise GenerationError(f"zone basis vector {j} lies outside 0..{k - 1}")
         if aut_name not in block.auts:
             raise GenerationError(f"block {block_name!r} has no automorphism {aut_name!r}")
-        images = dict(zip(block.gens, block.auts[aut_name]))
-        basis.append(Automorphism(G, {g: images[g] for g in G.generators}))
-    return ActionSetup(G, p, k, basis)
+    images = [block.auts[assignments[j]] if j in assignments else block.gens for j in range(k)]
+    return block.degree, block.order, block.gens, images
 
 
-def _cycle_zone(block_name: str, p: int, k: int, cycle_basis: int, cap=None) -> ActionSetup:
-    """p copies of a block; the chosen basis vector cycles the copies."""
+def _cycle_zone(block_name: str, p: int, k: int, cycle_basis: int) -> tuple:
+    """p copies of a block, as a direct-sum part; the chosen basis vector cycles the copies."""
+    if not 0 <= cycle_basis < k:
+        raise GenerationError(f"zone basis vector {cycle_basis} lies outside 0..{k - 1}")
     block = get_block(block_name)
-    factors = [block.group(cap=cap) for _ in range(p)]
-    G, offsets = product_group(factors, cap=cap)
-    total = G.degree
-
-    def embedded(copy: int, g: Perm) -> Perm:
-        return _embed(g, offsets[copy], total)
-
-    shift_images = {}
-    for copy in range(p):
-        for g in block.gens:
-            shift_images[embedded(copy, g)] = embedded((copy + 1) % p, g)
-    basis = []
-    for j in range(k):
-        if j == cycle_basis:
-            basis.append(Automorphism(G, {g: shift_images[g] for g in G.generators}))
-        else:
-            basis.append(Automorphism.identity(G))
-    return ActionSetup(G, p, k, basis)
+    degree = p * block.degree
+    copies = [[_embed(g, c * block.degree, degree) for g in block.gens] for c in range(p)]
+    gens = [g for copy in copies for g in copy]
+    shifted = [g for copy in copies[1:] + copies[:1] for g in copy]
+    return degree, block.order**p, gens, [shifted if j == cycle_basis else gens for j in range(k)]
 
 
 # ------------------------------------------------------------- public ops
@@ -223,22 +232,12 @@ def gen_direct_sum(setups: list[ActionSetup], k: int | None = None, cap=None) ->
     if any(s.p != p for s in setups):
         raise ValidationError("direct sum requires all summands to share p")
     k = max([s.k for s in setups] + ([k] if k else []))
-    factors = [s.G for s in setups]
-    G, offsets = product_group(factors, cap=cap)
-    total = G.degree
-    basis = []
-    for j in range(k):
-        images: dict[Perm, Perm] = {}
-        for s, off in zip(setups, offsets):
-            if j < s.k:
-                for g, img in s.basis[j].images.items():
-                    images[_embed(g, off, total)] = _embed(img, off, total)
-            else:
-                for g in s.G.generators:
-                    emb = _embed(g, off, total)
-                    images[emb] = emb
-        basis.append(Automorphism(G, {g: images[g] for g in G.generators}))
-    return ActionSetup(G, p, k, basis)
+    parts = [
+        (s.G.degree, s.G.order, s.G.generators,
+         [s.basis[j].images.values() if j < s.k else s.G.generators for j in range(k)])
+        for s in setups
+    ]
+    return _direct_sum(p, k, parts, cap=cap)
 
 
 def gen_coordinate_permutation(
@@ -254,12 +253,9 @@ def gen_coordinate_permutation(
             raise GenerationError("an automorphism name is needed for the non-cycle zones")
         if aut not in block.auts:
             raise GenerationError(f"block {h_spec!r} has no automorphism {aut!r}")
-    zones = []
-    for j in range(cycles):
-        zones.append(_cycle_zone(h_spec, p, k, j, cap=cap))
-    for j in range(cycles, k):
-        zones.append(_aut_zone(h_spec, p, k, {j: aut}, cap=cap))
-    return gen_direct_sum(zones, k=k, cap=cap)
+    parts = [_cycle_zone(h_spec, p, k, j) for j in range(cycles)]
+    parts += [_aut_zone(h_spec, k, {j: aut}) for j in range(cycles, k)]
+    return _direct_sum(p, k, parts, cap=cap)
 
 
 # ------------------------------------------------------- GL-module family
@@ -523,6 +519,8 @@ def setup_from_dict(data: dict, cap=None, where: str = "instance") -> ActionSetu
         G = Group(int(group["degree"]), gens, cap=cap)
     except ValidationError as exc:
         fail("group.generators", str(exc))
+    if len(G.generators) != len(gens):
+        fail("group.generators", "lists the identity or a permutation twice")
     action = data.get("action")
     if not isinstance(action, dict):
         fail("action", "expected an object keyed by exponent vectors")
@@ -627,15 +625,14 @@ def spec_id(spec: FamilySpec) -> str:
 
 def _build_zones(params: dict, cap=None) -> ActionSetup:
     p, k = int(params["p"]), int(params["k"])
-    zone_setups = []
+    parts = []
     for zone in params["zones"]:
-        block = zone["block"]
         if "cycle_basis" in zone:
-            zone_setups.append(_cycle_zone(block, p, k, int(zone["cycle_basis"]), cap=cap))
+            parts.append(_cycle_zone(zone["block"], p, k, int(zone["cycle_basis"])))
         else:
             assignments = {int(j): name for j, name in zone["assignments"].items()}
-            zone_setups.append(_aut_zone(block, p, k, assignments, cap=cap))
-    return gen_direct_sum(zone_setups, k=k, cap=cap)
+            parts.append(_aut_zone(zone["block"], k, assignments))
+    return _direct_sum(p, k, parts, cap=cap)
 
 
 def build_setup(spec: FamilySpec, cap=None) -> ActionSetup:

@@ -1,6 +1,8 @@
 """Tests for the instance families and the instance file format."""
 
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -13,7 +15,7 @@ from coprime_lab.action import (
     maximal_subgroups,
     validate_setup,
 )
-from coprime_lab.errors import GenerationError, InstanceFormatError, ValidationError
+from coprime_lab.errors import CapacityError, GenerationError, InstanceFormatError, ValidationError
 from coprime_lab.groups import group_from_generators
 from coprime_lab.instances import (
     MAX_SUBSPACES,
@@ -58,6 +60,16 @@ def test_block_orders():
     assert get_block("wreath81").group().order == 81
     assert get_block("frob21").group().order == 21
     assert get_block("d7").group().order == 14
+    # the literal order that refuses an over-cap direct sum before any enumeration
+    for name in ("heisenberg27", "wreath81", "frob21", "d7", "c3", "c5", "c7", "c11", "c13", "c27", "c81"):
+        block = get_block(name)
+        assert block.order == block.group().order, name
+
+
+@pytest.mark.parametrize("name", ["c0", "c", "nope"])
+def test_unknown_blocks_are_refused(name):
+    with pytest.raises(GenerationError, match="unknown block"):
+        get_block(name)
 
 
 def test_extraspecial_groups():
@@ -119,6 +131,12 @@ def test_coordinate_swap_fixed_points():
     assert setup.G.order == 9
     fixed = fixed_subgroup(setup, ASubgroupDescriptor.full(2, 1))
     assert fixed.order == 3  # the diagonal
+
+
+def test_cycle_zone_moves_each_copy_to_the_next():
+    setup = gen_coordinate_permutation("c5", 3, 1, cycles=1)
+    gens = setup.G.generators
+    assert setup.basis[0].images == {gens[0]: gens[1], gens[1]: gens[2], gens[2]: gens[0]}
 
 
 def test_coordinate_heisenberg_aut_zone():
@@ -216,6 +234,66 @@ def test_direct_sum_structural_oracle():
             assert any(image.is_subgroup_of(m) for m in fams[1].members)
 
 
+# ------------------------------------------------------------------ zones
+
+
+@pytest.mark.parametrize("zone", [
+    {"block": "c5", "assignments": {"7": "pow4"}},
+    {"block": "c5", "assignments": {"-1": "pow4"}},
+    {"block": "c5", "cycle_basis": 9},
+])
+def test_zone_basis_vector_outside_rank_is_refused(zone):
+    spec = FamilySpec(family="zones", params={"p": 2, "k": 3, "zones": [zone]})
+    with pytest.raises(GenerationError, match="zone basis vector -?[0-9]+ lies outside 0..2"):
+        build_setup(spec)
+
+
+@pytest.fixture
+def work(monkeypatch):
+    """Counts of groups enumerated and automorphism tables built."""
+    from coprime_lab import groups
+
+    counts = {"enumerations": 0, "tables": 0}
+    enumerate_, build_table = groups._enumerate, Automorphism._build_table
+
+    def counting_enumerate(*args):
+        counts["enumerations"] += 1
+        return enumerate_(*args)
+
+    def counting_build_table(self):
+        counts["tables"] += 1
+        return build_table(self)
+
+    monkeypatch.setattr(groups, "_enumerate", counting_enumerate)
+    monkeypatch.setattr(Automorphism, "_build_table", counting_build_table)
+    return counts
+
+
+ZONES_ENTRIES = [
+    (name, spec) for preset in ("p2k3", "p2k4", "p3k3", "smoke")
+    for name, spec in preset_entries(preset) if spec.family == "zones"
+]
+
+
+@pytest.mark.parametrize("name, spec", ZONES_ENTRIES, ids=[name for name, _ in ZONES_ENTRIES])
+def test_zones_preset_builds_one_group_and_k_tables(work, name, spec):
+    setup = build_setup(spec)
+    assert work == {"enumerations": 1, "tables": setup.k}
+
+
+def test_over_cap_zones_are_refused_without_enumeration(work):
+    spec = FamilySpec(family="zones", params={"p": 2, "k": 3, "zones": [
+        {"block": "heisenberg27", "assignments": {"0": "invert-both"}},
+        {"block": "wreath81", "assignments": {"1": "invert-base"}},
+        {"block": "c7", "assignments": {"2": "pow6"}},
+        {"block": "c11", "assignments": {}},
+        {"block": "c13", "assignments": {}},
+    ]})
+    with pytest.raises(CapacityError, match="^direct product order 2189187 exceeds the cap 200000$"):
+        build_setup(spec, cap=200_000)
+    assert work == {"enumerations": 0, "tables": 0}
+
+
 # ------------------------------------------------------------ extraspecial
 
 
@@ -280,6 +358,33 @@ def test_closure_matches_brute_on_a_generated_instance():
 
 
 # ------------------------------------------------------------ file format
+
+
+def test_generated_instances_match_pinned_hashes(tmp_path):
+    """Every preset entry saves to the bytes pinned in data/instance_sha256.json."""
+    pinned = json.loads((Path(__file__).parent / "data" / "instance_sha256.json").read_text())
+    saved = {}
+    for preset in ("p2k3", "p2k4", "p3k3", "smoke"):
+        for name, spec in preset_entries(preset):
+            path = save_instance(build_setup(spec), tmp_path / f"{name}.json")
+            saved[name] = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert len(saved) == 38
+    assert saved == pinned
+
+
+def test_load_rejects_identity_or_repeated_generator(tmp_path):
+    """The action is keyed by the file's generator positions, so a generator list that
+    the group would shorten must not load with its images shifted onto other generators."""
+    rotation = [1, 2, 3, 4, 0]
+    for generators, action in (
+        ([[0, 1, 2, 3, 4], rotation], {"1": {"0": [4, 0, 1, 2, 3]}}),
+        ([rotation, rotation], {"1": {"0": [4, 0, 1, 2, 3], "1": [4, 0, 1, 2, 3]}}),
+    ):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"schema": 1, "p": 2, "k": 1, "group": {"degree": 5, "generators": generators},
+                                    "action": action}))
+        with pytest.raises(InstanceFormatError, match=": group.generators: lists the identity or a permutation twice"):
+            load_instance(path)
 
 
 def test_save_load_roundtrip(tmp_path):
