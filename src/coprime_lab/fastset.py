@@ -5,11 +5,12 @@ is sort order and every subgroup built inside the group is a bool mask over
 it.  The rows are the group's one per-element store; ``perms`` makes ``Perm``
 objects from them on request.  The index knows the group's generators, and
 ``RowIndex.tree`` is the one breadth-first spanning tree of the Cayley graph
-over them: each element's parent and generator, round by round.  The right
-translate x -> x e_i by element i is kept per element and follows one rule:
-a generator's translate is looked up by whole rows, so a product outside the
-group raises, and every other translate is composed from the generators'
-translates along the tree, by gathers alone.  Conjugates and commutators are
+over them: each element's parent and generator, round by round, as the
+enumeration recorded it.  The right translate x -> x e_i by element i is kept
+per element and follows one rule: a generator's translate is recorded by the
+enumeration and confirmed row-equal to the generator applied to every row,
+and every other translate is composed from the generators' translates along
+the tree, by gathers alone.  Conjugates and commutators are
 gathers in those translates, left cosets and setwise products of subgroups
 follow from them as masks, and automorphism tables are evaluated along the
 tree one round at a time.  ``RowIndex.power(d)`` is the column x -> x^d,
@@ -59,46 +60,49 @@ def row_keys(rows: np.ndarray) -> np.ndarray:
     return rows.view(f"V{rows.dtype.itemsize * rows.shape[1]}").ravel()
 
 
-def sort_rows(rows: np.ndarray) -> np.ndarray:
-    """``rows`` in key order, which is the order of the image tuples."""
-    return rows[np.argsort(row_keys(rows))]
-
-
 class RowIndex:
     """Row i of ``rows`` is element i of a sorted element list, generated by the
     elements whose rows are ``generators``.
 
-    ``rows`` come in ``rows_of``'s row type, sorted by ``sort_rows``, and each
-    row's key (``row_keys``) is unique: two equal neighbours raise
+    ``rows`` come in ``rows_of``'s row type, in the order of their keys
+    (``row_keys``), and each key is unique: two equal neighbours raise
     InternalCheckError.
     ``searchsorted`` finds a row among the keys, and the row is then
     confirmed equal.  The keys are a view of ``rows``, so the elements are
     stored once.  ``gens`` holds the generators' indices, in the given order.
-    Right translates follow one rule: a generator's translate is looked up,
-    so it is checked to stay in the group, and every other translate is
-    composed from the generators' along ``tree``, so it is exact by
-    construction.  Translates, inverses, power columns and the tree are
-    built on first use and kept; the columns are read-only.
+    ``translates`` and ``tree`` are what the enumeration recorded (row j of
+    ``translates`` is the translate by generator j), so right translates
+    follow one rule: a generator's translate is confirmed, for every row, to
+    be the row of the generator gathered at it, or InternalCheckError is
+    raised, and every other translate is composed from the generators'
+    along ``tree`` by gathers alone.  Other translates, inverses and power
+    columns are built on first use and kept; the columns are read-only.
     ``memo`` maps a key built from subgroup masks (``mask_key``) to the
     arrays computed from them, for whoever computes over this index.
     """
 
-    __slots__ = ("rows", "_keys", "identity", "gens", "_right", "_inverse", "_powers", "_tree", "memo", "_mask_keys")
+    __slots__ = ("rows", "_keys", "identity", "gens", "tree", "_right", "_inverse", "_powers", "memo", "_mask_keys")
 
-    def __init__(self, rows: np.ndarray, generators: np.ndarray):
+    def __init__(self, rows: np.ndarray, generators: np.ndarray, translates: np.ndarray, tree: SpanningTree):
         self.rows = rows
         self._keys = row_keys(rows)
         if (self._keys[1:] == self._keys[:-1]).any():
             raise InternalCheckError("the sorted rows list an element twice")
-        self._right: dict[int, np.ndarray] = {}
+        # np.take widens a block's indices at once, faster than indexing and bounded by the block
+        block = max(1, (1 << 20) // rows.shape[1])
+        for g, t in zip(generators, translates):
+            for at in range(0, len(rows), block):
+                if not np.array_equal(rows[t[at:at + block]], np.take(g, rows[at:at + block])):
+                    raise InternalCheckError("a recorded translate is not the right translate by its generator")
+        self.tree = tree
         self._inverse: np.ndarray | None = None
         self._powers: dict[int, np.ndarray] = {}
-        self._tree: SpanningTree | None = None
         self.memo: dict[tuple, object] = {}
         self._mask_keys: dict[bytes, bytes] = {}
         self.identity = int(self.lookup(np.arange(rows.shape[1])[None, :])[0])
         self.gens = self.lookup(generators)
         self.gens.flags.writeable = False
+        self._right: dict[int, np.ndarray] = dict(zip(self.gens.tolist(), translates))
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -133,39 +137,24 @@ class RowIndex:
     def right(self, i: int) -> np.ndarray:
         """Index of x * e_i for every x: the translate by element i, built once.
 
-        A generator's translate is looked up by whole rows.  Any other e_i is
+        A generator's translate is recorded by enumeration.  Any other e_i is
         c g_1 ... g_m, for the nearest ancestor c of i on the tree whose translate is
         kept (or the identity) and the generators g_1 ... g_m on the path from c down
         to i, so x e_i is composed from their translates by gathers alone.
         """
         t = self._right.get(i)
-        if t is not None:
-            return t
-        if i in self.gens:
-            t = self.lookup(self.rows[i][self.rows])
-        else:
-            tree, path, at = self.tree, [], i
+        if t is None:
+            path, at = [], i
             while at not in self._right and at != self.identity:
-                path.append(int(tree.gen[at]))
-                at = int(tree.parent[at])
+                path.append(int(self.gens[self.tree.gen[at]]))
+                at = int(self.tree.parent[at])
             t = self._right.get(at)
             if t is None:
                 t = np.arange(len(self.rows))
-            for j in reversed(path):
-                t = self.right(int(self.gens[j]))[t]
-        self._right[i] = t
+            for g in reversed(path):
+                t = self._right[g][t]
+            self._right[i] = t
         return t
-
-    @property
-    def tree(self) -> SpanningTree:
-        """The spanning tree over the generators, built once; raises InternalCheckError
-        if it does not reach every element."""
-        if self._tree is None:
-            tree = _spanning_tree(self)
-            if len(tree.order) != len(self.rows):
-                raise InternalCheckError("the generators do not generate the indexed group")
-            self._tree = tree
-        return self._tree
 
     @property
     def inverse(self) -> np.ndarray:
@@ -218,34 +207,6 @@ class RowIndex:
         mask = np.zeros(len(self.rows), dtype=bool)
         mask[self.identity] = True
         return mask
-
-
-def _spanning_tree(index: RowIndex) -> SpanningTree:
-    """Breadth first from the identity over x -> x g, one gather of g's translate per
-    generator and round; an element joins the tree from the first edge that reaches it."""
-    n = len(index)
-    seen = np.zeros(n, dtype=bool)
-    seen[index.identity] = True
-    parent = np.zeros(n, dtype=np.int32)
-    gen = np.zeros(n, dtype=np.min_scalar_type(max(len(index.gens) - 1, 0)))
-    frontier = np.array([index.identity], dtype=np.int32)
-    found, rounds = [frontier], [0, 1]
-    translates = [index.right(g) for g in index.gens.tolist()]
-    while len(frontier):
-        reached = []
-        for j, t in enumerate(translates):
-            y = t[frontier]
-            fresh = ~seen[y]
-            y = y[fresh]
-            seen[y] = True
-            parent[y] = frontier[fresh]
-            gen[y] = j
-            reached.append(y)
-        frontier = np.concatenate(reached, dtype=np.int32) if reached else frontier[:0]
-        found.append(frontier)
-        rounds.append(rounds[-1] + len(frontier))
-    order = np.concatenate(found)
-    return SpanningTree(order, parent, gen, np.array(rounds[:-1]))
 
 
 def coset_labels(index: RowIndex, gens: Sequence[int]) -> np.ndarray:

@@ -32,36 +32,69 @@ from .errors import (
     PreconditionError,
     ValidationError,
 )
-from .fastset import RowIndex, row_keys, rows_of, sort_rows
+from .fastset import RowIndex, SpanningTree, row_keys, rows_of
 from .perms import Perm
 
 
-def _enumerate(degree: int, generators: Sequence[Perm], cap: int) -> np.ndarray:
-    """The sorted rows of the group that ``generators`` generate.
+def _enumerate(degree: int, generators: Sequence[Perm], cap: int) -> tuple[np.ndarray, np.ndarray, SpanningTree]:
+    """The sorted rows of the group that ``generators`` generate, the right translate by
+    each generator (row j for generator j), and the spanning tree of the Cayley graph over
+    them, all in sorted indices.
 
-    Breadth first from the identity over x -> x g, where the row of x g is g's
-    row gathered at x's.  Each round translates the rows found in the round
-    before by one generator at a time, and keeps the candidates whose keys are
-    not yet in the set of keys found; the rows are sorted once, at the end.
-    Raises CapacityError as soon as more than ``cap`` rows are found, so it holds
-    at most ``cap`` rows and their keys, and one batch of at most as many candidates.
+    Breadth first from the identity over x -> x g, where the row of x g is g's row gathered
+    at x's.  Each round translates the elements found in the round before by one generator
+    at a time.  Every product gets a slot, in the order formed, and ``dict.setdefault``
+    files it under the slot of the first product with its key, so a product that keeps its
+    own slot is a new element: its factor and generator are its parent and generator in
+    the tree, and the first generator to reach an element wins.  At the end the keys are
+    joined into the rows once, the slots are renumbered in the order the elements were
+    found, and all is gathered into sort order.  Raises CapacityError as soon as a batch
+    takes the elements found past ``cap``, so it holds at most ``cap`` keys and one batch
+    of at most as many products.
     """
     moves = rows_of(generators, degree)
     frontier = np.arange(degree, dtype=moves.dtype)[None, :]
-    seen, found, size = {frontier.tobytes()}, [frontier], 1
+    slot_of, filed, rounds = {frontier.tobytes(): 0}, [np.zeros(1, dtype=np.intp)], [0]
     while len(frontier):
-        fresh = []
-        for g in moves:
-            batch = set(row_keys(g[frontier]).tolist())
-            batch -= seen
-            seen |= batch
-            size += len(batch)
-            if size > cap:
+        rounds.append(rounds[-1] + len(frontier))
+        reached = [frontier[:0]]  # so that a group with no generators concatenates too
+        for j, g in enumerate(moves):
+            products, made = g[frontier], 1 + len(moves) * rounds[-2] + j * len(frontier)
+            slots = np.fromiter(
+                map(slot_of.setdefault, row_keys(products).tolist(), range(made, made + len(products))),
+                dtype=np.intp, count=len(products),
+            )
+            if len(slot_of) > cap:
                 raise CapacityError(f"group order exceeds the enumeration cap {cap}")
-            fresh += batch
-        frontier = np.frombuffer(b"".join(fresh), dtype=moves.dtype).reshape(-1, degree)
-        found.append(frontier)
-    return sort_rows(np.concatenate(found, dtype=moves.dtype))
+            filed.append(slots)
+            # x -> x g is injective, so a slot of this batch is the product's own
+            reached.append(products[slots >= made])
+        # one-row pieces can concatenate to Fortran order, and row keys need C-ordered rows
+        frontier = np.ascontiguousarray(np.concatenate(reached))
+    rows = np.frombuffer(b"".join(slot_of), dtype=moves.dtype).reshape(-1, degree)
+    del slot_of
+    n, filed = len(rows), np.concatenate(filed)
+    # x * g_j, for x in a round that starts at ``start`` and is ``width`` long, has the slot
+    # ``made`` + (x - start) = 1 + len(moves) * start + j * width + (x - start)
+    sizes = np.diff(rounds)
+    start, width = np.repeat(rounds[:-1], sizes), np.repeat(sizes, sizes)
+    own = 1 + (len(moves) - 1) * start + np.arange(n) + np.arange(len(moves))[:, None] * width
+    # a slot is an element's own if its product was filed under it, and elements are
+    # numbered in the order of their own slots, which is the order they were found in
+    kept = filed == np.arange(len(filed))
+    translates = (np.cumsum(kept) - 1)[filed[own]]
+    by, factor = np.nonzero(kept[own])
+    child = translates[by, factor]
+    order = np.argsort(row_keys(rows))
+    rows = rows[order]
+    rank = np.empty(n, dtype=np.intp)
+    rank[order] = np.arange(n)
+    parents = np.zeros(n, dtype=np.int32)
+    parents[rank[child]] = rank[factor]
+    gens = np.zeros(n, dtype=np.min_scalar_type(max(len(moves) - 1, 0)))
+    gens[rank[child]] = by
+    tree = SpanningTree(rank.astype(np.int32), parents, gens, np.array(rounds))
+    return rows, rank[translates[:, order]], tree
 
 
 class Group:
@@ -105,13 +138,6 @@ class Group:
         self._mask: np.ndarray | None = mask
         self._at: np.ndarray | None = at
         return self
-
-    def _make_root(self, rows: np.ndarray) -> RowIndex:
-        """Become the root of the index over the sorted ``rows``, which its generators generate."""
-        self._rows = RowIndex(rows, rows_of(self.generators, self.degree))
-        self._mask = np.ones(len(rows), dtype=bool)
-        self._at = self._rows.gens
-        return self._rows
 
     @classmethod
     def _in(cls, root: "Group", mask: np.ndarray, at) -> "Group":
@@ -180,14 +206,14 @@ class Group:
         return root.row_index().perms(np.flatnonzero(mask))
 
     def row_index(self) -> RowIndex:
-        """The index over this group's sorted rows; a group that is not a mask over another
-        is enumerated from its generators and becomes the root of this index."""
+        """The index over this group's sorted rows, enumerated from its generators; a group
+        that is not a mask over another becomes the root of this index."""
         if self._rows is None:
+            rows, translates, tree = _enumerate(self.degree, self.generators, self.cap)
+            self._rows = RowIndex(rows, rows_of(self.generators, self.degree), translates, tree)
             if self._root is None:
-                self._make_root(_enumerate(self.degree, self.generators, self.cap))
-            else:
-                rows = self._root.row_index().rows
-                self._rows = RowIndex(rows[self._mask], rows[self._at])
+                self._mask = np.ones(len(rows), dtype=bool)
+                self._at = self._rows.gens
         return self._rows
 
     @property

@@ -266,6 +266,27 @@ def brute_fitting_subgroup(g_elements) -> set[Perm]:
     return set(table.perms(table.closure(np.flatnonzero(found))))
 
 
+def brute_spanning_tree(degree: int, gens: list[Perm]) -> tuple[dict[Perm, tuple[Perm, int] | None], list[int]]:
+    """The breadth-first spanning tree of the Cayley graph x -- x g over ``gens``, by
+    whole-row products: each element's (parent, generator position), None for the
+    identity, and the round offsets.  Within a round the generators are taken in the given
+    order, so the first generator to reach an element gives its edge."""
+    identity = Perm.identity(degree)
+    edge: dict[Perm, tuple[Perm, int] | None] = {identity: None}
+    frontier, rounds = [identity], [0, 1]
+    while frontier:
+        fresh = []
+        for j, g in enumerate(gens):
+            for x in frontier:
+                y = x * g
+                if y not in edge:
+                    edge[y] = (x, j)
+                    fresh.append(y)
+        frontier = fresh
+        rounds.append(rounds[-1] + len(fresh))
+    return edge, rounds[:-1]
+
+
 def brute_automorphism_table(group, gen_images: dict[Perm, Perm]) -> dict[Perm, Perm]:
     """Tabulate an automorphism by left-extension over the Cayley graph.
 

@@ -222,19 +222,43 @@ def test_an_enumeration_that_repeats_an_element_raises(monkeypatch):
     """Sorted rows that list one element twice, and so miss another, are refused when the
     index over them is built, given directly or enumerated from generators."""
     G = group_from_generators(9, heisenberg27_gens())
-    rows = G.row_index().rows.copy()
+    index = G.row_index()
+    rows = index.rows.copy()
     rows[-1] = rows[-2]
+    translates = np.stack([index.right(g) for g in index.gens.tolist()])
     with pytest.raises(InternalCheckError, match="twice"):
-        RowIndex(rows, rows_of(G.generators, 9))
-    sort_rows = groups.sort_rows
+        RowIndex(rows, rows_of(G.generators, 9), translates, index.tree)
+    enumerate_ = groups._enumerate
 
-    def repeating(rows):
-        rows = sort_rows(rows)
+    def repeating(*args):
+        rows, translates, tree = enumerate_(*args)
         rows[-1] = rows[-2]
-        return rows
+        return rows, translates, tree
 
-    monkeypatch.setattr(groups, "sort_rows", repeating)
+    monkeypatch.setattr(groups, "_enumerate", repeating)
     with pytest.raises(InternalCheckError, match="twice"):
+        group_from_generators(9, heisenberg27_gens()).row_index()
+
+
+def test_a_recorded_translate_that_is_not_its_generators_raises(monkeypatch):
+    """The index confirms every recorded generator translate row for row: one with two
+    entries swapped, in the last of several blocks of rows, or one filed under the next
+    generator, is refused, given directly or recorded by enumeration."""
+    degree = 2048
+    G = group_from_generators(degree, [Perm.from_cycles(degree, tuple(range(degree)))])
+    index = G.row_index()
+    swapped = index.right(int(index.gens[0]))[None, :].copy()
+    swapped[0, [-1, -2]] = swapped[0, [-2, -1]]
+    with pytest.raises(InternalCheckError, match="recorded translate"):
+        RowIndex(index.rows, rows_of(G.generators, degree), swapped, index.tree)
+    enumerate_ = groups._enumerate
+
+    def rolled(*args):
+        rows, translates, tree = enumerate_(*args)
+        return rows, np.roll(translates, 1, axis=0), tree
+
+    monkeypatch.setattr(groups, "_enumerate", rolled)
+    with pytest.raises(InternalCheckError, match="recorded translate"):
         group_from_generators(9, heisenberg27_gens()).row_index()
 
 
