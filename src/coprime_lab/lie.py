@@ -4,16 +4,18 @@ The ring is the direct sum of the lower-central sections, written additively;
 the bracket is induced by group commutation and stored as structure constants
 on the section bases.  The constants, like the action's matrices, are read
 from each section's codes over the group's root index, and are cross-checked
-at construction against commutators taken as permutation products.  Each
+at construction against commutators composed as row products.  Each
 component is enumerated once, as an int array of its exponent vectors in
 ``itertools.product`` order, so that a vector's mixed-radix code is its row
 there. A homogeneous subspace is one bool mask per weight over those codes,
 and A acts on each component through one integer matrix per element u, so
-fixed points, spans, intersections and containment are array operations.
+fixed points, spans (each computed once per ring), intersections and
+containment are array operations.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -23,7 +25,6 @@ import numpy as np
 from .action import ASubgroupDescriptor, ActionSetup, fixed_subgroup, maximal_subgroups
 from .errors import ContainmentError, InternalCheckError, PreconditionError, ValidationError
 from .groups import AbelianSection, Group, abelian_section
-from .perms import commutator
 from .series import lower_central_series, nilpotency_class
 from .status import CheckStatus
 
@@ -39,9 +40,11 @@ class GradedLieRing:
     basis elements a and b, stored for both argument orders.  The code of an
     exponent vector is its mixed-radix value, last coordinate fastest: its
     row in ``vectors(weight)``, so codes sort like the vectors' tuples.
+    ``_spans`` memoizes ``_span_and_gens`` by weight and candidate mask, a complete
+    key since a span depends only on the component's orders; its masks are read-only.
     """
 
-    __slots__ = ("group", "components", "orders", "table", "class_", "_moduli", "_radix", "_vectors")
+    __slots__ = ("group", "components", "orders", "table", "class_", "_moduli", "_radix", "_vectors", "_spans")
 
     def __init__(self, group: Group, components, table):
         self.group = group
@@ -55,6 +58,7 @@ class GradedLieRing:
             for orders in self.orders
         )
         self._vectors: list[np.ndarray | None] = [None] * self.class_
+        self._spans: dict[tuple[int, bytes], tuple[np.ndarray, tuple]] = {}
 
     def component(self, weight: int) -> AbelianSection:
         return self.components[weight - 1]
@@ -101,6 +105,16 @@ class GradedLieRing:
                         out[t] = (out[t] + f * s) % target_orders[t]
         return tuple(out)
 
+    def brackets(self, wi: int, va: np.ndarray, wj: int, vb: np.ndarray) -> np.ndarray:
+        """The bracket of each row of ``va`` with the same row of ``vb``, for wi + wj within the
+        class: one ``einsum`` against the constants as a (rank_i, rank_j, rank_{i+j}) array, exact
+        in int64 for |G| below 10^8, as each term is below |G|^2 and there are log2(|G|)^2 at most."""
+        constants = np.zeros([len(self.orders[w - 1]) for w in (wi, wj, wi + wj)], dtype=np.int64)
+        for (ki, kj, a, b), sc in self.table.items():
+            if (ki, kj) == (wi, wj):
+                constants[a, b] = sc
+        return np.einsum("na,nb,abt->nt", va, vb, constants) % self._moduli[wi + wj - 1]
+
     def basis_unit(self, weight: int, index: int) -> tuple[int, ...]:
         orders = self.orders[weight - 1]
         return tuple(1 if i == index else 0 for i in range(len(orders)))
@@ -110,9 +124,9 @@ def lie_ring_of(G: Group, seed: int = 0) -> GradedLieRing:
     """Build the graded ring of a nilpotent group from its lower central series.
 
     Construction verifies the ring axioms exhaustively and cross-checks the
-    bi-additive bracket against direct group commutators on
-    ``CROSS_CHECK_PAIRS`` random lifted pairs, which catches lifting errors
-    that the axioms alone might miss.
+    bi-additive bracket against the commutators of ``CROSS_CHECK_PAIRS``
+    random lifted pairs, composed from their rows, which catches lifting
+    errors that the axioms alone might miss.
     """
     series = lower_central_series(G)
     if series.class_or_length is None:
@@ -143,7 +157,9 @@ def lie_ring_of(G: Group, seed: int = 0) -> GradedLieRing:
 
 
 def _cross_check_brackets(ring: GradedLieRing, seed: int) -> None:
-    """The bracket of random lifted pairs against their commutator as a permutation product."""
+    """The bracket of random lifted pairs against their commutators, as row products of the pairs'
+    rows alone: a row's argsort is its inverse's, and (p q) is q's row gathered at p's.  So it does
+    not go through the index's translates, tree or inverse column, by which the constants were read."""
     cls = ring.class_
     weight_pairs = [(i, j) for i in range(1, cls + 1) for j in range(1, cls + 1) if i + j <= cls]
     if not weight_pairs:
@@ -156,14 +172,18 @@ def _cross_check_brackets(ring: GradedLieRing, seed: int) -> None:
     for _ in range(CROSS_CHECK_PAIRS):
         wi, wj = rng.choice(weight_pairs)
         pairs.append((wi, wj, rng.choice(positions[wi - 1]), rng.choice(positions[wj - 1])))
-    lifted = index.perms([at for _, _, x, y in pairs for at in (x, y)])
-    found = index.positions([commutator(x, y) for x, y in zip(lifted[::2], lifted[1::2])])
-    for (wi, wj, x, y), c in zip(pairs, found.tolist()):
-        left, right, target = ring.component(wi), ring.component(wj), ring.component(wi + wj)
-        if c < 0 or target.root_codes[c] < 0:
+    wis, wjs, xs, ys = (np.array(column) for column in zip(*pairs))
+    x, y = index.rows[xs], index.rows[ys]
+    factors = [np.argsort(x, axis=1), np.argsort(y, axis=1), x, y]  # x^-1 y^-1 x y
+    found = index._find(functools.reduce(lambda p, q: np.take_along_axis(q, p, axis=1), factors))
+    for wi, wj in weight_pairs:
+        at = np.flatnonzero((wis == wi) & (wjs == wj))
+        codes = ring.component(wi + wj).root_codes[found[at]]
+        if (found[at] < 0).any() or (codes < 0).any():
             raise InternalCheckError("commutator of a lifted pair left the expected section")
-        got = ring.bracket(wi, left.vector(left.root_codes[x]), wj, right.vector(right.root_codes[y]))
-        if got != target.vector(target.root_codes[c]):
+        left = ring.vectors(wi)[ring.component(wi).root_codes[xs[at]]]
+        right = ring.vectors(wj)[ring.component(wj).root_codes[ys[at]]]
+        if not np.array_equal(ring.brackets(wi, left, wj, right), ring.vectors(wi + wj)[codes]):
             raise InternalCheckError("bracket of lifted pair disagrees with the group commutator")
 
 
@@ -349,6 +369,9 @@ def _span_and_gens(ring: GradedLieRing, weight: int, candidates: np.ndarray) -> 
     generators picked from them greedily in code order: each is the least
     candidate outside the span of those picked before it.
     """
+    key = (weight, candidates.tobytes())
+    if key in ring._spans:
+        return ring._spans[key]
     vectors, moduli = ring.vectors(weight), ring._moduli[weight - 1]
     exponent = math.lcm(*ring.orders[weight - 1])
     span = np.zeros(len(vectors), dtype=bool)
@@ -366,7 +389,9 @@ def _span_and_gens(ring: GradedLieRing, weight: int, candidates: np.ndarray) -> 
         span = np.zeros(len(vectors), dtype=bool)
         span[ring.codes(weight, sums.reshape(-1, len(moduli)))] = True
         left &= ~span
-    return span, tuple(map(tuple, vectors[picked].tolist()))
+    span.flags.writeable = False
+    ring._spans[key] = span, tuple(map(tuple, vectors[picked].tolist()))
+    return ring._spans[key]
 
 
 def lie_subring_of_subgroup(L: GradedLieRing, G: Group, H: Group) -> LieSubspace:
@@ -458,20 +483,15 @@ class LieAction:
         """Additive bijectivity per component and compatibility with the bracket."""
         ring = self.ring
         for u in self.setup.basis_vectors():
-            for w, matrix in enumerate(self._matrices(u), start=1):
+            matrices = self._matrices(u)
+            for w, matrix in enumerate(matrices, start=1):
                 vectors = ring.vectors(w)
                 hits = np.bincount(ring.codes(w, vectors @ matrix), minlength=len(vectors))
                 if np.count_nonzero(hits) != len(vectors):
                     raise InternalCheckError("induced component map is not bijective")
             for (wi, wj, a, b), sc in ring.table.items():
-                left = self.apply(u, wi + wj, sc)
-                right = ring.bracket(
-                    wi,
-                    self.apply(u, wi, ring.basis_unit(wi, a)),
-                    wj,
-                    self.apply(u, wj, ring.basis_unit(wj, b)),
-                )
-                if left != right:
+                right = ring.bracket(wi, matrices[wi - 1][a].tolist(), wj, matrices[wj - 1][b].tolist())
+                if self.apply(u, wi + wj, sc) != right:
                     raise InternalCheckError("induced action does not commute with the bracket")
 
 

@@ -125,8 +125,3 @@ class Perm:
             return f"Perm.identity({self.degree})"
         text = "".join("(" + " ".join(map(str, c)) + ")" for c in cycles)
         return f"Perm[{text}]"
-
-
-def commutator(x: Perm, y: Perm) -> Perm:
-    """The group commutator x^-1 y^-1 x y."""
-    return x.inverse() * y.inverse() * x * y

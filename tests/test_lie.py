@@ -2,16 +2,21 @@
 
 import math
 import tracemalloc
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from coprime_lab.action import ASubgroupDescriptor, ActionSetup, Automorphism, fixed_subgroup, maximal_subgroups
-from coprime_lab.errors import ContainmentError, PreconditionError
+from coprime_lab.errors import ContainmentError, InternalCheckError, PreconditionError
 from coprime_lab.groups import Group, center, group_from_generators
 from coprime_lab.harness import InstanceContext, lemma_report
 from coprime_lab.instances import FamilySpec, _aut_zone_spec, build_setup
 from coprime_lab.lie import (
+    GradedLieRing,
     LieSubspace,
+    _cross_check_brackets,
+    _span_and_gens,
     axiom_report,
     check_centralizer_transfer,
     check_class_transfer,
@@ -192,6 +197,33 @@ def test_cross_check_catches_corruption():
     W = lie_ring_of(wreath81())
     bad = with_corrupted_constant(W)
     assert not all(axiom_report(bad).values()) or not check_class_transfer(bad, wreath81())
+
+
+def test_cross_check_rejects_doubled_constants_that_satisfy_every_axiom():
+    """2[x, y] is a Lie bracket too, so only the group commutators can tell it from [x, y]."""
+    L = lie_ring_of(heisenberg27())
+    table = {
+        (wi, wj, a, b): tuple(2 * s % m for s, m in zip(sc, L.orders[wi + wj - 1]))
+        for (wi, wj, a, b), sc in L.table.items()
+    }
+    bad = GradedLieRing(L.group, L.components, table)
+    assert bad.table != L.table
+    assert all(axiom_report(bad).values())
+    # each seed draws other pairs; on some, the first pair commutes
+    for seed in range(10):
+        with pytest.raises(InternalCheckError, match="disagrees with the group commutator"):
+            _cross_check_brackets(bad, seed)
+    _cross_check_brackets(L, 0)
+
+
+def test_span_memo_keeps_apart_weights_of_one_order():
+    """C9 and C3 x C3 share the codes 0..8, yet code 1 spans all of C9 and only (0, *) of
+    C3 x C3, so a span is keyed by its weight as well as its candidates."""
+    ring = GradedLieRing(None, [SimpleNamespace(orders=(9,)), SimpleNamespace(orders=(3, 3))], {})
+    one = np.arange(9) == 1
+    assert _span_and_gens(ring, 1, one)[0].all()
+    assert _span_and_gens(ring, 2, one)[0].tolist() == [True] * 3 + [False] * 6
+    assert _span_and_gens(ring, 1, one)[1] == ((1,),) and _span_and_gens(ring, 2, one)[1] == ((0, 1),)
 
 
 def test_ring_json_shape():

@@ -9,7 +9,8 @@ import pytest
 from coprime_lab.action import ASubgroupDescriptor, ActionSetup, Automorphism, maximal_subgroups
 from coprime_lab.errors import InternalCheckError, ValidationError
 from coprime_lab.groups import group_from_generators
-from coprime_lab.instances import build_setup, preset_entries
+from coprime_lab.harness import InstanceContext, lemma_report
+from coprime_lab.instances import PRESETS, build_setup, preset_entries
 from coprime_lab.lie import (
     LieAction,
     LieSubspace,
@@ -17,7 +18,9 @@ from coprime_lab.lie import (
     induced_a_action,
     lie_ring_of,
     lie_subring_of_subgroup,
+    with_corrupted_constant,
 )
+from coprime_lab.series import nilpotency_class
 from coprime_lab.status import CheckStatus
 
 from bruteforce import (
@@ -187,3 +190,46 @@ def test_span_lemma_names_the_first_centralizer_that_breaks_the_hypothesis(make_
     out = check_span_lemma(L, setup, subspaces, mode, action=induced_a_action(L, setup))
     assert out.status is CheckStatus.HYPOTHESIS_NOT_MET
     assert out.detail == f"{detail} is not inside any input subspace"
+
+
+def test_batched_brackets_match_the_bracket_on_every_nilpotent_preset():
+    """``brackets`` against ``bracket`` on every pair of basis units, and on 200 random
+    vector pairs per weight pair, for the ring of every nilpotent preset instance."""
+    rng = np.random.default_rng(0)
+    rings = pairs = 0
+    for info in PRESETS.values():
+        for _, spec in info.entries:
+            G = build_setup(spec).G
+            if nilpotency_class(G) is None:
+                continue
+            ring, rings = lie_ring_of(G), rings + 1
+            for wi, wj in itertools.product(range(1, ring.class_), repeat=2):
+                if wi + wj > ring.class_:
+                    continue
+                ranks = len(ring.orders[wi - 1]), len(ring.orders[wj - 1])
+                a, b = np.divmod(np.arange(ranks[0] * ranks[1]), ranks[1])  # every pair of basis units
+                units = np.eye(ranks[0], dtype=np.int64)[a], np.eye(ranks[1], dtype=np.int64)[b]
+                drawn = [ring.vectors(w)[rng.integers(ring.component_order(w), size=200)] for w in (wi, wj)]
+                for va, vb in (units, drawn):
+                    got = ring.brackets(wi, va, wj, vb).tolist()
+                    assert got == [list(ring.bracket(wi, x, wj, y)) for x, y in zip(va.tolist(), vb.tolist())]
+                pairs += 1
+    assert rings == 35 and pairs > 0
+
+
+@pytest.mark.parametrize("instance_id", ["p2k3-06-c3swap-heis-c5", "p3k3-07-c7-c7-c13", "p3k3-08-c7-mixed"])
+def test_span_memo_after_the_lemma_suite_matches_brute_closure(instance_id):
+    """Every span the lemma suite kept, against the brute closure and greedy picks of its
+    candidates.  (The fourth ``lemmas`` preset, p2k4-07, is not nilpotent and has no ring.)"""
+    ctx = InstanceContext(preset_setup(instance_id), instance_id, seed=1)
+    lemma_report(ctx)
+    ring = ctx.lie_ring
+    assert ring._spans
+    for (w, raw), (span, picked) in ring._spans.items():
+        orders = ring.orders[w - 1]
+        seeds = map(tuple, ring.vectors(w)[np.frombuffer(raw, dtype=bool)].tolist())
+        assert picked == brute_greedy_generators(orders, seeds)
+        assert set(map(tuple, ring.vectors(w)[span].tolist())) == brute_additive_closure(orders, picked)
+        assert not span.flags.writeable
+    if ring.table:  # a class-1 ring has no constant to corrupt
+        assert with_corrupted_constant(ring)._spans == {}
