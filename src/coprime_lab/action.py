@@ -10,14 +10,16 @@ the generators' images along the one spanning tree of G's Cayley graph that
 the index keeps, and every subgroup of G is a bool mask over it:
 centralizers, fixed points and fixed cosets are found by masking arrays of
 indices.  Each ``ActionSetup`` computes the fixed mask of a subgroup B <= A
-once, keyed by B's reduced row-echelon basis, and the maximal subgroups of
-A once; its other caches are keyed by mask bytes, among them the coset map
-of each normal subgroup N, built once N is checked to be A-invariant and
-normal.
+once, keyed by B's reduced row-echelon basis; its other caches are keyed by
+mask bytes, among them the coset map of each normal subgroup N, built once N
+is checked to be A-invariant and normal.  What depends on A alone, its
+subspaces, its maximal subgroups and the subgroup each vector generates, is
+built once per (p, k) and shared by every setup.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -32,7 +34,7 @@ from .errors import (
     PreconditionError,
     ValidationError,
 )
-from .groups import Group, generated_in, generated_subgroup, subgroup_conjugate_sets, sylow_subgroup
+from .groups import Group, generated_subgroup, subgroup_conjugate_sets, sylow_subgroup
 from .perms import Perm
 from .series import _is_prime, is_nilpotent
 
@@ -162,7 +164,13 @@ class ASubgroupDescriptor:
 
     @classmethod
     def generated_by(cls, p: int, k: int, vector) -> "ASubgroupDescriptor":
-        return cls.from_vectors(p, k, [vector])
+        """<vector>, row-reduced once per (p, k, vector)."""
+        return _generated_by(p, k, tuple(vector))
+
+
+@functools.lru_cache(maxsize=None)
+def _generated_by(p: int, k: int, vector: tuple) -> ASubgroupDescriptor:
+    return ASubgroupDescriptor.from_vectors(p, k, [vector])
 
 
 def _reduced_basis(p: int, k: int, vectors) -> tuple[tuple[int, ...], ...]:
@@ -204,7 +212,13 @@ def all_subspaces(p: int, k: int) -> list[ASubgroupDescriptor]:
     of a pivot and outside the pivot columns.  ``vectors`` is therefore the
     basis that ``from_vectors`` would produce.  The list is sorted by
     (codim, vectors): ascending codimension, ties broken by the basis rows.
+    It is built once per (p, k) and handed out as a new list on each call.
     """
+    return list(_all_subspaces(p, k))
+
+
+@functools.lru_cache(maxsize=None)
+def _all_subspaces(p: int, k: int) -> tuple[ASubgroupDescriptor, ...]:
     out = []
     for d in range(k + 1):
         for pivots in itertools.combinations(range(k), d):
@@ -215,7 +229,7 @@ def all_subspaces(p: int, k: int) -> list[ASubgroupDescriptor]:
                     rows[r][c] = x
                 basis = tuple(tuple(row) for row in rows)
                 out.append(ASubgroupDescriptor(p=p, k=k, vectors=basis, codim=k - d))
-    return sorted(out, key=lambda d: (d.codim, d.vectors))
+    return tuple(sorted(out, key=lambda d: (d.codim, d.vectors)))
 
 
 class ActionSetup:
@@ -225,12 +239,10 @@ class ActionSetup:
     values are composed (and cached) on demand.  G must be a root, a group
     built from generators, so that masks of its subgroups and the
     automorphism tables share one index.  The fixed mask of each B <= A
-    and the maximal subgroups of A are computed once per setup.
+    is computed once per setup; the maximal subgroups of A, once per (p, k).
     """
 
-    __slots__ = (
-        "G", "p", "k", "basis", "_phi_cache", "_fixed_masks", "_fixed_cache", "_coset_cache", "_maximal",
-    )
+    __slots__ = ("G", "p", "k", "basis", "_phi_cache", "_fixed_masks", "_fixed_cache", "_coset_cache")
 
     def __init__(self, G: Group, p: int, k: int, basis: Iterable[Automorphism]):
         basis = tuple(basis)
@@ -251,7 +263,6 @@ class ActionSetup:
         self._fixed_masks: dict[tuple[tuple[int, ...], ...], np.ndarray] = {}
         self._fixed_cache: dict[bytes, Group] = {}
         self._coset_cache: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
-        self._maximal: tuple[ASubgroupDescriptor, ...] | None = None
 
     def zero_vector(self) -> tuple[int, ...]:
         return tuple(0 for _ in range(self.k))
@@ -266,6 +277,9 @@ class ActionSetup:
         return [v for v in self.all_vectors() if any(v)]
 
     def phi(self, vector) -> Automorphism:
+        """phi(u), composed once per u; a given tuple is looked up before it is reduced mod p."""
+        if isinstance(vector, tuple) and vector in self._phi_cache:
+            return self._phi_cache[vector]
         vector = tuple(int(c) % self.p for c in vector)
         if len(vector) != self.k:
             raise ValidationError("exponent vector length does not match k")
@@ -294,8 +308,14 @@ class ActionSetup:
         return self.is_invariant_mask(mask)
 
     def orbit_of_element(self, at: int) -> frozenset[int]:
-        """The A-orbit of element ``at`` of G's index, as indices."""
-        return frozenset(int(self.phi(u).table[at]) for u in self.all_vectors())
+        """The A-orbit of element ``at`` of G's index, as indices: k(p - 1) gathers in the basis tables."""
+        orbit = np.array([at])
+        for base in self.basis:
+            powers = [orbit]
+            for _ in range(self.p - 1):
+                powers.append(base.table[powers[-1]])
+            orbit = np.concatenate(powers)
+        return frozenset(orbit.tolist())
 
 
 @dataclass
@@ -331,13 +351,12 @@ def validate_setup(setup: ActionSetup) -> SetupReport:
 
 def maximal_subgroups(setup: ActionSetup) -> list[ASubgroupDescriptor]:
     """All index-p subgroups of A, exactly (p^k - 1)/(p - 1) of them, in a new list
-    each call; they are built once per setup."""
-    if setup._maximal is None:
-        setup._maximal = tuple(_maximal_subgroups(setup.p, setup.k))
-    return list(setup._maximal)
+    each call; they are built once per (p, k), for every setup with that A."""
+    return list(_maximal_subgroups(setup.p, setup.k))
 
 
-def _maximal_subgroups(p: int, k: int) -> list[ASubgroupDescriptor]:
+@functools.lru_cache(maxsize=None)
+def _maximal_subgroups(p: int, k: int) -> tuple[ASubgroupDescriptor, ...]:
     """The kernel of each functional on (Z/p)^k whose first nonzero coefficient is 1."""
     functionals = []
     for v in itertools.product(range(p), repeat=k):
@@ -361,7 +380,7 @@ def _maximal_subgroups(p: int, k: int) -> list[ASubgroupDescriptor]:
     expected = (p**k - 1) // (p - 1)
     if len(out) != expected:
         raise InternalCheckError(f"found {len(out)} maximal subgroups, expected {expected}")
-    return out
+    return tuple(out)
 
 
 def _fixed_mask(setup: ActionSetup, B: ASubgroupDescriptor) -> np.ndarray:
@@ -450,7 +469,7 @@ def invariant_sylow(setup: ActionSetup, H: Group, r: int) -> Group:
     """An A-invariant Sylow r-subgroup of the A-invariant subgroup H."""
     if not setup.is_invariant_subgroup(H):
         raise PreconditionError("H is not A-invariant")
-    H = generated_in(setup.G, H.generators)  # H's masks over G's index, which the tables use
+    H = Group._in(setup.G, *H._over(setup.G))  # H's masks over G's index, which the tables use
     P = sylow_subgroup(H, r)
     if P.is_trivial or P.order == H.order:
         return P

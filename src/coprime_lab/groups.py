@@ -228,7 +228,7 @@ class Group:
         if self.degree != other.degree:
             return False
         if self._shares_root(other):
-            return not (self._mask & ~other._mask).any()
+            return other._root is None or not (self._mask & ~other._mask).any()
         return all(other.contains(g) for g in self.generators)
 
     def same_subgroup(self, other: "Group") -> bool:

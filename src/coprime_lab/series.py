@@ -131,6 +131,8 @@ def derived_term(G: Group, d: int) -> Group:
     """The d-th derived group (0-indexed: G^(0) = G)."""
     if d < 0:
         raise ValueError("derived series terms are 0-indexed")
+    if d == 0:
+        return G
     series = derived_series(G)
     idx = min(d, len(series.terms) - 1)
     return series.terms[idx]

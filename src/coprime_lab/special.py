@@ -8,12 +8,15 @@ Two recursive families are built over an action setup:
   member is [J, C_G(A_j)] intersect C_G(A_n) for a degree-(i-1) member J.
 
 Members are deduplicated by their element masks over G's index, and each
-keeps the first recipe that produced it.
+keeps the first recipe that produced it: each step meets its M with the
+stacked centralizer masks in one AND and keys the meets by their packed bits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from .action import (
     ASubgroupDescriptor,
@@ -24,6 +27,7 @@ from .action import (
     maximal_subgroups,
 )
 from .errors import CapacityError, PreconditionError
+from .fastset import row_keys
 from .groups import Group, commutator_subgroup, generated_subgroup, intersection
 from .series import derived_term, lcs_term
 from .status import CheckStatus
@@ -55,26 +59,26 @@ def _lattice(setup: ActionSetup, kind: str, base_degree: int, max_degree: int, m
 
     The base family is the C_G(A_j).  At each later degree, ``steps(prev,
     cents)`` yields (M, recipe) pairs built from the previous members ``prev``
-    and the centralizers ``cents``; each M meets every C_G(A_n), and each new
-    element set keeps the first recipe, with n appended.
+    and the centralizers ``cents``; each M meets every C_G(A_n) in one AND, and
+    each new element set, keyed by its packed bits, keeps the first recipe, with n appended.
     """
     if setup.k < 2:
         raise PreconditionError("special families need rank k >= 2")
     G = setup.G
     cents = [fixed_subgroup(setup, A_j) for A_j in maximal_subgroups(setup)]
-    cent_masks = [C.mask_over(G) for C in cents]
+    cent_masks = np.stack([C.mask_over(G) for C in cents])
     base: dict[bytes, tuple[Group, tuple]] = {}
-    for j, (C, mask) in enumerate(zip(cents, cent_masks)):
-        base.setdefault(mask.tobytes(), (C, ("cent", j)))
+    for j, key in enumerate(_packed_keys(cent_masks)):
+        base.setdefault(key, (cents[j], ("cent", j)))
     members, recipes = zip(*base.values())
     families = [SpecialFamily(kind, base_degree, members, recipes)]
     for degree in range(base_degree + 1, max_degree + 1):
         candidates: dict[bytes, tuple] = {}
         for M, recipe in steps(families[-1].members, cents):
-            m_mask = M.mask_over(G)
-            for n, c_mask in enumerate(cent_masks):
-                meet = m_mask & c_mask
-                candidates.setdefault(meet.tobytes(), (meet, (*recipe, n)))
+            meets = M.mask_over(G) & cent_masks
+            for n, key in enumerate(_packed_keys(meets)):
+                if key not in candidates:
+                    candidates[key] = (meets[n].copy(), (*recipe, n))  # a row, not the block
         if len(candidates) > member_ceiling:
             raise CapacityError(
                 f"{kind} degree {degree} would have {len(candidates)} members (ceiling {member_ceiling})"
@@ -83,6 +87,11 @@ def _lattice(setup: ActionSetup, kind: str, base_degree: int, max_degree: int, m
         recipes = tuple(recipe for _, recipe in candidates.values())
         families.append(SpecialFamily(kind, degree, members, recipes))
     return families
+
+
+def _packed_keys(masks: np.ndarray) -> list[bytes]:
+    """One key per row of ``masks``: its bits packed into bytes."""
+    return row_keys(np.packbits(masks, axis=1)).tolist()
 
 
 def a_special_lattice(

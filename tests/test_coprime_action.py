@@ -498,3 +498,23 @@ def test_fg1_matches_brute_coset_check(oracle_case):
             fixed = {c for c in cosets if all(frozenset(t[x] for x in c) == c for t in autos)}
             image = {coset_of[x] for x in brute_fixed_elements(G, autos)}
             assert check_fg1_quotient(setup, N, B) == (fixed == image)
+
+
+@pytest.mark.parametrize("family", ["p2k3", "p2k4", "p3k3"])
+def test_orbit_of_element_matches_the_image_under_every_phi(family):
+    """The orbit read from the basis tables, power by power, is {phi(u)(x) : u in A}."""
+    for instance_id, entry in preset_entries(family):
+        setup = build_setup(entry)
+        rng = np.random.default_rng(len(instance_id))
+        for at in rng.choice(setup.G.order, size=5).tolist():
+            expected = {int(setup.phi(u).table[at]) for u in setup.all_vectors()}
+            assert setup.orbit_of_element(at) == expected, (instance_id, at)
+
+
+def test_phi_looks_up_a_reduced_tuple_and_reduces_any_other_vector():
+    setup = preset_setup("p3k3-01-gl-q7n3")
+    auto = setup.phi((1, 2, 0))
+    assert setup.phi((1, 2, 0)) is auto
+    assert setup.phi([4, -1, 3]) is auto
+    assert setup.phi((4, 2, 0)) is auto
+    assert setup.phi(np.array([1, 2, 0])) is auto

@@ -269,3 +269,29 @@ def test_extend_over_many_cosets_of_a_small_subgroup():
     expected = mask_of(index, mulclose([t, g]))
     assert np.count_nonzero(expected) == len(index) == 27 * 5 * 7 * 11
     assert np.array_equal(groups._extend(index, S, index.index_of([t]).tolist(), int(index.index_of([g])[0])), expected)
+
+
+def test_is_subgroup_of_reads_the_masks_unless_the_other_group_is_the_root():
+    setup = preset_setup("smoke-02-heis-diag-c5")
+    G = setup.G
+    C = [fixed_subgroup(setup, A_j) for A_j in maximal_subgroups(setup)]
+    assert [H.order for H in C[:3]] == [5, 3, 1]
+    assert not C[0].is_subgroup_of(C[1]) and not C[1].is_subgroup_of(C[0])
+    assert C[2].is_subgroup_of(C[0]) and C[2].is_subgroup_of(C[1])
+    assert all(H.is_subgroup_of(G) for H in C) and G.is_subgroup_of(G)
+    assert not G.is_subgroup_of(C[0])
+    # groups of their own roots are compared through generators, both ways
+    own_c0, own_g = Group(G.degree, C[0].generators), Group(G.degree, G.generators)
+    assert own_c0.is_subgroup_of(G) and own_c0.is_subgroup_of(C[0]) and not own_c0.is_subgroup_of(C[1])
+    assert own_g.is_subgroup_of(G) and not own_g.is_subgroup_of(C[0])
+    assert C[0].is_subgroup_of(own_c0) and not C[1].is_subgroup_of(own_c0) and G.is_subgroup_of(own_g)
+
+
+def test_a_commutator_subgroup_refuses_a_factor_outside_its_ambient_subgroup():
+    setup = preset_setup("smoke-02-heis-diag-c5")
+    C0, C1 = [fixed_subgroup(setup, A_j) for A_j in maximal_subgroups(setup)[:2]]
+    with pytest.raises(ContainmentError, match="H is not a subgroup"):
+        commutator_subgroup(C1, C0, C0)
+    with pytest.raises(ContainmentError, match="K is not a subgroup"):
+        commutator_subgroup(C0, setup.G, C0)
+    assert commutator_subgroup(C0, C0, C0).is_trivial

@@ -2,17 +2,18 @@
 hit, one commutator closure per pair of masks, read-only cached masks, and no reference cycle."""
 
 import gc
+import itertools
 import sys
 import weakref
 
 import pytest
 
 from coprime_lab import groups
-from coprime_lab.action import _fixed_mask, fixed_subgroup, maximal_subgroups
+from coprime_lab.action import ASubgroupDescriptor, _fixed_mask, all_subspaces, fixed_subgroup, maximal_subgroups
 from coprime_lab.groups import commutator_subgroup, generated_in
 from coprime_lab.harness import verify_derived_theorem, verify_gamma_theorem
 from coprime_lab.instances import PRESETS, build_setup, preset_entries
-from coprime_lab.series import derived_series, lower_central_series
+from coprime_lab.series import derived_series, derived_term, lower_central_series
 
 from bruteforce import CayleyTable, brute_derived_series, brute_lower_central_series
 
@@ -141,3 +142,40 @@ def test_maximal_subgroups_hand_out_a_new_list_each_call():
     first.clear()
     assert len(maximal_subgroups(setup)) == (setup.p**setup.k - 1) // (setup.p - 1)
     assert maximal_subgroups(setup) == maximal_subgroups(setup)
+
+
+def test_derived_term_zero_is_the_group_itself_and_builds_no_series():
+    setup = preset_setup("p2k3-07-heis-diag-c5")
+    C = fixed_subgroup(setup, maximal_subgroups(setup)[0])
+    memo = setup.G.row_index().memo
+
+    def derived_keys():
+        return [key for key in memo if key[0] == "derived"]
+
+    assert not derived_keys()
+    for H in (setup.G, C):
+        assert derived_term(H, 0) is H
+    assert not derived_keys()
+    assert derived_term(setup.G, 1).same_subgroup(derived_series(setup.G).terms[1])
+    assert len(derived_keys()) == 1
+
+
+def test_the_lists_built_once_per_p_and_k_are_handed_out_as_new_lists():
+    subspaces = all_subspaces(2, 3)
+    subspaces[0] = subspaces.pop()
+    assert all_subspaces(2, 3) == sorted(all_subspaces(2, 3), key=lambda B: (B.codim, B.vectors))
+    assert len(all_subspaces(2, 3)) == 16
+    # two set-ups with the same (p, k) = (2, 3), over different groups
+    first, second = preset_setup("smoke-02-heis-diag-c5"), preset_setup("p2k3-11-frob21-c5-c5")
+    maximals = maximal_subgroups(first)
+    maximals.reverse()
+    assert maximal_subgroups(first) == maximal_subgroups(second) == maximals[::-1]
+    assert maximal_subgroups(first) is not maximal_subgroups(second)
+
+
+@pytest.mark.parametrize("p, k", [(2, 3), (2, 4), (3, 3)])
+def test_generated_by_equals_from_vectors_for_every_vector_in_any_form(p, k):
+    for v in itertools.product(range(p), repeat=k):
+        expected = ASubgroupDescriptor.from_vectors(p, k, [v])
+        for given in (v, list(v), (*v[:-1], v[-1] + p)):
+            assert ASubgroupDescriptor.generated_by(p, k, given) == expected, given

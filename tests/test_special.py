@@ -1,10 +1,12 @@
 """Tests for the recursive centralizer-commutator subgroup families."""
 
+import dataclasses
 import re
 
+import numpy as np
 import pytest
 
-from coprime_lab.action import ActionSetup, Automorphism, maximal_subgroups
+from coprime_lab.action import ActionSetup, Automorphism, fixed_subgroup, maximal_subgroups
 from coprime_lab.errors import CapacityError, PreconditionError
 from coprime_lab.groups import center, group_from_generators
 from coprime_lab.harness import CheckReport, _Recorder
@@ -13,6 +15,7 @@ from coprime_lab.perms import Perm
 from coprime_lab.series import derived_term, lcs_term
 from coprime_lab.special import (
     CheckStatus,
+    _packed_keys,
     a_special_lattice,
     check_aspecial_containment,
     check_aspecial_degree_bound,
@@ -231,3 +234,27 @@ def test_lattice_member_ceiling_is_an_error(build, degree, kind):
     assert result.status is CheckStatus.ERROR
     assert result.detail == f"CapacityError: {message}"
     assert report.status == "error"
+
+
+def test_containment_fails_on_a_member_outside_every_parent():
+    setup = build_setup(dict(preset_entries("smoke"))["smoke-02-heis-diag-c5"])
+    families = a_special_lattice(setup, 1)
+    assert check_aspecial_containment(families)
+    # G lies in no proper centralizer, and C_G(A_1) not in C_G(A_0)
+    broken = dataclasses.replace(families[1], members=(setup.G,))
+    assert not check_aspecial_containment([families[0], broken])
+    C0, C1 = (fixed_subgroup(setup, A_j) for A_j in maximal_subgroups(setup)[:2])
+    parent = dataclasses.replace(families[0], members=(C0,), provenance=(("cent", 0),))
+    child = dataclasses.replace(families[1], members=(C1,), provenance=(("cent", 1),))
+    assert not check_aspecial_containment([parent, child])
+    assert check_aspecial_containment([parent, dataclasses.replace(child, members=(C0,))])
+
+
+@pytest.mark.parametrize("size", [1, 7, 8, 9, 16, 135])
+def test_packed_keys_tell_apart_masks_that_differ_in_one_element(size):
+    """Lattice meets are deduplicated by these keys, so no bit may be dropped, the last
+    ones included: the empty mask and each one-element mask all get distinct keys."""
+    masks = np.vstack([np.zeros(size, dtype=bool), np.eye(size, dtype=bool)])
+    keys = _packed_keys(masks)
+    assert len(set(keys)) == size + 1
+    assert _packed_keys(masks[::-1].copy()) == keys[::-1]
