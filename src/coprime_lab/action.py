@@ -238,8 +238,9 @@ class ActionSetup:
     ``basis`` lists the automorphisms phi(e_1), ..., phi(e_k); general phi(u)
     values are composed (and cached) on demand.  G must be a root, a group
     built from generators, so that masks of its subgroups and the
-    automorphism tables share one index.  The fixed mask of each B <= A
-    is computed once per setup; the maximal subgroups of A, once per (p, k).
+    automorphism tables share one index.  The fixed mask and centralizer of
+    each B <= A are computed once per setup, keyed by B's basis; the maximal
+    subgroups of A, once per (p, k).
     """
 
     __slots__ = ("G", "p", "k", "basis", "_phi_cache", "_fixed_masks", "_fixed_cache", "_coset_cache")
@@ -261,7 +262,7 @@ class ActionSetup:
         self.basis = basis
         self._phi_cache: dict[tuple[int, ...], Automorphism] = {}
         self._fixed_masks: dict[tuple[tuple[int, ...], ...], np.ndarray] = {}
-        self._fixed_cache: dict[bytes, Group] = {}
+        self._fixed_cache: dict[tuple[tuple[int, ...], ...], Group] = {}
         self._coset_cache: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
 
     def zero_vector(self) -> tuple[int, ...]:
@@ -400,13 +401,12 @@ def _fixed_mask(setup: ActionSetup, B: ASubgroupDescriptor) -> np.ndarray:
 def fixed_subgroup(setup: ActionSetup, B: ASubgroupDescriptor) -> Group:
     """C_G(B): the elements fixed by every automorphism phi(u), u in B.
 
-    One group per fixed mask, so subgroups B with the same centralizer share it.
+    One group per basis of B; groups of equal masks share their generators
+    through ``Group.from_mask``'s memo.
     """
-    fixed = _fixed_mask(setup, B)
-    key = fixed.tobytes()
-    cached = setup._fixed_cache.get(key)
+    cached = setup._fixed_cache.get(B.vectors)
     if cached is None:
-        cached = setup._fixed_cache[key] = Group.from_mask(setup.G, fixed)
+        cached = setup._fixed_cache[B.vectors] = Group.from_mask(setup.G, _fixed_mask(setup, B))
     return cached
 
 

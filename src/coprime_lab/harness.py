@@ -60,19 +60,9 @@ from .special import (
     family_at,
     gamma_a_special_lattice,
 )
-from .status import CheckStatus
+from .status import CheckResult, CheckStatus
 
 SCHEMA_VERSION = 1
-
-
-@dataclass
-class CheckResult:
-    status: CheckStatus
-    detail: str = ""
-    wall_ms: float = 0.0
-
-    def to_dict(self) -> dict:
-        return {"status": self.status.value, "detail": self.detail, "wall_ms": self.wall_ms}
 
 
 @dataclass
@@ -164,8 +154,6 @@ def _coerce(value) -> CheckResult:
         return CheckResult(value)
     if isinstance(value, bool):
         return CheckResult(CheckStatus.PASS if value else CheckStatus.FAIL)
-    if hasattr(value, "status") and hasattr(value, "detail"):
-        return CheckResult(value.status, detail=value.detail)
     raise TypeError(f"cannot interpret check result {value!r}")
 
 

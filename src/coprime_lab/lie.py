@@ -1,10 +1,13 @@
 """The graded Lie ring of a nilpotent group and its induced automorphism action.
 
 The ring is the direct sum of the lower-central sections, written additively;
-the bracket is induced by group commutation and stored as structure constants
-on the section bases.  The constants, like the action's matrices, are read
-from each section's codes over the group's root index, and are cross-checked
-at construction against commutators composed as row products.  Each
+the bracket is induced by group commutation and stored once, as one array of
+structure constants on the section bases per weight pair.  Every bracket (of
+subspaces, in the axioms, in the action's compatibility check) is evaluated on
+those arrays through ``GradedLieRing.brackets``.  The constants, like the
+action's matrices, are read from each section's codes over the group's root
+index, and are cross-checked at construction against commutators composed as
+row products.  Each
 component is enumerated once, as an int array of its exponent vectors in
 ``itertools.product`` order, so that a vector's mixed-radix code is its row
 there. A homogeneous subspace is one bool mask per weight over those codes,
@@ -16,9 +19,9 @@ containment are array operations.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import random
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,7 +29,7 @@ from .action import ASubgroupDescriptor, ActionSetup, fixed_subgroup, maximal_su
 from .errors import ContainmentError, InternalCheckError, PreconditionError, ValidationError
 from .groups import AbelianSection, Group, abelian_section
 from .series import lower_central_series, nilpotency_class
-from .status import CheckStatus
+from .status import CheckResult, CheckStatus
 
 # random lifted pairs whose group commutator cross-checks the bracket at construction
 CROSS_CHECK_PAIRS = 200
@@ -35,22 +38,24 @@ CROSS_CHECK_PAIRS = 200
 class GradedLieRing:
     """Sections of the lower central series with induced bracket constants.
 
-    ``components[i]`` is the section of weight i+1; ``table[(wi, wj, a, b)]``
-    is the exponent vector (in the weight wi+wj component) of the bracket of
-    basis elements a and b, stored for both argument orders.  The code of an
+    ``components[i]`` is the section of weight i+1.  ``constants[(wi, wj)]``, for each
+    weight pair with wi + wj within the class, is a read-only int64 array of shape
+    (rank_wi, rank_wj, rank_{wi+wj}): entry [a, b] is the exponent vector of the
+    bracket of basis elements a and b.  It is the one store of the bracket, and
+    ``brackets`` the one way to evaluate it.  The code of an
     exponent vector is its mixed-radix value, last coordinate fastest: its
     row in ``vectors(weight)``, so codes sort like the vectors' tuples.
     ``_spans`` memoizes ``_span_and_gens`` by weight and candidate mask, a complete
     key since a span depends only on the component's orders; its masks are read-only.
     """
 
-    __slots__ = ("group", "components", "orders", "table", "class_", "_moduli", "_radix", "_vectors", "_spans")
+    __slots__ = ("group", "components", "orders", "constants", "class_", "_moduli", "_radix", "_vectors", "_spans")
 
-    def __init__(self, group: Group, components, table):
+    def __init__(self, group: Group, components, constants):
         self.group = group
         self.components: tuple[AbelianSection, ...] = tuple(components)
         self.orders = tuple(section.orders for section in self.components)
-        self.table: dict[tuple[int, int, int, int], tuple[int, ...]] = table
+        self.constants: dict[tuple[int, int], np.ndarray] = constants
         self.class_ = len(self.components)
         self._moduli = tuple(np.array(orders, dtype=np.int64) for orders in self.orders)
         self._radix = tuple(
@@ -79,45 +84,11 @@ class GradedLieRing:
         """The code of every exponent vector, one per row of ``vectors``, reduced mod the orders."""
         return (np.asarray(vectors, dtype=np.int64) % self._moduli[weight - 1]) @ self._radix[weight - 1]
 
-    def element_codes(self, weight: int) -> np.ndarray:
-        """The code of every element of the group's root index in the section; -1 off its numerator."""
-        return self.component(weight).root_codes
-
-    def bracket(self, wi: int, va, wj: int, vb) -> tuple[int, ...] | None:
-        """Bi-additive extension of the structure constants; None past the class."""
-        w = wi + wj
-        if w > self.class_:
-            return None
-        target_orders = self.orders[w - 1]
-        out = [0] * len(target_orders)
-        for a, ca in enumerate(va):
-            if not ca:
-                continue
-            for b, cb in enumerate(vb):
-                if not cb:
-                    continue
-                sc = self.table.get((wi, wj, a, b))
-                if sc is None:
-                    continue
-                f = ca * cb
-                for t, s in enumerate(sc):
-                    if s:
-                        out[t] = (out[t] + f * s) % target_orders[t]
-        return tuple(out)
-
     def brackets(self, wi: int, va: np.ndarray, wj: int, vb: np.ndarray) -> np.ndarray:
         """The bracket of each row of ``va`` with the same row of ``vb``, for wi + wj within the
-        class: one ``einsum`` against the constants as a (rank_i, rank_j, rank_{i+j}) array, exact
-        in int64 for |G| below 10^8, as each term is below |G|^2 and there are log2(|G|)^2 at most."""
-        constants = np.zeros([len(self.orders[w - 1]) for w in (wi, wj, wi + wj)], dtype=np.int64)
-        for (ki, kj, a, b), sc in self.table.items():
-            if (ki, kj) == (wi, wj):
-                constants[a, b] = sc
-        return np.einsum("na,nb,abt->nt", va, vb, constants) % self._moduli[wi + wj - 1]
-
-    def basis_unit(self, weight: int, index: int) -> tuple[int, ...]:
-        orders = self.orders[weight - 1]
-        return tuple(1 if i == index else 0 for i in range(len(orders)))
+        class: one ``einsum`` against ``constants[(wi, wj)]``, exact in int64 for |G| below
+        10^8, as each term is below |G|^2 and there are log2(|G|)^2 at most."""
+        return np.einsum("na,nb,abt->nt", va, vb, self.constants[(wi, wj)]) % self._moduli[wi + wj - 1]
 
 
 def lie_ring_of(G: Group, seed: int = 0) -> GradedLieRing:
@@ -135,19 +106,23 @@ def lie_ring_of(G: Group, seed: int = 0) -> GradedLieRing:
     terms = series.terms
     components = [abelian_section(terms[i], terms[i + 1]) for i in range(cls)]
     index = G._frame()[0].row_index()
-    table: dict[tuple[int, int, int, int], tuple[int, ...]] = {}
+    constants: dict[tuple[int, int], np.ndarray] = {}
     for wi in range(1, cls + 1):
-        for wj in range(1, cls + 1):
-            if wi + wj > cls:
-                continue
+        for wj in range(1, cls + 1 - wi):
             target = components[wi + wj - 1]
-            for a, u in enumerate(components[wi - 1].basis_at):
-                for b, v in enumerate(components[wj - 1].basis_at):
-                    code = int(target.root_codes[index.commutator(u, v)])
-                    if code < 0:
-                        raise InternalCheckError("commutator of lifted basis elements left the expected section")
-                    table[(wi, wj, a, b)] = target.vector(code)
-    ring = GradedLieRing(G, components, table)
+            codes = np.array(
+                [
+                    [target.root_codes[index.commutator(u, v)] for v in components[wj - 1].basis_at]
+                    for u in components[wi - 1].basis_at
+                ],
+                dtype=np.int64,
+            )
+            if (codes < 0).any():
+                raise InternalCheckError("commutator of lifted basis elements left the expected section")
+            vectors = np.stack(np.unravel_index(codes, target.orders), axis=-1).astype(np.int64)
+            vectors.flags.writeable = False
+            constants[(wi, wj)] = vectors
+    ring = GradedLieRing(G, components, constants)
     report = axiom_report(ring)
     bad = [name for name, ok in report.items() if not ok]
     if bad:
@@ -188,69 +163,57 @@ def _cross_check_brackets(ring: GradedLieRing, seed: int) -> None:
 
 
 def axiom_report(ring: GradedLieRing) -> dict[str, bool]:
-    """Exhaustive check of grading, alternating, bilinearity, and Jacobi."""
+    """Exhaustive check of grading, alternating, bilinearity, and Jacobi, on the constants' arrays."""
     report = {"grading": True, "alternating": True, "bilinear": True, "jacobi": True}
-    cls = ring.class_
-    for (wi, wj, a, b), sc in ring.table.items():
+    cls, C = ring.class_, ring.constants
+    for (wi, wj), Cij in C.items():
         w = wi + wj
-        if w > cls or len(sc) != len(ring.orders[w - 1]):
+        if w > cls or Cij.shape != tuple(len(ring.orders[v - 1]) for v in (wi, wj, w)):
             report["grading"] = False
             continue
-        target_orders = ring.orders[w - 1]
-        if any(not (0 <= s < m) for s, m in zip(sc, target_orders)):
+        m = ring._moduli[w - 1]
+        if ((Cij < 0) | (Cij >= m)).any():
             report["grading"] = False
-        oa = ring.orders[wi - 1][a]
-        ob = ring.orders[wj - 1][b]
-        if any((oa * s) % m for s, m in zip(sc, target_orders)) or any(
-            (ob * s) % m for s, m in zip(sc, target_orders)
-        ):
+        # the order of each argument's basis element kills its bracket
+        left, right = ring._moduli[wi - 1][:, None, None], ring._moduli[wj - 1][None, :, None]
+        if ((left * Cij) % m).any() or ((right * Cij) % m).any():
             report["bilinear"] = False
-        mirror = ring.table.get((wj, wi, b, a))
-        if mirror is None or mirror != tuple((-s) % m for s, m in zip(sc, target_orders)):
+        mirror = C.get((wj, wi))
+        if mirror is None or not np.array_equal(mirror, -Cij.transpose(1, 0, 2) % m):
             report["alternating"] = False
-        if wi == wj and a == b and any(sc):
+        if wi == wj and np.diagonal(Cij, axis1=0, axis2=1).any():
             report["alternating"] = False
-    # Jacobi on all basis triples with total weight inside the grading
-    for wi in range(1, cls + 1):
-        for wj in range(1, cls + 1):
-            for wk in range(1, cls + 1):
-                w = wi + wj + wk
-                if w > cls:
-                    continue
-                orders_t = ring.orders[w - 1]
-                for a in range(len(ring.orders[wi - 1])):
-                    ea = ring.basis_unit(wi, a)
-                    for b in range(len(ring.orders[wj - 1])):
-                        eb = ring.basis_unit(wj, b)
-                        ab = ring.bracket(wi, ea, wj, eb)
-                        for c in range(len(ring.orders[wk - 1])):
-                            ec = ring.basis_unit(wk, c)
-                            bc = ring.bracket(wj, eb, wk, ec)
-                            ca = ring.bracket(wk, ec, wi, ea)
-                            t1 = ring.bracket(wi + wj, ab, wk, ec)
-                            t2 = ring.bracket(wj + wk, bc, wi, ea)
-                            t3 = ring.bracket(wk + wi, ca, wj, eb)
-                            if any((x + y + z) % m for x, y, z, m in zip(t1, t2, t3, orders_t)):
-                                report["jacobi"] = False
+    # Jacobi on all basis triples with total weight inside the grading:
+    # [[a, b], c] + [[b, c], a] + [[c, a], b], each term indexed [a, b, c, t]
+    for wi, wj, wk in itertools.product(range(1, cls + 1), repeat=3):
+        if wi + wj + wk > cls:
+            continue
+        terms = (
+            np.einsum("abs,sct->abct", C[(wi, wj)], C[(wi + wj, wk)])
+            + np.einsum("bcs,sat->abct", C[(wj, wk)], C[(wj + wk, wi)])
+            + np.einsum("cas,sbt->abct", C[(wk, wi)], C[(wk + wi, wj)])
+        )
+        if (terms % ring._moduli[wi + wj + wk - 1]).any():
+            report["jacobi"] = False
     return report
 
 
 def with_corrupted_constant(ring: GradedLieRing, delta: int = 1) -> GradedLieRing:
-    """Mutation hook: a copy with one structure constant deliberately wrong.
+    """Mutation hook: a copy with one structure constant deliberately wrong, the first
+    in (wi, wj, a, b, t) order that ``delta`` changes.
 
     Used by the suite-sensitivity check; the copy skips construction-time
     verification so the corruption must be caught by the downstream checks.
     """
-    for key in sorted(ring.table):
-        wi, wj, _, _ = key
-        target_orders = ring.orders[wi + wj - 1]
-        for t, m in enumerate(target_orders):
-            if m > 1 and delta % m != 0:
-                table = dict(ring.table)
-                vec = list(table[key])
-                vec[t] = (vec[t] + delta) % m
-                table[key] = tuple(vec)
-                return GradedLieRing(ring.group, ring.components, table)
+    for wi, wj in sorted(ring.constants):
+        m = ring._moduli[wi + wj - 1]
+        changed = np.flatnonzero((m > 1) & (delta % m != 0))
+        if changed.size:
+            t = changed[0]
+            corrupted = ring.constants[(wi, wj)].copy()
+            corrupted[0, 0, t] = (corrupted[0, 0, t] + delta) % m[t]
+            corrupted.flags.writeable = False
+            return GradedLieRing(ring.group, ring.components, {**ring.constants, (wi, wj): corrupted})
     raise ValueError("ring has no structure constants available to corrupt")
 
 
@@ -292,10 +255,7 @@ class LieSubspace:
     @classmethod
     def full(cls, ring: GradedLieRing) -> "LieSubspace":
         masks = [np.ones(ring.component_order(w), dtype=bool) for w in range(1, ring.class_ + 1)]
-        gens = tuple(
-            tuple(ring.basis_unit(w, a) for a in range(len(ring.orders[w - 1])))
-            for w in range(1, ring.class_ + 1)
-        )
+        gens = tuple(tuple(map(tuple, np.eye(len(orders), dtype=int).tolist())) for orders in ring.orders)
         return cls(ring, masks, gens=gens)
 
     @classmethod
@@ -348,19 +308,13 @@ class LieSubspace:
     def bracket_with(self, other: "LieSubspace") -> "LieSubspace":
         # bi-additivity: brackets of generators span the bracket subspace
         ring = self.ring
-        per_weight: list[set] = [set() for _ in range(ring.class_)]
-        for wi in range(1, ring.class_ + 1):
-            gens_i = self.gens[wi - 1]
-            if not gens_i:
-                continue
-            for wj in range(1, ring.class_ + 1):
-                if wi + wj > ring.class_:
-                    continue
-                gens_j = other.gens[wj - 1]
-                bucket = per_weight[wi + wj - 1]
-                for va in gens_i:
-                    for vb in gens_j:
-                        bucket.add(ring.bracket(wi, va, wj, vb))
+        per_weight: list[list] = [[] for _ in range(ring.class_)]
+        for wi, wj in ring.constants:
+            left, right = self.gens[wi - 1], other.gens[wj - 1]
+            if left and right:
+                va = np.repeat(np.array(left, dtype=np.int64), len(right), axis=0)
+                vb = np.tile(np.array(right, dtype=np.int64), (len(left), 1))
+                per_weight[wi + wj - 1].extend(ring.brackets(wi, va, wj, vb))
         return LieSubspace.from_vectors(ring, per_weight)
 
 
@@ -403,7 +357,7 @@ def lie_subring_of_subgroup(L: GradedLieRing, G: Group, H: Group) -> LieSubspace
     h_mask = H.mask_over(L.group)
     masks = []
     for w in range(1, L.class_ + 1):
-        codes = L.element_codes(w)[h_mask]  # the codes of H and the numerator's common elements
+        codes = L.component(w).root_codes[h_mask]  # the codes of H and the numerator's common elements
         mask = np.zeros(L.component_order(w), dtype=bool)
         mask[codes[codes >= 0]] = True
         masks.append(mask)
@@ -489,9 +443,12 @@ class LieAction:
                 hits = np.bincount(ring.codes(w, vectors @ matrix), minlength=len(vectors))
                 if np.count_nonzero(hits) != len(vectors):
                     raise InternalCheckError("induced component map is not bijective")
-            for (wi, wj, a, b), sc in ring.table.items():
-                right = ring.bracket(wi, matrices[wi - 1][a].tolist(), wj, matrices[wj - 1][b].tolist())
-                if self.apply(u, wi + wj, sc) != right:
+            # phi_u([e_a, e_b]) against [phi_u(e_a), phi_u(e_b)], over every pair (a, b) of each weight pair
+            for (wi, wj), C in ring.constants.items():
+                left, right = matrices[wi - 1], matrices[wj - 1]
+                a, b = np.divmod(np.arange(len(left) * len(right)), len(right))
+                images = (C.reshape(len(a), -1) @ matrices[wi + wj - 1]) % ring._moduli[wi + wj - 1]
+                if not np.array_equal(images, ring.brackets(wi, left[a], wj, right[b])):
                     raise InternalCheckError("induced action does not commute with the bracket")
 
 
@@ -537,19 +494,13 @@ def check_class_transfer(L: GradedLieRing, G: Group) -> bool:
     return lie_class == nilpotency_class(G)
 
 
-@dataclass(frozen=True)
-class SpanLemmaOutcome:
-    status: CheckStatus
-    detail: str = ""
-
-
 def check_span_lemma(
     L: GradedLieRing,
     setup: ActionSetup,
     subspaces: list[LieSubspace],
     mode: str,
     action: LieAction | None = None,
-) -> SpanLemmaOutcome:
+) -> CheckResult:
     """Closure hypothesis plus additive-span conclusion for a subspace family.
 
     Mode "pairwise" checks [R_i, R_j] ^ C(A_k) <= R_m; mode "gamma" checks
@@ -559,7 +510,7 @@ def check_span_lemma(
     if mode not in ("pairwise", "gamma"):
         raise PreconditionError(f"unknown span-lemma mode {mode!r}")
     if not subspaces:
-        return SpanLemmaOutcome(CheckStatus.NOT_APPLICABLE, "no input subspaces")
+        return CheckResult(CheckStatus.NOT_APPLICABLE, "no input subspaces")
     for orders in L.orders:
         if any(m % setup.p == 0 for m in orders):
             raise InternalCheckError("pL = L fails: a section order is divisible by p")
@@ -579,7 +530,7 @@ def check_span_lemma(
             break
         generated = bigger
     if not generated.is_full():
-        return SpanLemmaOutcome(
+        return CheckResult(
             CheckStatus.NOT_APPLICABLE, "input subspaces do not generate the ring"
         )
 
@@ -613,7 +564,7 @@ def check_span_lemma(
             escapes |= (cents[w] & mask).astype(misses[w].dtype) @ misses[w] > 0
         outside = np.flatnonzero(escapes.all(axis=1))
         if outside.size:
-            return SpanLemmaOutcome(
+            return CheckResult(
                 CheckStatus.HYPOTHESIS_NOT_MET,
                 f"{label} ^ C(A_{outside[0]}) is not inside any input subspace",
             )
@@ -622,17 +573,5 @@ def check_span_lemma(
     for R in subspaces[1:]:
         span = span.sum_with(R)
     if span.is_full():
-        return SpanLemmaOutcome(CheckStatus.PASS)
-    return SpanLemmaOutcome(CheckStatus.FAIL, "additive span of the family is proper")
-
-
-def ring_to_json(L: GradedLieRing) -> dict:
-    """JSON-exportable view: invariant factors per component, bracket table."""
-    return {
-        "class": L.class_,
-        "components": [{"weight": w + 1, "orders": list(orders)} for w, orders in enumerate(L.orders)],
-        "brackets": [
-            {"weights": [wi, wj], "pair": [a, b], "value": list(vec)}
-            for (wi, wj, a, b), vec in sorted(L.table.items())
-        ],
-    }
+        return CheckResult(CheckStatus.PASS)
+    return CheckResult(CheckStatus.FAIL, "additive span of the family is proper")

@@ -28,11 +28,10 @@ MAX_SERIES_LENGTH = 64
 
 @dataclass(frozen=True)
 class SeriesResult:
-    """A subgroup series together with its stabilization data."""
+    """A subgroup series and its class or length: None when it stabilizes short of its end term."""
 
     kind: str
     terms: tuple[Group, ...]
-    stabilized: bool
     class_or_length: int | None
 
 
@@ -63,7 +62,6 @@ def _descending_series(G: Group, kind: str, step) -> SeriesResult:
     return SeriesResult(
         kind=kind,
         terms=terms,
-        stabilized=True,
         class_or_length=len(terms) - 1 if terms[-1].is_trivial else None,
     )
 
@@ -104,7 +102,6 @@ def upper_central_series(G: Group) -> SeriesResult:
     return SeriesResult(
         kind="upper-central",
         terms=tuple(terms),
-        stabilized=True,
         class_or_length=len(terms) - 1 if reached else None,
     )
 

@@ -253,18 +253,3 @@ def check_key_commutator_relation(
                 return False
     return True
 
-
-def family_to_json(family: SpecialFamily) -> dict:
-    """JSON-exportable view: member orders, generators, provenance recipes."""
-    return {
-        "kind": family.kind,
-        "degree": family.degree,
-        "members": [
-            {
-                "order": member.order,
-                "generators": [list(g.images) for g in member.generators],
-                "recipe": list(recipe),
-            }
-            for member, recipe in zip(family.members, family.provenance)
-        ],
-    }

@@ -389,6 +389,70 @@ def brute_greedy_generators(orders, seeds) -> tuple[tuple[int, ...], ...]:
     return tuple(gens)
 
 
+def brute_bracket(orders, constants, wi: int, va, wj: int, vb) -> tuple[int, ...] | None:
+    """The bi-additive expansion of the structure constants ``constants[(wi, wj)][a][b]``, one
+    scalar term at a time, each coordinate reduced mod the weight wi + wj orders; None past the class."""
+    w = wi + wj
+    if w > len(orders):
+        return None
+    target = orders[w - 1]
+    table = constants[(wi, wj)].tolist()
+    out = [0] * len(target)
+    for a, ca in enumerate(va):
+        for b, cb in enumerate(vb):
+            for t, s in enumerate(table[a][b]):
+                out[t] = (out[t] + ca * cb * s) % target[t]
+    return tuple(out)
+
+
+def brute_axiom_report(orders, constants) -> dict[str, bool]:
+    """Grading, alternation, bilinearity and Jacobi, one basis pair or triple at a time:
+    each constant's range and the orders of its arguments, each pair against its mirror,
+    and each triple's three nested ``brute_bracket`` terms."""
+    report = {"grading": True, "alternating": True, "bilinear": True, "jacobi": True}
+    cls = len(orders)
+    table = {
+        (wi, wj, a, b): tuple(sc)
+        for (wi, wj), array in constants.items()
+        for a, row in enumerate(array.tolist())
+        for b, sc in enumerate(row)
+    }
+    for (wi, wj, a, b), sc in table.items():
+        w = wi + wj
+        if w > cls or len(sc) != len(orders[w - 1]):
+            report["grading"] = False
+            continue
+        target = orders[w - 1]
+        if any(not 0 <= s < m for s, m in zip(sc, target)):
+            report["grading"] = False
+        oa, ob = orders[wi - 1][a], orders[wj - 1][b]
+        if any((oa * s) % m or (ob * s) % m for s, m in zip(sc, target)):
+            report["bilinear"] = False
+        if table.get((wj, wi, b, a)) != tuple((-s) % m for s, m in zip(sc, target)):
+            report["alternating"] = False
+        if wi == wj and a == b and any(sc):
+            report["alternating"] = False
+
+    def unit(w, i):
+        return tuple(int(j == i) for j in range(len(orders[w - 1])))
+
+    def bracket(wi, va, wj, vb):
+        return brute_bracket(orders, constants, wi, va, wj, vb)
+
+    for wi, wj, wk in itertools.product(range(1, cls + 1), repeat=3):
+        if wi + wj + wk > cls:
+            continue
+        ranks = (range(len(orders[w - 1])) for w in (wi, wj, wk))
+        for a, b, c in itertools.product(*ranks):
+            ea, eb, ec = unit(wi, a), unit(wj, b), unit(wk, c)
+            t1 = bracket(wi + wj, bracket(wi, ea, wj, eb), wk, ec)
+            t2 = bracket(wj + wk, bracket(wj, eb, wk, ec), wi, ea)
+            t3 = bracket(wk + wi, bracket(wk, ec, wi, ea), wj, eb)
+            if any((x + y + z) % m for x, y, z, m in zip(t1, t2, t3, orders[wi + wj + wk - 1])):
+                report["jacobi"] = False
+    return report
+
+
 def brute_abelian_section(num_elements, den_elements):
     """Greedy cyclic decomposition of the abelian quotient num/den, over Perm products.
 

@@ -25,7 +25,6 @@ from coprime_lab.lie import (
     lie_ring_of,
     lie_series,
     lie_subring_of_subgroup,
-    ring_to_json,
     with_corrupted_constant,
 )
 from coprime_lab.perms import Perm
@@ -61,7 +60,7 @@ def heis_setup(k=2):
 def test_abelian_ring_single_component():
     L = lie_ring_of(abelian())
     assert L.class_ == 1
-    assert L.table == {}
+    assert L.constants == {}
     assert all(axiom_report(L).values())
 
 
@@ -69,11 +68,12 @@ def test_heisenberg_ring_components_and_bracket():
     G = heisenberg27()
     L = lie_ring_of(G)
     assert [L.component_order(w) for w in (1, 2)] == [9, 3]
+    assert L.orders == ((3, 3), (3,)) and L.class_ == 2
+    assert L.constants.keys() == {(1, 1)} and L.constants[(1, 1)].shape == (2, 2, 1)
     # bracket of the two weight-1 basis vectors spans component 2
-    e0 = L.basis_unit(1, 0)
-    e1 = L.basis_unit(1, 1)
-    out = L.bracket(1, e0, 1, e1)
-    assert any(out)
+    e0, e1 = np.eye(2, dtype=np.int64)
+    out = L.brackets(1, e0[None], 1, e1[None])
+    assert out.shape == (1, 1) and out.any()
 
 
 def test_wreath_ring_class_three():
@@ -202,12 +202,9 @@ def test_cross_check_catches_corruption():
 def test_cross_check_rejects_doubled_constants_that_satisfy_every_axiom():
     """2[x, y] is a Lie bracket too, so only the group commutators can tell it from [x, y]."""
     L = lie_ring_of(heisenberg27())
-    table = {
-        (wi, wj, a, b): tuple(2 * s % m for s, m in zip(sc, L.orders[wi + wj - 1]))
-        for (wi, wj, a, b), sc in L.table.items()
-    }
-    bad = GradedLieRing(L.group, L.components, table)
-    assert bad.table != L.table
+    constants = {(wi, wj): 2 * C % L._moduli[wi + wj - 1] for (wi, wj), C in L.constants.items()}
+    bad = GradedLieRing(L.group, L.components, constants)
+    assert not np.array_equal(bad.constants[(1, 1)], L.constants[(1, 1)])
     assert all(axiom_report(bad).values())
     # each seed draws other pairs; on some, the first pair commutes
     for seed in range(10):
@@ -224,14 +221,6 @@ def test_span_memo_keeps_apart_weights_of_one_order():
     assert _span_and_gens(ring, 1, one)[0].all()
     assert _span_and_gens(ring, 2, one)[0].tolist() == [True] * 3 + [False] * 6
     assert _span_and_gens(ring, 1, one)[1] == ((1,),) and _span_and_gens(ring, 2, one)[1] == ((0, 1),)
-
-
-def test_ring_json_shape():
-    L = lie_ring_of(heisenberg27())
-    data = ring_to_json(L)
-    assert data["class"] == 2
-    assert [c["orders"] for c in data["components"]] == [[3, 3], [3]]
-    assert all(len(b["value"]) == 1 for b in data["brackets"])
 
 
 def test_pl_equals_l_guard():

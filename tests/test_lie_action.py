@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,10 +11,12 @@ from coprime_lab.action import ASubgroupDescriptor, ActionSetup, Automorphism, m
 from coprime_lab.errors import InternalCheckError, ValidationError
 from coprime_lab.groups import group_from_generators
 from coprime_lab.harness import InstanceContext, lemma_report
-from coprime_lab.instances import PRESETS, build_setup, preset_entries
+from coprime_lab.instances import PRESETS, build_setup, nilpotent_zoo, preset_entries
 from coprime_lab.lie import (
+    GradedLieRing,
     LieAction,
     LieSubspace,
+    axiom_report,
     check_span_lemma,
     induced_a_action,
     lie_ring_of,
@@ -27,12 +30,14 @@ from bruteforce import (
     brute_abelian_section,
     brute_action_tables,
     brute_additive_closure,
+    brute_axiom_report,
+    brute_bracket,
     brute_fixed_cosets,
     brute_greedy_generators,
     brute_lower_central_series,
     brute_span,
 )
-from test_lie import heis_setup
+from test_lie import heis_setup, heisenberg27
 
 # every one of them is nilpotent: class 2 for smoke-02 and p2k3-06, class 1 for the rest
 ORACLE_INSTANCES = [
@@ -159,6 +164,19 @@ def test_verify_rejects_a_component_map_that_is_not_bijective():
         action.verify()
 
 
+def test_verify_rejects_a_component_map_that_does_not_commute_with_the_bracket():
+    """phi(u) negated on weight 2 alone is still bijective on each component, but it maps each
+    nonzero bracket [x, y] of the odd-order ring to -[phi(x), phi(y)]."""
+    setup, ring = smoke02()
+    action = LieAction(ring, setup)
+    action.verify()
+    u = setup.basis_vectors()[0]
+    maps = action._maps[u]
+    action._maps[u] = (maps[0], -maps[1] % ring._moduli[1])
+    with pytest.raises(InternalCheckError, match="does not commute with the bracket"):
+        action.verify()
+
+
 def inverting_setup():
     """Heis27 with a1 inverting t and v, and a2 trivial: all of A fixes [t, v]."""
     G, _ = heis_setup()
@@ -192,29 +210,64 @@ def test_span_lemma_names_the_first_centralizer_that_breaks_the_hypothesis(make_
     assert out.detail == f"{detail} is not inside any input subspace"
 
 
-def test_batched_brackets_match_the_bracket_on_every_nilpotent_preset():
-    """``brackets`` against ``bracket`` on every pair of basis units, and on 200 random
-    vector pairs per weight pair, for the ring of every nilpotent preset instance."""
+@pytest.fixture(scope="module")
+def preset_rings():
+    """The ring of every nilpotent preset instance."""
+    setups = (build_setup(spec) for info in PRESETS.values() for _, spec in info.entries)
+    return [lie_ring_of(setup.G) for setup in setups if nilpotency_class(setup.G) is not None]
+
+
+def test_batched_brackets_match_the_bracket_on_every_nilpotent_preset(preset_rings):
+    """``brackets`` against the scalar expansion ``brute_bracket`` on every pair of basis
+    units, and on 200 random vector pairs per weight pair, for the ring of every nilpotent
+    preset instance."""
     rng = np.random.default_rng(0)
-    rings = pairs = 0
-    for info in PRESETS.values():
-        for _, spec in info.entries:
-            G = build_setup(spec).G
-            if nilpotency_class(G) is None:
+    pairs = 0
+    for ring in preset_rings:
+        for wi, wj in itertools.product(range(1, ring.class_), repeat=2):
+            if wi + wj > ring.class_:
                 continue
-            ring, rings = lie_ring_of(G), rings + 1
-            for wi, wj in itertools.product(range(1, ring.class_), repeat=2):
-                if wi + wj > ring.class_:
-                    continue
-                ranks = len(ring.orders[wi - 1]), len(ring.orders[wj - 1])
-                a, b = np.divmod(np.arange(ranks[0] * ranks[1]), ranks[1])  # every pair of basis units
-                units = np.eye(ranks[0], dtype=np.int64)[a], np.eye(ranks[1], dtype=np.int64)[b]
-                drawn = [ring.vectors(w)[rng.integers(ring.component_order(w), size=200)] for w in (wi, wj)]
-                for va, vb in (units, drawn):
-                    got = ring.brackets(wi, va, wj, vb).tolist()
-                    assert got == [list(ring.bracket(wi, x, wj, y)) for x, y in zip(va.tolist(), vb.tolist())]
-                pairs += 1
-    assert rings == 35 and pairs > 0
+            ranks = len(ring.orders[wi - 1]), len(ring.orders[wj - 1])
+            a, b = np.divmod(np.arange(ranks[0] * ranks[1]), ranks[1])  # every pair of basis units
+            units = np.eye(ranks[0], dtype=np.int64)[a], np.eye(ranks[1], dtype=np.int64)[b]
+            drawn = [ring.vectors(w)[rng.integers(ring.component_order(w), size=200)] for w in (wi, wj)]
+            for va, vb in (units, drawn):
+                got = ring.brackets(wi, va, wj, vb).tolist()
+                expected = [brute_bracket(ring.orders, ring.constants, wi, x, wj, y) for x, y in zip(va.tolist(), vb.tolist())]
+                assert got == [list(vec) for vec in expected]
+            pairs += 1
+    assert len(preset_rings) == 35 and pairs > 0
+
+
+def test_axiom_report_matches_the_brute_report_on_every_ring(preset_rings):
+    """``axiom_report``'s array tests against the scalar loops of ``brute_axiom_report``, key by
+    key: every nilpotent preset and zoo ring, each also with a constant corrupted by 1 and by 2,
+    the Heisenberg ring with doubled constants and with one constant out of range, and a ring
+    with one one-sided constant, whose left argument's order kills it and whose right
+    argument's does not."""
+    base = preset_rings + [lie_ring_of(G) for _, G in nilpotent_zoo()]
+    rings = list(base)
+    for ring in base:
+        if ring.constants:  # a class-1 ring has no constant to corrupt
+            rings += [with_corrupted_constant(ring, 1), with_corrupted_constant(ring, 2)]
+    heis = lie_ring_of(heisenberg27())
+    doubled = {key: 2 * C % heis._moduli[sum(key) - 1] for key, C in heis.constants.items()}
+    out_of_range = heis.constants[(1, 1)] + np.array([[[0], [3]], [[0], [0]]])
+    rings.append(GradedLieRing(heis.group, heis.components, doubled))
+    rings.append(GradedLieRing(heis.group, heis.components, {(1, 1): out_of_range}))
+    one_sided = np.zeros((2, 2, 1), dtype=np.int64)
+    one_sided[1, 0] = 1  # [e_1, e_0] with |e_1| = 9 and |e_0| = 3 in a component of order 9
+    components = [SimpleNamespace(orders=(3, 9)), SimpleNamespace(orders=(9,))]
+    rings.append(GradedLieRing(None, components, {(1, 1): one_sided}))
+    reports = [(axiom_report(ring), brute_axiom_report(ring.orders, ring.constants)) for ring in rings]
+    assert len(rings) >= 100
+    for got, expected in reports:
+        assert got.keys() == expected.keys()
+        for key in expected:
+            assert got[key] == expected[key], key
+    # the corrupted rings fail some axiom, and each axiom fails on some ring
+    assert all(not all(got.values()) for got, _ in reports[len(base):-3])
+    assert all(any(not got[key] for got, _ in reports) for key in reports[0][0])
 
 
 @pytest.mark.parametrize("instance_id", ["p2k3-06-c3swap-heis-c5", "p3k3-07-c7-c7-c13", "p3k3-08-c7-mixed"])
@@ -231,5 +284,5 @@ def test_span_memo_after_the_lemma_suite_matches_brute_closure(instance_id):
         assert picked == brute_greedy_generators(orders, seeds)
         assert set(map(tuple, ring.vectors(w)[span].tolist())) == brute_additive_closure(orders, picked)
         assert not span.flags.writeable
-    if ring.table:  # a class-1 ring has no constant to corrupt
+    if ring.constants:  # a class-1 ring has no constant to corrupt
         assert with_corrupted_constant(ring)._spans == {}
