@@ -68,12 +68,17 @@ def test_heisenberg_ring_components_and_bracket():
     G = heisenberg27()
     L = lie_ring_of(G)
     assert [L.component_order(w) for w in (1, 2)] == [9, 3]
-    assert L.orders == ((3, 3), (3,)) and L.class_ == 2
-    assert L.constants.keys() == {(1, 1)} and L.constants[(1, 1)].shape == (2, 2, 1)
     # bracket of the two weight-1 basis vectors spans component 2
     e0, e1 = np.eye(2, dtype=np.int64)
     out = L.brackets(1, e0[None], 1, e1[None])
     assert out.shape == (1, 1) and out.any()
+
+
+def test_heisenberg_ring_orders_class_and_constant_shapes():
+    L = lie_ring_of(heisenberg27())
+    assert L.orders == ((3, 3), (3,)) and L.class_ == 2
+    # one weight pair, and each bracket of basis vectors has one coordinate
+    assert L.constants.keys() == {(1, 1)} and L.constants[(1, 1)].shape == (2, 2, 1)
 
 
 def test_wreath_ring_class_three():
