@@ -455,7 +455,7 @@ def check_fg2_generation(setup: ActionSetup, H: Group) -> bool:
         raise PreconditionError("H is not A-invariant")
     h_mask = H.mask_over(setup.G)
     parts = [Group.from_mask(setup.G, h_mask & _fixed_mask(setup, A_j)) for A_j in maximal_subgroups(setup)]
-    generated = generated_subgroup(setup.G.degree, parts, cap=setup.G.cap)
+    generated = generated_subgroup(setup.G, parts)
     if generated.order != H.order:
         return False
     if is_nilpotent(H):

@@ -16,7 +16,7 @@ from .harness import (
     run_suite,
     summary_csv,
 )
-from .instances import PRESETS, build_setup, preset_entries, save_instance
+from .instances import build_setup, preset_entries, save_instance
 
 
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
@@ -25,7 +25,7 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0, help="seed for randomized sub-checks")
     parser.add_argument("--cap", type=int, default=None, help="enumeration cap override")
     parser.add_argument("--mode", choices=["derived", "gamma", "both"], default="both")
-    parser.add_argument("--d", type=int, default=None, help="derived depth d")
+    parser.add_argument("--d", type=int, default=None, help="derived depth d (default: largest with 2^d + 2 <= k)")
     parser.add_argument("--out", default=None, help="output directory")
     parser.add_argument("--jobs", type=int, default=os.cpu_count() or 1, help="worker processes")
     parser.add_argument("--format", choices=["json", "csv", "both"], default="both")
@@ -60,13 +60,7 @@ def _cmd_check(args) -> int:
     if duplicates:
         print(f"check: duplicate instance ids {duplicates} would overwrite each other's reports", file=sys.stderr)
         return 2
-    options = SuiteOptions(
-        mode=args.mode,
-        d=args.d if args.d is not None else _default_d(args.preset),
-        seed=args.seed,
-        cap=args.cap,
-        jobs=args.jobs,
-    )
+    options = SuiteOptions(mode=args.mode, d=args.d, seed=args.seed, cap=args.cap, jobs=args.jobs)
     result = run_suite(entries, options)
     rows = result.summary_rows()
     for row in rows:
@@ -89,13 +83,6 @@ def _cmd_check(args) -> int:
     errored = sum(r.status == "error" for r in result.reports)
     print(f"{len(result.reports)} reports, {failed} failed, {errored} errored")
     return result.exit_code
-
-
-def _default_d(presets: list[str]) -> int | None:
-    ds = {PRESETS[p].d for p in presets if p in PRESETS}
-    if len(ds) == 1:
-        return ds.pop()
-    return None
 
 
 def _cmd_report(args) -> int:

@@ -11,10 +11,14 @@ subgroup grows one generator at a time, and by one right coset of the
 subgroup generated so far at a time, so each mask it grows from must be the
 subgroup that its generators generate.  The generators of a subgroup given
 by its mask, and a commutator subgroup [H, K], are computed once per mask,
-or pair of masks, and kept in the index's memo.  Sylow subgroups and abelian
-sections read the index's power columns, x -> x^d at divisors d of the
-root's order, so an abelian section runs over the root's index, restricted
-to its numerator's mask, and keeps one code per element of that index.
+or pair of masks, and kept in the index's memo.  A relation between two groups
+(containment, equality, normality, the subgroup that several generate) is decided
+from generators (Seress 2003, ch. 3) over one root's index: K contains H when K's
+mask holds H's generators, mapped by ``Group._gens_over``, the one place that maps
+a group onto another root.  Sylow subgroups and abelian sections read the index's
+power columns, x -> x^d at divisors d of the root's order, so an abelian section
+runs over the root's index, restricted to its numerator's mask, and keeps one code
+per element of that index.
 """
 
 from __future__ import annotations
@@ -104,10 +108,12 @@ class Group:
     and is then the root of its own row index.  A subgroup built inside an
     enumerated group is a bool mask over its root's index, with its
     generators' indices; its generators are made as ``Perm`` objects only
-    when asked for.
+    when asked for.  Its mask is read-only and its order counted once.  A
+    relation with another group reads that group's generator indices over
+    this group's root (``_gens_over``) and composes no ``Perm``.
     """
 
-    __slots__ = ("degree", "_generators", "cap", "_rows", "_root", "_mask", "_at", "__weakref__")
+    __slots__ = ("degree", "_generators", "cap", "_rows", "_root", "_mask", "_at", "_order", "__weakref__")
 
     def __init__(self, degree: int, generators: Iterable = (), cap: int | None = None):
         if not isinstance(degree, int) or degree < 1:
@@ -137,6 +143,9 @@ class Group:
         self._root: Group | None = root
         self._mask: np.ndarray | None = mask
         self._at: np.ndarray | None = at
+        self._order: int | None = None
+        if mask is not None:
+            mask.setflags(write=False)
         return self
 
     @classmethod
@@ -172,12 +181,20 @@ class Group:
             self.row_index()
         return self._root or self, self._mask, self._at
 
+    def _gens_over(self, root: "Group") -> np.ndarray:
+        """Generator indices over ``root``'s index, -1 for a generator outside it: the one
+        mapping between roots.  A group of ``root`` gives its own; any other group's
+        generators are looked up by position."""
+        if (self._root or self) is root:
+            return self._frame()[2]
+        if self.degree != root.degree:
+            return np.full(len(self.generators), -1, dtype=np.intp)
+        return root.row_index().positions(self.generators)
+
     def _over(self, root: "Group") -> tuple[np.ndarray, np.ndarray]:
         """Mask and generator indices over ``root``'s index, regenerated there for a group of another root."""
-        if self._mask is not None and (self._root or self) is root:
-            return self._mask, self._at
-        regenerated = generated_in(root, self.generators)
-        return regenerated._mask, regenerated._at
+        over = self if (self._root or self) is root else generated_subgroup(root, [self])
+        return over._frame()[1:]
 
     def mask_over(self, ambient: "Group") -> np.ndarray:
         """This group's elements as a bool mask over the index of ambient's root."""
@@ -185,7 +202,9 @@ class Group:
 
     @property
     def order(self) -> int:
-        return int(np.count_nonzero(self._frame()[1]))
+        if self._order is None:
+            self._order = int(np.count_nonzero(self._frame()[1]))
+        return self._order
 
     def contains(self, x: Perm) -> bool:
         if not isinstance(x, Perm):
@@ -213,6 +232,7 @@ class Group:
             self._rows = RowIndex(rows, rows_of(self.generators, self.degree), translates, tree)
             if self._root is None:
                 self._mask = np.ones(len(rows), dtype=bool)
+                self._mask.setflags(write=False)
                 self._at = self._rows.gens
         return self._rows
 
@@ -220,31 +240,25 @@ class Group:
     def is_trivial(self) -> bool:
         return self.order == 1
 
-    def _shares_root(self, other: "Group") -> bool:
-        both = self._mask is not None and other._mask is not None
-        return both and (self._root or self) is (other._root or other)
-
     def is_subgroup_of(self, other: "Group") -> bool:
-        if self.degree != other.degree:
-            return False
-        if self._shares_root(other):
-            return other._root is None or not (self._mask & ~other._mask).any()
-        return all(other.contains(g) for g in self.generators)
+        """Whether ``other``'s mask holds every generator; a group of root R lies in R."""
+        if (self._root or self) is other:
+            return True
+        root, mask, _ = other._frame()
+        at = self._gens_over(root)
+        return self.degree == other.degree and all(i >= 0 and mask[i] for i in at.tolist())
 
     def same_subgroup(self, other: "Group") -> bool:
-        if self._shares_root(other):
-            return np.array_equal(self._mask, other._mask)
-        return (
-            self.degree == other.degree
-            and self.order == other.order
-            and all(self.contains(g) for g in other.generators)
-        )
+        return self.order == other.order and self.is_subgroup_of(other)
 
     def is_normal_in(self, ambient: "Group") -> bool:
-        if self._shares_root(ambient):
-            index = (self._root or self).row_index()
-            return all(self._mask[index.conjugates(self._at, g)].all() for g in ambient._at.tolist())
-        return all(self.contains(g.inverse() * x * g) for g in ambient.generators for x in self.generators)
+        """Whether this is a subgroup of ``ambient`` that each generator of ``ambient`` conjugates into itself."""
+        if not self.is_subgroup_of(ambient):
+            return False
+        root, _, conjugators = ambient._frame()
+        mask, at = self._over(root)
+        index = root.row_index()
+        return all(mask[index.conjugates(at, g)].all() for g in conjugators.tolist())
 
     def random_element(self, rng) -> Perm:
         root, mask, _ = self._frame()
@@ -325,24 +339,13 @@ def group_from_generators(degree: int, gens: Iterable, cap: int | None = None) -
 
 
 def generated_in(ambient: Group, gens: Iterable[Perm]) -> Group:
-    """The subgroup of ``ambient`` generated by ``gens``, as a mask over its root's index;
-    its generators are the ``gens`` that the ones before them do not generate."""
-    root, inside, _ = ambient._frame()
-    index = root.row_index()
-    at = index.positions(list(gens))
-    if (at < 0).any() or not inside[at].all():
-        raise ContainmentError("a generator lies outside the ambient group")
-    return Group._in(root, *_grow(index, index.unit(), [], at))
+    """The subgroup of ``ambient`` generated by ``gens``, as a mask over its root's index."""
+    return _generated(ambient, ambient._frame()[0].row_index().positions(list(gens)))
 
 
 def is_member(G: Group, x: Perm) -> bool:
     """Membership test; agrees with exhaustive enumeration when cached."""
     return G.contains(x)
-
-
-def _require_subgroup(H: Group, ambient: Group, name: str) -> None:
-    if H.degree != ambient.degree or not H.is_subgroup_of(ambient):
-        raise ContainmentError(f"{name} is not a subgroup of the ambient group")
 
 
 def normal_closure(generators: Iterable[Perm], ambient: Group) -> Group:
@@ -362,8 +365,9 @@ def commutator_subgroup(H: Group, K: Group, ambient: Group) -> Group:
     computed once per pair of masks over the root's index and kept in the
     index's memo as read-only arrays.
     """
-    _require_subgroup(H, ambient, "H")
-    _require_subgroup(K, ambient, "K")
+    for name, part in (("H", H), ("K", K)):
+        if not part.is_subgroup_of(ambient):
+            raise ContainmentError(f"{name} is not a subgroup of the ambient group")
     root = ambient._frame()[0]
     index = root.row_index()
     (h_mask, h_at), (k_mask, k_at) = H._over(root), K._over(root)
@@ -383,9 +387,9 @@ def intersection(H: Group, K: Group) -> Group:
     """H intersect K: the meet of their masks, over H's root when the roots differ."""
     if H.degree != K.degree:
         raise ValidationError("cannot intersect groups of different degree")
-    if H._shares_root(K):
-        return Group.from_mask(H, H._mask & K._mask)
     (h_root, h_mask, _), (k_root, k_mask, _) = H._frame(), K._frame()
+    if h_root is k_root:
+        return Group.from_mask(H, h_mask & k_mask)
     inside = np.flatnonzero(h_mask)
     found = k_root.row_index()._find(h_root.row_index().rows[inside])
     meet = np.zeros_like(h_mask)
@@ -393,14 +397,20 @@ def intersection(H: Group, K: Group) -> Group:
     return Group.from_mask(H, meet)
 
 
-def generated_subgroup(degree: int, parts: Iterable[Group], cap: int | None = None) -> Group:
-    """Subgroup generated by the union of the given subgroups."""
-    parts = list(parts)
-    if parts and all(part._shares_root(parts[0]) for part in parts):
-        root = parts[0]._frame()[0]
-        index = root.row_index()
-        return Group._in(root, *_grow(index, index.unit(), [], np.concatenate([part._at for part in parts])))
-    return Group(degree, [g for part in parts for g in part.generators], cap=cap)
+def generated_subgroup(ambient: Group, parts: Iterable[Group]) -> Group:
+    """The subgroup of ``ambient`` generated by the union of ``parts``, over its root's index."""
+    root = ambient._frame()[0]
+    return _generated(ambient, np.concatenate([np.zeros(0, dtype=np.intp)] + [part._gens_over(root) for part in parts]))
+
+
+def _generated(ambient: Group, at: np.ndarray) -> Group:
+    """The subgroup of ``ambient`` generated by the elements at ``at``, over its root's index, with
+    those not generated by the ones before as its generators; ContainmentError for one outside."""
+    root, inside, _ = ambient._frame()
+    if (at < 0).any() or not inside[at].all():
+        raise ContainmentError("a generator lies outside the ambient group")
+    index = root.row_index()
+    return Group._in(root, *_grow(index, index.unit(), [], at))
 
 
 def _conjugation_maps(G: Group) -> tuple[RowIndex, np.ndarray, list[np.ndarray]]:
@@ -617,7 +627,7 @@ def abelian_section(numerator: Group, denominator: Group) -> AbelianSection:
     ends with an exhaustive bijection check.  It runs over the index of the
     numerator's root, on that index's power columns.
     """
-    if denominator.degree != numerator.degree or not denominator.is_subgroup_of(numerator):
+    if not denominator.is_subgroup_of(numerator):
         raise PreconditionError("denominator is not a subgroup of the numerator")
     if not denominator.is_normal_in(numerator):
         raise PreconditionError("denominator is not normal in the numerator")

@@ -435,7 +435,7 @@ def verify_gamma_theorem(
 @dataclass
 class SuiteOptions:
     mode: str = "both"  # "derived" | "gamma" | "both"
-    d: int | None = None
+    d: int | None = None  # None: per instance, the largest d with 2^d + 2 <= k
     seed: int = 0
     cap: int | None = None
     jobs: int = 1
@@ -491,7 +491,7 @@ def run_instance(
     ctx = InstanceContext(setup, instance_id, seed=options.seed)
     reports = [lemma_report(ctx)]
     if setup.k >= 3 and options.mode in ("derived", "both"):
-        d = options.d if options.d is not None else 0
+        d = options.d if options.d is not None else (setup.k - 2).bit_length() - 1
         if 2**d + 2 <= setup.k:
             reports.append(verify_derived_theorem(setup, d, ctx=ctx))
     if setup.k >= 3 and options.mode in ("gamma", "both"):

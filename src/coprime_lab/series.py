@@ -169,4 +169,4 @@ def o_r(G: Group, r: int) -> Group:
 def fitting_subgroup(G: Group) -> Group:
     """Largest nilpotent normal subgroup, the product of the O_r(G)."""
     parts = [o_r(G, r) for r in _prime_factors(G.order)]
-    return generated_subgroup(G.degree, parts, cap=G.cap)
+    return generated_subgroup(G, parts)

@@ -139,7 +139,7 @@ def check_aspecial_containment(families: list[SpecialFamily]) -> bool:
 def check_aspecial_generation(setup: ActionSetup, families: list[SpecialFamily]) -> bool:
     """<members of degree i> equals G^(i) (a-special) or gamma_i(G) (gamma)."""
     for family in families:
-        generated = generated_subgroup(setup.G.degree, family.members, cap=setup.G.cap)
+        generated = generated_subgroup(setup.G, family.members)
         term, _ = _KIND_TERM_AND_CODIM[family.kind]
         if not generated.same_subgroup(term(setup.G, family.degree)):
             return False
@@ -208,7 +208,7 @@ def check_sylow_generation(
         families = a_special_lattice(setup, d)
     members = family_at(families, d).members
     parts = [intersection(R, H) for H in members]
-    generated = generated_subgroup(setup.G.degree, parts, cap=setup.G.cap)
+    generated = generated_subgroup(setup.G, parts)
     return generated.same_subgroup(R)
 
 

@@ -29,6 +29,7 @@ from coprime_lab.harness import (
     aggregate_rows,
     find_invariant_normal_subgroups,
     random_invariant_subgroups,
+    run_instance,
     run_suite,
     summary_csv,
     verify_derived_theorem,
@@ -367,3 +368,35 @@ def test_cli_rejects_jobs_below_one(jobs, capsys):
         cli_main(["check", "--preset", "smoke", "--jobs", jobs])
     assert exc.value.code == 2
     assert "--jobs" in capsys.readouterr().err
+
+
+def test_check_defaults_d_per_instance_to_the_largest_with_two_to_the_d_plus_two_at_most_k(tmp_path):
+    out = tmp_path / "out"
+    rc = cli_main(["check", "--preset", "p2k3", "--preset", "p2k4", "--jobs", "1", "--out", str(out), "--format", "json"])
+    assert rc == 0
+    ds: dict[str, list[int]] = {"p2k3": [], "p2k4": []}
+    for path in sorted(out.glob("*.derived.report.json")):
+        report = json.loads(path.read_text())
+        ds[report["instance"].split("-")[0]].append(report["params"]["d"])
+    assert ds == {name: [d] * len(preset_entries(name)) for name, d in (("p2k3", 0), ("p2k4", 1))}
+
+
+def test_reports_make_no_perm_product_inverse_or_power_once_set_up(monkeypatch):
+    """Perm objects stay at the boundary: every report on the smoke and p2k3 instances,
+    once their set-ups are built, runs on row indices and masks alone."""
+    setups = [(iid, build_setup(spec)) for iid, spec in preset_entries("smoke") + preset_entries("p2k3")]
+    calls = []
+
+    def counting(name):
+        original = getattr(Perm, name)
+        return lambda *args: calls.append(name) or original(*args)
+
+    for name in ("__mul__", "inverse", "__pow__"):
+        monkeypatch.setattr(Perm, name, counting(name))
+    for iid, setup in setups:
+        reports = run_instance(iid, setup, SuiteOptions())
+        assert [r.mode for r in reports] == ["lemmas", "derived", "gamma"]
+        assert not any(r.failed or r.errored for r in reports), iid
+    assert calls == []
+    x = Perm.from_cycles(3, (0, 1, 2))
+    assert x * x.inverse() == x ** 3 and set(calls) == {"inverse", "__mul__", "__pow__"}

@@ -10,10 +10,13 @@ import pytest
 from coprime_lab import groups, harness
 from coprime_lab.action import all_subspaces, fixed_subgroup, maximal_subgroups, validate_setup
 from coprime_lab.errors import ContainmentError, InternalCheckError, ValidationError
-from coprime_lab.groups import Group, commutator_subgroup, generated_in, group_from_generators, normal_closure
+from coprime_lab.groups import (
+    Group, commutator_subgroup, generated_in, generated_subgroup, group_from_generators, normal_closure, sylow_subgroup,
+)
 from coprime_lab.harness import InstanceContext, lemma_report, verify_derived_theorem, verify_gamma_theorem
 from coprime_lab.instances import PRESETS, build_setup, get_block, preset_entries, product_group
 from coprime_lab.perms import Perm
+from coprime_lab.series import derived_series, lower_central_series
 
 from bruteforce import (
     CayleyTable, brute_action_tables, brute_commutator_subgroup, brute_fixed_elements, brute_span, mulclose,
@@ -295,3 +298,84 @@ def test_a_commutator_subgroup_refuses_a_factor_outside_its_ambient_subgroup():
     with pytest.raises(ContainmentError, match="K is not a subgroup"):
         commutator_subgroup(C0, setup.G, C0)
     assert commutator_subgroup(C0, C0, C0).is_trivial
+
+
+def relation_groups():
+    """p2k3-11's root G and its distinct centralizers, series terms and Sylow subgroups, all
+    over G's index, followed by each of them rebuilt as its own root."""
+    setup = preset_setup("p2k3-11-frob21-c5-c5")
+    G = setup.G
+    found = [G, *(fixed_subgroup(setup, B) for B in all_subspaces(setup.p, setup.k))]
+    found += [*derived_series(G).terms, *lower_central_series(G).terms, *(sylow_subgroup(G, r) for r in (3, 5, 7))]
+    distinct = list({H.mask_over(G).tobytes(): H for H in found}.values())
+    return G, distinct + [Group(G.degree, H.generators) for H in distinct]
+
+
+def closure(H: Group) -> frozenset:
+    return frozenset(mulclose(list(H.generators))) or frozenset({Perm.identity(H.degree)})
+
+
+def test_relations_within_and_across_roots_agree_with_element_sets():
+    """|G| = 525, with the normal Sylow 7-subgroup of frob21 and non-normal centralizers and
+    Sylow 3-subgroups: each relation read over one root's index, for every pair of groups of
+    the same or of different roots, against the brute element sets.  A group that the other
+    normalizes but that does not lie in it is not normal in it."""
+    G, found = relation_groups()
+    n = len(found) // 2
+    sets = [closure(H) for H in found[:n]]
+    normalizes = {
+        (i, j): all(g.inverse() * x * g in sets[i] for g in found[j].generators for x in sets[i])
+        for i in range(n) for j in range(n)
+    }
+    cases = {"normal": 0, "subgroup, not normal": 0, "normalized, not a subgroup": 0}
+    for a, H in enumerate(found):
+        for b, K in enumerate(found):
+            h, k, normalized = sets[a % n], sets[b % n], normalizes[a % n, b % n]
+            assert H.is_subgroup_of(K) == (h <= k), (a, b)
+            assert H.same_subgroup(K) == (h == k), (a, b)
+            assert H.is_normal_in(K) == (h <= k and normalized), (a, b)
+            if h <= k:
+                cases["normal" if normalized else "subgroup, not normal"] += 1
+            elif normalized:
+                cases["normalized, not a subgroup"] += 1
+    assert n >= 10 and all(cases.values()), cases
+
+
+def test_generated_subgroup_grows_its_parts_over_the_ambient_root_and_refuses_one_outside():
+    G, found = relation_groups()
+    n = len(found) // 2
+    for ambient in (G, found[n], found[1]):
+        trivial = generated_subgroup(ambient, [])
+        assert trivial.is_trivial and trivial._root is ambient._frame()[0] and trivial.is_subgroup_of(ambient)
+    sylows = {H.order: H for H in found[:n] if H.order in (3, 25, 7)}
+    for parts in ([sylows[3], sylows[7]], [found[n + 1], sylows[25]], [sylows[25], found[-1]]):
+        generated = generated_subgroup(G, parts)
+        assert generated._root is G
+        assert generated.elements() == closure(Group(G.degree, [g for part in parts for g in part.generators]))
+    own_s3 = Group(G.degree, sylows[3].generators)
+    other_degree = Group(G.degree + 1, [Perm.from_cycles(G.degree + 1, (0, G.degree))])
+    for outside in (sylows[3], own_s3, G, other_degree):
+        with pytest.raises(ContainmentError, match="outside the ambient group"):
+            generated_subgroup(sylows[7], [sylows[7], outside])
+    assert generated_subgroup(own_s3, [sylows[3]]).same_subgroup(own_s3)
+
+
+def test_a_built_group_mask_is_read_only_and_its_order_is_counted_once(monkeypatch):
+    setup = preset_setup("smoke-02-heis-diag-c5")
+    G = setup.G
+    C0 = fixed_subgroup(setup, maximal_subgroups(setup)[0])
+    built = [
+        G, C0, Group(G.degree, C0.generators), generated_in(G, C0.generators), sylow_subgroup(G, 3),
+        commutator_subgroup(G, G, G), generated_subgroup(G, [C0]), normal_closure(C0.generators, G),
+        Group.from_mask(G, C0.mask_over(G).copy()),
+    ]
+    for H in built:
+        mask = H._frame()[1]
+        assert not mask.flags.writeable
+        with pytest.raises(ValueError):
+            mask[0] = not mask[0]
+        assert H.order == len(H.sorted_elements())
+    counted = []
+    count_nonzero = np.count_nonzero
+    monkeypatch.setattr(np, "count_nonzero", lambda a: counted.append(1) or count_nonzero(a))
+    assert [H.order for H in built] == [135, 5, 5, 5, 27, 3, 5, 5, 5] and counted == []

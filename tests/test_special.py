@@ -113,7 +113,7 @@ def test_family_size_bounds_and_generated_normality():
     for prev, family in zip(fams, fams[1:]):
         n = len(prev.members)
         assert len(family.members) <= s * n * n
-        generated = generated_subgroup(setup.G.degree, family.members, cap=setup.G.cap)
+        generated = generated_subgroup(setup.G, family.members)
         assert generated.is_normal_in(setup.G)
         assert setup.is_invariant_subgroup(generated)
     gfams = gamma_a_special_lattice(setup, 2)
