@@ -9,10 +9,10 @@ sort order.  Every automorphism is an index array over it, evaluated from
 the generators' images along the one spanning tree of G's Cayley graph that
 the index keeps, and every subgroup of G is a bool mask over it:
 centralizers, fixed points and fixed cosets are found by masking arrays of
-indices.  Each ``ActionSetup`` computes the fixed mask of a subgroup B <= A
-once, keyed by B's reduced row-echelon basis; its other caches are keyed by
-mask bytes, among them the coset map of each normal subgroup N, built once N
-is checked to be A-invariant and normal.  What depends on A alone, its
+indices.  Each ``ActionSetup`` computes the centralizer of a subgroup B <= A,
+with its fixed mask, once, keyed by B's reduced row-echelon basis; its other
+caches are keyed by mask bytes, among them the coset map of each normal
+subgroup N, built once N is checked to be A-invariant and normal.  What depends on A alone, its
 subspaces, its maximal subgroups and the subgroup each vector generates, is
 built once per (p, k) and shared by every setup.
 """
@@ -93,7 +93,7 @@ class Automorphism:
         source = self.source
         index = source.row_index()
         images = list(self._given.values())
-        if not all(isinstance(img, Perm) and img.degree == source.degree for img in images):
+        if not all(isinstance(img, Perm) for img in images):
             raise ValidationError("a generator image lies outside the source group")
         imgs = index.positions(images)
         if (imgs < 0).any():
@@ -119,7 +119,10 @@ class Automorphism:
 
     def apply(self, x: Perm) -> Perm:
         index = self.source.row_index()
-        return index.perms(self.table[index.index_of([x])])[0]
+        at = index.positions([x])
+        if at[0] < 0:
+            raise ContainmentError("element is not in the automorphism's source group")
+        return index.perms(self.table[at])[0]
 
     def then(self, other: "Automorphism") -> "Automorphism":
         """Composite: apply self, then other."""
@@ -238,12 +241,12 @@ class ActionSetup:
     ``basis`` lists the automorphisms phi(e_1), ..., phi(e_k); general phi(u)
     values are composed (and cached) on demand.  G must be a root, a group
     built from generators, so that masks of its subgroups and the
-    automorphism tables share one index.  The fixed mask and centralizer of
-    each B <= A are computed once per setup, keyed by B's basis; the maximal
+    automorphism tables share one index.  The centralizer of each B <= A, with
+    its fixed mask, is computed once per setup, keyed by B's basis; the maximal
     subgroups of A, once per (p, k).
     """
 
-    __slots__ = ("G", "p", "k", "basis", "_phi_cache", "_fixed_masks", "_fixed_cache", "_coset_cache")
+    __slots__ = ("G", "p", "k", "basis", "_phi_cache", "_fixed_cache", "_coset_cache")
 
     def __init__(self, G: Group, p: int, k: int, basis: Iterable[Automorphism]):
         basis = tuple(basis)
@@ -261,7 +264,6 @@ class ActionSetup:
         self.k = k
         self.basis = basis
         self._phi_cache: dict[tuple[int, ...], Automorphism] = {}
-        self._fixed_masks: dict[tuple[tuple[int, ...], ...], np.ndarray] = {}
         self._fixed_cache: dict[tuple[tuple[int, ...], ...], Group] = {}
         self._coset_cache: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
 
@@ -345,8 +347,6 @@ def validate_setup(setup: ActionSetup) -> SetupReport:
     for (i, a), (j, b) in itertools.combinations(valid, 2):
         if not a.then(b).agrees_with(b.then(a)):
             problems.append(f"basis automorphisms {i} and {j} do not commute")
-    if not setup.phi(setup.zero_vector()).is_identity():
-        problems.append("phi(0) is not the identity automorphism")
     return SetupReport(ok=not problems, problems=problems)
 
 
@@ -384,29 +384,19 @@ def _maximal_subgroups(p: int, k: int) -> tuple[ASubgroupDescriptor, ...]:
     return tuple(out)
 
 
-def _fixed_mask(setup: ActionSetup, B: ASubgroupDescriptor) -> np.ndarray:
-    """The mask of the elements fixed by every phi(u), u in B; computed once per
-    basis of B and read-only."""
-    fixed = setup._fixed_masks.get(B.vectors)
-    if fixed is None:
+def fixed_subgroup(setup: ActionSetup, B: ASubgroupDescriptor) -> Group:
+    """C_G(B): the elements fixed by every automorphism phi(u), u in B.
+
+    One group per basis of B, with a read-only mask; groups of equal masks share
+    their generators through ``Group.from_mask``'s memo.
+    """
+    cached = setup._fixed_cache.get(B.vectors)
+    if cached is None:
         every = np.arange(setup.G.order)
         fixed = np.ones(len(every), dtype=bool)
         for u in B.vectors:
             fixed &= setup.phi(u).table == every
-        fixed.flags.writeable = False
-        setup._fixed_masks[B.vectors] = fixed
-    return fixed
-
-
-def fixed_subgroup(setup: ActionSetup, B: ASubgroupDescriptor) -> Group:
-    """C_G(B): the elements fixed by every automorphism phi(u), u in B.
-
-    One group per basis of B; groups of equal masks share their generators
-    through ``Group.from_mask``'s memo.
-    """
-    cached = setup._fixed_cache.get(B.vectors)
-    if cached is None:
-        cached = setup._fixed_cache[B.vectors] = Group.from_mask(setup.G, _fixed_mask(setup, B))
+        cached = setup._fixed_cache[B.vectors] = Group.from_mask(setup.G, fixed)
     return cached
 
 
@@ -454,7 +444,8 @@ def check_fg2_generation(setup: ActionSetup, H: Group) -> bool:
     if not setup.is_invariant_subgroup(H):
         raise PreconditionError("H is not A-invariant")
     h_mask = H.mask_over(setup.G)
-    parts = [Group.from_mask(setup.G, h_mask & _fixed_mask(setup, A_j)) for A_j in maximal_subgroups(setup)]
+    centralizers = [fixed_subgroup(setup, A_j) for A_j in maximal_subgroups(setup)]
+    parts = [Group.from_mask(setup.G, h_mask & C.mask_over(setup.G)) for C in centralizers]
     generated = generated_subgroup(setup.G, parts)
     if generated.order != H.order:
         return False

@@ -122,8 +122,11 @@ def main(argv=None) -> int:
     report.add_argument("--out", default=None, help="output directory")
 
     args = parser.parse_args(argv)
-    if args.command != "report" and args.jobs < 1:
-        parser.error(f"argument --jobs: must be at least 1, got {args.jobs}")
+    if args.command != "report":
+        for flag, least in (("jobs", 1), ("cap", 1), ("d", 0)):
+            value = getattr(args, flag)
+            if value is not None and value < least:
+                parser.error(f"argument --{flag}: must be at least {least}, got {value}")
     if args.command == "gen":
         return _cmd_gen(args)
     if args.command == "check":

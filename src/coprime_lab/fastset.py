@@ -24,6 +24,7 @@ set-up is freed as soon as it is dropped.
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Iterable, NamedTuple, Sequence
 
@@ -123,12 +124,13 @@ class RowIndex:
         return found
 
     def positions(self, elements: Iterable[Perm]) -> np.ndarray:
-        """Index of every given element, in the given order, or -1 for one outside the group."""
-        return self._find(rows_of(elements, self.rows.shape[1]))
-
-    def index_of(self, elements: Iterable[Perm]) -> np.ndarray:
-        """Index of every given element, in the given order."""
-        return self.lookup(rows_of(elements, self.rows.shape[1]))
+        """Index of every given element, in the given order, or -1 for one outside the group,
+        among them one of another degree."""
+        elements, degree = list(elements), self.rows.shape[1]
+        same = np.array([x.degree == degree for x in elements], dtype=bool)
+        found = np.full(len(elements), -1, dtype=np.intp)
+        found[same] = self._find(rows_of(itertools.compress(elements, same), degree))
+        return found
 
     def perms(self, at) -> list[Perm]:
         """The elements at the indices ``at``, in that order, as new ``Perm`` objects."""

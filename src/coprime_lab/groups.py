@@ -187,8 +187,6 @@ class Group:
         generators are looked up by position."""
         if (self._root or self) is root:
             return self._frame()[2]
-        if self.degree != root.degree:
-            return np.full(len(self.generators), -1, dtype=np.intp)
         return root.row_index().positions(self.generators)
 
     def _over(self, root: "Group") -> tuple[np.ndarray, np.ndarray]:
@@ -340,7 +338,7 @@ def group_from_generators(degree: int, gens: Iterable, cap: int | None = None) -
 
 def generated_in(ambient: Group, gens: Iterable[Perm]) -> Group:
     """The subgroup of ``ambient`` generated by ``gens``, as a mask over its root's index."""
-    return _generated(ambient, ambient._frame()[0].row_index().positions(list(gens)))
+    return _generated(ambient, ambient._frame()[0].row_index().positions(gens))
 
 
 def is_member(G: Group, x: Perm) -> bool:
@@ -350,8 +348,13 @@ def is_member(G: Group, x: Perm) -> bool:
 
 def normal_closure(generators: Iterable[Perm], ambient: Group) -> Group:
     """Smallest normal subgroup of ``ambient`` containing ``generators``."""
+    return _normally_generated(ambient, ambient._frame()[0].row_index().positions(generators))
+
+
+def _normally_generated(ambient: Group, seeds: np.ndarray) -> Group:
+    """The normal closure in ``ambient`` of the elements at ``seeds`` over its root's index;
+    ContainmentError for one outside."""
     root, inside, conjugators = ambient._frame()
-    seeds = root.row_index().positions(list(generators))
     if (seeds < 0).any() or not inside[seeds].all():
         raise ContainmentError("normal closure seed lies outside the ambient group")
     return Group._in(root, *_normal_closure(root.row_index(), seeds.tolist(), conjugators.tolist()))
@@ -420,13 +423,6 @@ def _conjugation_maps(G: Group) -> tuple[RowIndex, np.ndarray, list[np.ndarray]]
     return index, mask, [index.conjugates(np.arange(len(index)), g) for g in at.tolist()]
 
 
-def center(G: Group) -> Group:
-    index, central, maps = _conjugation_maps(G)
-    for conj in maps:
-        central = central & (conj == np.arange(len(index)))
-    return Group.from_mask(G, central)
-
-
 def _r_part(n: int, r: int) -> int:
     m = 1
     while n % r == 0:
@@ -444,12 +440,6 @@ def sylow_subgroup(G: Group, r: int) -> Group:
         return G
     # the r-elements are those whose order divides |G|_r
     r_elements = mask & (index.power(target) == index.identity)
-    # unique-Sylow fast path: all r-elements form the subgroup
-    if np.count_nonzero(r_elements) == target:
-        try:
-            return Group.from_mask(root, r_elements)
-        except ValidationError:
-            pass
     current, at = index.unit(), []
     while np.count_nonzero(current) < target:
         for y in np.flatnonzero(r_elements & ~current).tolist():
@@ -484,23 +474,30 @@ def subgroup_conjugate_sets(G: Group, P: Group) -> list[np.ndarray]:
 class AbelianSection:
     """An abelian quotient numerator/denominator written additively.
 
-    ``basis`` holds coset representatives, at ``basis_at`` in the numerator's
-    root index, whose classes decompose the quotient as a direct sum of cyclic
-    groups with the given ``orders``.  An element's code is the position of
+    ``basis`` holds coset representatives, made on first use from their
+    indices ``basis_at`` in the numerator's root index, whose classes
+    decompose the quotient as a direct sum of cyclic groups with the given
+    ``orders``.  An element's code is the position of
     its exponent vector in ``itertools.product`` order over the orders, and
     ``root_codes``, the one per-element map, holds the code of every element
     of the root index, -1 off the numerator.
     """
 
-    __slots__ = ("numerator", "denominator", "basis", "basis_at", "orders", "root_codes")
+    __slots__ = ("numerator", "denominator", "_basis", "basis_at", "orders", "root_codes")
 
     def __init__(self, numerator: Group, denominator: Group, basis_at, orders, root_codes):
         self.numerator = numerator
         self.denominator = denominator
         self.basis_at = tuple(basis_at)
-        self.basis = tuple(numerator._frame()[0].row_index().perms(self.basis_at))
         self.orders = tuple(orders)
         self.root_codes = root_codes
+        self._basis: tuple[Perm, ...] | None = None
+
+    @property
+    def basis(self) -> tuple[Perm, ...]:
+        if self._basis is None:
+            self._basis = tuple(self.numerator._frame()[0].row_index().perms(self.basis_at))
+        return self._basis
 
     @property
     def quotient_order(self) -> int:
@@ -508,7 +505,7 @@ class AbelianSection:
 
     @property
     def rank(self) -> int:
-        return len(self.basis)
+        return len(self.basis_at)
 
     @property
     def codes(self) -> np.ndarray:
@@ -521,8 +518,6 @@ class AbelianSection:
 
     def _code(self, x: Perm) -> int:
         """The code of the coset of x, or -1 for an x outside the numerator."""
-        if x.degree != self.numerator.degree:
-            return -1
         at = int(self.numerator._frame()[0].row_index().positions([x])[0])
         return -1 if at < 0 else int(self.root_codes[at])
 
@@ -535,7 +530,7 @@ class AbelianSection:
 
     def compose(self, vector) -> Perm:
         """A coset representative for the given exponent vector."""
-        if len(vector) != len(self.basis):
+        if len(vector) != self.rank:
             raise ValidationError("exponent vector length does not match the basis")
         rep = Perm.identity(self.numerator.degree)
         for b, e, m in zip(self.basis, vector, self.orders):

@@ -21,6 +21,8 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
 
+import numpy as np
+
 from .action import (
     ASubgroupDescriptor,
     ActionSetup,
@@ -32,7 +34,7 @@ from .action import (
     validate_setup,
 )
 from .errors import CapacityError, CoprimeLabError, GenerationError, PreconditionError
-from .groups import Group, generated_in, normal_closure
+from .groups import Group, _generated, _normally_generated, generated_in
 from .instances import FamilySpec, build_setup, load_instance
 from .lie import (
     check_centralizer_transfer,
@@ -201,7 +203,7 @@ def find_invariant_normal_subgroups(setup: ActionSetup, seed: int = 0, limit: in
     rng, index = random.Random(seed), G.row_index()
     for _ in range(4):
         orbit = setup.orbit_of_element(rng.randrange(len(index)))
-        candidates.append(normal_closure(index.perms(sorted(orbit)), G))
+        candidates.append(_normally_generated(G, np.array(sorted(orbit), dtype=np.intp)))
     out: list[Group] = []
     seen: set[bytes] = set()
     for N in candidates:
@@ -223,7 +225,7 @@ def random_invariant_subgroups(setup: ActionSetup, seed: int = 0, count: int = 5
         gens: set[int] = set()
         for _ in range(rng.randint(1, 2)):
             gens |= setup.orbit_of_element(rng.randrange(len(index)))
-        out.append(generated_in(setup.G, index.perms(sorted(gens))))
+        out.append(_generated(setup.G, np.array(sorted(gens), dtype=np.intp)))
     return out
 
 

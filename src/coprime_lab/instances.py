@@ -12,7 +12,6 @@ GL-module and extraspecial families construct their factors directly.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import json
 import math
@@ -51,9 +50,6 @@ class Block:
     order: int
     gens: tuple[Perm, ...]
     auts: dict[str, tuple[Perm, ...]] = field(default_factory=dict)
-
-    def group(self, cap=None) -> Group:
-        return Group(self.degree, self.gens, cap=cap)
 
 
 def _cyclic_block(q: int) -> Block:
@@ -154,9 +150,9 @@ def _embed(p: Perm, offset: int, total: int) -> Perm:
     return Perm._raw(tuple(images))
 
 
-def _product(parts, k: int, cap) -> tuple[Group, list[int], list[dict[Perm, Perm]]]:
-    """The direct product of the parts on disjoint domains, their offsets, and for each
-    j < k the map from its generators to their images under basis vector j.
+def _direct_sum(p: int, k: int, parts, cap=None) -> ActionSetup:
+    """The direct product of the parts on disjoint domains with the diagonal A-action:
+    one group, and one automorphism per basis vector, verified when its table is built.
 
     A part is (degree, order, generators, images), where images[j] lists the
     generators' images under basis vector j.  The product is refused before any
@@ -174,19 +170,7 @@ def _product(parts, k: int, cap) -> tuple[Group, list[int], list[dict[Perm, Perm
         gens += embedded
         for out, imgs in zip(images, part_images):
             out.update(zip(embedded, (_embed(img, offset, total) for img in imgs)))
-    return Group(max(total, 1), gens, cap=cap), offsets, images
-
-
-def product_group(factors: list[Group], cap=None) -> tuple[Group, list[int]]:
-    """Direct product on disjoint domains; returns the group and the offsets."""
-    G, offsets, _ = _product([(f.degree, f.order, f.generators, ()) for f in factors], 0, cap)
-    return G, offsets
-
-
-def _direct_sum(p: int, k: int, parts, cap=None) -> ActionSetup:
-    """The direct product of the parts (see ``_product``) with the diagonal A-action:
-    one group, one automorphism per basis vector, verified when its table is built."""
-    G, _, images = _product(parts, k, cap)
+    G = Group(max(total, 1), gens, cap=cap)
     return ActionSetup(G, p, k, [Automorphism(G, imgs) for imgs in images])
 
 
@@ -615,14 +599,6 @@ class FamilySpec:
         return cls(family=data["family"], params=dict(data["params"]), seed=int(data.get("seed", 0)))
 
 
-def spec_id(spec: FamilySpec) -> str:
-    canon = json.dumps(spec.to_dict(), sort_keys=True)
-    digest = hashlib.sha1(canon.encode()).hexdigest()[:8]
-    p = spec.params.get("p", "")
-    k = spec.params.get("k", "")
-    return f"{spec.family}-p{p}k{k}-{digest}"
-
-
 def _build_zones(params: dict, cap=None) -> ActionSetup:
     p, k = int(params["p"]), int(params["k"])
     parts = []
@@ -829,42 +805,3 @@ def preset_entries(name: str) -> list[tuple[str, FamilySpec]]:
     if name not in PRESETS:
         raise GenerationError(f"unknown preset {name!r}; available: {sorted(PRESETS)}")
     return list(PRESETS[name].entries)
-
-
-def nilpotent_zoo(cap=None) -> list[tuple[str, Group]]:
-    """Named nilpotent groups of orders 27..2187 for the ring axiom suite."""
-
-    def blk(name):
-        return get_block(name).group(cap=cap)
-
-    def prod(*names):
-        G, _ = product_group([blk(n) for n in names], cap=cap)
-        return G
-
-    zoo = [
-        ("heisenberg27", blk("heisenberg27")),
-        ("wreath81", blk("wreath81")),
-        ("extraspecial-3-2", extraspecial_group(3, 2, cap=cap)),
-        ("extraspecial-5-1", extraspecial_group(5, 1, cap=cap)),
-        ("extraspecial-7-1", extraspecial_group(7, 1, cap=cap)),
-        ("cyclic27", blk("c27")),
-        ("cyclic81", blk("c81")),
-        ("c3-cubed", prod("c3", "c3", "c3")),
-        ("c3-fourth", prod("c3", "c3", "c3", "c3")),
-        ("c5-cubed", prod("c5", "c5", "c5")),
-        ("c7-cubed", prod("c7", "c7", "c7")),
-        ("c9-c3", prod("c9", "c3")),
-        ("c9-c9", prod("c9", "c9")),
-        ("c13-c13", prod("c13", "c13")),
-        ("heis-c3", prod("heisenberg27", "c3")),
-        ("heis-c3-c3", prod("heisenberg27", "c3", "c3")),
-        ("heis-c5", prod("heisenberg27", "c5")),
-        ("heis-c7", prod("heisenberg27", "c7")),
-        ("heis-heis", prod("heisenberg27", "heisenberg27")),
-        ("wreath-c3", prod("wreath81", "c3")),
-        ("wreath-c5", prod("wreath81", "c5")),
-        ("wreath-heis", prod("wreath81", "heisenberg27")),
-    ]
-    ext, _ = product_group([extraspecial_group(3, 2, cap=cap), blk("c3")], cap=cap)
-    zoo.append(("extraspecial-3-2-c3", ext))
-    return zoo

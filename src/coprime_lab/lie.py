@@ -198,25 +198,6 @@ def axiom_report(ring: GradedLieRing) -> dict[str, bool]:
     return report
 
 
-def with_corrupted_constant(ring: GradedLieRing, delta: int = 1) -> GradedLieRing:
-    """Mutation hook: a copy with one structure constant deliberately wrong, the first
-    in (wi, wj, a, b, t) order that ``delta`` changes.
-
-    Used by the suite-sensitivity check; the copy skips construction-time
-    verification so the corruption must be caught by the downstream checks.
-    """
-    for wi, wj in sorted(ring.constants):
-        m = ring._moduli[wi + wj - 1]
-        changed = np.flatnonzero((m > 1) & (delta % m != 0))
-        if changed.size:
-            t = changed[0]
-            corrupted = ring.constants[(wi, wj)].copy()
-            corrupted[0, 0, t] = (corrupted[0, 0, t] + delta) % m[t]
-            corrupted.flags.writeable = False
-            return GradedLieRing(ring.group, ring.components, {**ring.constants, (wi, wj): corrupted})
-    raise ValueError("ring has no structure constants available to corrupt")
-
-
 class LieSubspace:
     """A homogeneous additive subspace: one bool mask per weight over the component's codes.
 
@@ -226,12 +207,11 @@ class LieSubspace:
     proportional to the rank rather than the subspace size.
     """
 
-    __slots__ = ("ring", "masks", "bracket_closed", "_gens")
+    __slots__ = ("ring", "masks", "_gens")
 
-    def __init__(self, ring: GradedLieRing, masks, bracket_closed=None, gens=None):
+    def __init__(self, ring: GradedLieRing, masks, gens=None):
         self.ring = ring
         self.masks: tuple[np.ndarray, ...] = tuple(masks)
-        self.bracket_closed = bracket_closed
         self._gens = tuple(gens) if gens is not None else None
 
     def _key(self) -> tuple[bytes, ...]:
@@ -364,7 +344,7 @@ def lie_subring_of_subgroup(L: GradedLieRing, G: Group, H: Group) -> LieSubspace
     subspace = LieSubspace(L, masks)
     if not subspace.contains_subspace(subspace.bracket_with(subspace)):
         raise InternalCheckError("subgroup image subspace is not bracket-closed")
-    return LieSubspace(L, subspace.masks, bracket_closed=True, gens=subspace.gens)
+    return subspace
 
 
 class LieAction:

@@ -18,12 +18,13 @@ from coprime_lab.action import (
 from coprime_lab.cli import main as cli_main
 from coprime_lab.groups import commutator_subgroup
 from coprime_lab.harness import SuiteOptions, run_instance
-from coprime_lab.instances import PRESETS, build_setup, nilpotent_zoo, preset_entries
-from coprime_lab.lie import axiom_report, check_class_transfer, lie_ring_of, with_corrupted_constant
+from coprime_lab.instances import PRESETS, build_setup, preset_entries
+from coprime_lab.lie import axiom_report, check_class_transfer, lie_ring_of
 from coprime_lab.series import derived_series, lower_central_series
 from coprime_lab.status import CheckStatus
 
 from bruteforce import CayleyTable, brute_automorphism_table
+from support import nilpotent_zoo, with_corrupted_constant
 
 ACCEPTANCE_PRESETS = ("p2k3", "p2k4", "p3k3")
 ORACLE_ORDER_LIMIT = 5_000

@@ -1,6 +1,8 @@
 """The names the package exports: a change to this set must be deliberate."""
 
+import ast
 import types
+from pathlib import Path
 
 import coprime_lab
 
@@ -28,3 +30,30 @@ def test_exported_names_are_pinned():
     }
     assert exported == EXPORTS
     assert coprime_lab.__version__ == "0.1.0"
+
+
+def _public_and_named(path: Path) -> tuple[set[str], set[str]]:
+    """The public functions and classes a module defines at top level, and the names that
+    each of its top-level statements, imports aside, reads besides its own."""
+    tree = ast.parse(path.read_text())
+    public = {
+        node.name for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+    }
+    named = set()
+    for node in tree.body:
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            read = {sub.id if isinstance(sub, ast.Name) else sub.attr for sub in ast.walk(node)
+                    if isinstance(sub, (ast.Name, ast.Attribute))}
+            named |= read - {getattr(node, "name", None)}
+    return public, named
+
+
+def test_every_public_definition_in_src_is_exported_or_used_there():
+    """Code that only tests use lives under tests/, not in the package."""
+    public, named = set(), set()
+    for path in Path(coprime_lab.__file__).parent.glob("*.py"):
+        module_public, module_named = _public_and_named(path)
+        public |= module_public
+        named |= module_named
+    assert sorted(public - EXPORTS - named) == []

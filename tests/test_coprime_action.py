@@ -428,7 +428,7 @@ def test_induced_action_heisenberg_mod_center():
     alpha = Automorphism(G, {t: t.inverse(), v: v.inverse()})
     setup = ActionSetup(G, 2, 1, [alpha])
     assert validate_setup(setup).ok
-    from coprime_lab.groups import center
+    from support import center
 
     q = induced_action_on_quotient(setup, center(G))
     assert q.G.order == 9

@@ -10,7 +10,7 @@ from coprime_lab.action import maximal_subgroups
 from coprime_lab.errors import ContainmentError, InternalCheckError, ValidationError
 from coprime_lab.fastset import coset_labels, setwise_product_covers
 from coprime_lab.groups import (
-    Group, _section_basis, abelian_section, center, generated_in, group_from_generators,
+    Group, _section_basis, abelian_section, generated_in, group_from_generators,
     sylow_subgroup,
 )
 from coprime_lab.harness import random_invariant_subgroups
@@ -22,6 +22,7 @@ from bruteforce import (
     brute_abelian_section, brute_action_tables, brute_fixed_elements, brute_lower_central_series, brute_span,
     mulclose,
 )
+from support import center
 
 SMOKE = ["smoke-01-gl-q3n3", "smoke-02-heis-diag-c5", "smoke-03-c3-c5-c7"]
 LEMMA_PRESETS = [
@@ -95,7 +96,7 @@ def test_rows_widen_past_degree_65536():
     assert index.rows.dtype.itemsize == 4
     assert index.rows[1, 0] == degree - 1
     assert index.right(1).tolist() == [1, 0]
-    assert index.index_of([swap, Perm.identity(degree)]).tolist() == [1, 0]
+    assert index.positions([swap, Perm.identity(degree)]).tolist() == [1, 0]
 
 
 def test_translate_matches_products(smoke_setup):
@@ -117,7 +118,7 @@ def test_coset_labels_match_brute_cosets(smoke_setup):
     for F in subgroups:
         elements = mulclose(list(F.generators)) or {Perm.identity(G.degree)}
         least = [min(position[x * f] for f in elements) for x in ordered]
-        assert coset_labels(G.row_index(), G.row_index().index_of(F.generators)).tolist() == least
+        assert coset_labels(G.row_index(), G.row_index().positions(F.generators)).tolist() == least
 
 
 def test_setwise_product_does_not_cover_s3():
@@ -126,12 +127,12 @@ def test_setwise_product_does_not_cover_s3():
     ident = Perm.identity(3)
     whole = np.ones(G.order, dtype=bool)
     index = G.row_index()
-    at_a, at_b, at_c = index.index_of([a, b, c]).reshape(3, 1)
+    at_a, at_b, at_c = index.positions([a, b, c]).reshape(3, 1)
     assert len(brute_product([{ident, a}, {ident, b}])) == 4
     assert not setwise_product_covers(index, [at_a, at_b], whole)
     assert len(brute_product([{ident, a}, {ident, b}, {ident, c}])) == 6
     assert setwise_product_covers(index, [at_a, at_b, at_c], whole)
-    assert setwise_product_covers(index, [index.index_of(G.generators)], whole)
+    assert setwise_product_covers(index, [index.positions(G.generators)], whole)
     assert not setwise_product_covers(index, [], whole)
     assert setwise_product_covers(Group.trivial(3).row_index(), [], np.ones(1, dtype=bool))
 
@@ -148,14 +149,14 @@ def test_setwise_product_matches_brute_on_centralizer_factors(smoke_setup):
         for A_j in maximal_subgroups(setup):
             autos = [tables[u] for u in brute_span(setup.p, setup.k, A_j.vectors)]
             fixed = np.zeros(len(index), dtype=bool)
-            fixed[index.index_of(brute_fixed_elements(setup.G, autos) & H.elements())] = True
+            fixed[index.positions(brute_fixed_elements(setup.G, autos) & H.elements())] = True
             parts.append(Group.from_mask(setup.G, fixed))
         parts.sort(key=lambda part: part.order, reverse=True)
         for count in range(1, len(parts) + 1):
             factors = parts[:count]
             covers = brute_product([part.elements() for part in factors]) == set(H.elements())
             product_is_h = setwise_product_covers(
-                index, [index.index_of(part.generators) for part in factors], H.mask_over(setup.G)
+                index, [index.positions(part.generators) for part in factors], H.mask_over(setup.G)
             )
             assert product_is_h == covers
             checked += not covers
@@ -273,7 +274,7 @@ def test_section_basis_raises_when_a_product_leaves_the_numerator():
     index = G.row_index()
     t, v = G.generators
     num = index.unit()
-    for x in index.index_of([t, v, t * v, t * v * v]).tolist():
+    for x in index.positions([t, v, t * v, t * v * v]).tolist():
         num[[x, index.power(2)[x]]] = True
     assert np.count_nonzero(num) == 9
     with pytest.raises(InternalCheckError, match="product of numerator elements lies outside"):
@@ -282,6 +283,8 @@ def test_section_basis_raises_when_a_product_leaves_the_numerator():
 
 POWER_GROUPS = {name: lambda name=name: preset_setup(name).G for name in SMOKE + ["p2k4-07-frob21-c5-c11"]}
 POWER_GROUPS.update({"c2c3c5c7": lambda: cycles(2, 3, 5, 7), "c9c2": lambda: cycles(9, 2), "c27": lambda: cycles(27)})
+# S4's Sylow 2-subgroups, of order 8, are not normal: two of its 2-elements can generate S3 or S4
+POWER_GROUPS["s4"] = lambda: group_from_generators(4, [Perm.from_cycles(4, (0, 1, 2, 3)), Perm.from_cycles(4, (0, 1))])
 
 
 def prime_parts(n):
@@ -346,7 +349,7 @@ def test_from_mask_keeps_the_generators_of_each_closed_mask_once(monkeypatch):
     with pytest.raises(ValueError):
         kept[0] = 0
     not_closed = mask.copy()
-    not_closed[index.index_of([G.generators[1]])] = True
+    not_closed[index.positions([G.generators[1]])] = True
     for _ in range(2):
         with pytest.raises(ValidationError, match="not closed"):
             Group.from_mask(G, not_closed)

@@ -18,6 +18,7 @@ from coprime_lab.errors import (
     InternalCheckError,
     PreconditionError,
 )
+from coprime_lab.fastset import RowIndex
 from coprime_lab.groups import group_from_generators
 from coprime_lab.harness import (
     CheckReport,
@@ -382,21 +383,34 @@ def test_check_defaults_d_per_instance_to_the_largest_with_two_to_the_d_plus_two
 
 
 def test_reports_make_no_perm_product_inverse_or_power_once_set_up(monkeypatch):
-    """Perm objects stay at the boundary: every report on the smoke and p2k3 instances,
-    once their set-ups are built, runs on row indices and masks alone."""
-    setups = [(iid, build_setup(spec)) for iid, spec in preset_entries("smoke") + preset_entries("p2k3")]
+    """Perm objects stay at the boundary: every report on every preset instance, once its
+    set-up is built, runs on row indices and masks alone, and makes no Perm from rows."""
+    entries = [entry for name in ("smoke", "p2k3", "p2k4", "p3k3") for entry in preset_entries(name)]
+    setups = [(iid, build_setup(spec)) for iid, spec in entries]
     calls = []
 
-    def counting(name):
-        original = getattr(Perm, name)
+    def counting(owner, name):
+        original = getattr(owner, name)
         return lambda *args: calls.append(name) or original(*args)
 
     for name in ("__mul__", "inverse", "__pow__"):
-        monkeypatch.setattr(Perm, name, counting(name))
+        monkeypatch.setattr(Perm, name, counting(Perm, name))
+    monkeypatch.setattr(RowIndex, "perms", counting(RowIndex, "perms"))
     for iid, setup in setups:
         reports = run_instance(iid, setup, SuiteOptions())
         assert [r.mode for r in reports] == ["lemmas", "derived", "gamma"]
         assert not any(r.failed or r.errored for r in reports), iid
-    assert calls == []
+    assert len(setups) == 38 and calls == []
     x = Perm.from_cycles(3, (0, 1, 2))
     assert x * x.inverse() == x ** 3 and set(calls) == {"inverse", "__mul__", "__pow__"}
+    assert group_from_generators(3, [x]).sorted_elements()[1] == x and calls[-1] == "perms"
+
+
+@pytest.mark.parametrize("flag, value", [("--d", "-1"), ("--cap", "0")])
+def test_cli_rejects_a_negative_d_and_a_cap_below_one_before_any_report(flag, value, tmp_path, capsys):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["check", "--preset", "smoke", "--jobs", "1", flag, value, "--out", str(out)])
+    assert exc.value.code == 2
+    assert f"{flag}: must be at least" in capsys.readouterr().err
+    assert not out.exists()

@@ -11,7 +11,7 @@ from coprime_lab.action import ASubgroupDescriptor, ActionSetup, Automorphism, m
 from coprime_lab.errors import InternalCheckError, ValidationError
 from coprime_lab.groups import group_from_generators
 from coprime_lab.harness import InstanceContext, lemma_report
-from coprime_lab.instances import PRESETS, build_setup, nilpotent_zoo, preset_entries
+from coprime_lab.instances import PRESETS, build_setup, preset_entries
 from coprime_lab.lie import (
     GradedLieRing,
     LieAction,
@@ -21,7 +21,6 @@ from coprime_lab.lie import (
     induced_a_action,
     lie_ring_of,
     lie_subring_of_subgroup,
-    with_corrupted_constant,
 )
 from coprime_lab.series import nilpotency_class
 from coprime_lab.status import CheckStatus
@@ -37,6 +36,7 @@ from bruteforce import (
     brute_lower_central_series,
     brute_span,
 )
+from support import nilpotent_zoo, with_corrupted_constant
 from test_lie import heis_setup, heisenberg27
 
 # every one of them is nilpotent: class 2 for smoke-02 and p2k3-06, class 1 for the rest

@@ -8,19 +8,20 @@ import numpy as np
 import pytest
 
 from coprime_lab import groups, harness
-from coprime_lab.action import all_subspaces, fixed_subgroup, maximal_subgroups, validate_setup
+from coprime_lab.action import Automorphism, all_subspaces, fixed_subgroup, maximal_subgroups, validate_setup
 from coprime_lab.errors import ContainmentError, InternalCheckError, ValidationError
 from coprime_lab.groups import (
     Group, commutator_subgroup, generated_in, generated_subgroup, group_from_generators, normal_closure, sylow_subgroup,
 )
 from coprime_lab.harness import InstanceContext, lemma_report, verify_derived_theorem, verify_gamma_theorem
-from coprime_lab.instances import PRESETS, build_setup, get_block, preset_entries, product_group
+from coprime_lab.instances import PRESETS, build_setup, preset_entries
 from coprime_lab.perms import Perm
 from coprime_lab.series import derived_series, lower_central_series
 
 from bruteforce import (
     CayleyTable, brute_action_tables, brute_commutator_subgroup, brute_fixed_elements, brute_span, mulclose,
 )
+from support import block_group, product_group
 
 SMOKE = ["smoke-01-gl-q3n3", "smoke-02-heis-diag-c5", "smoke-03-c3-c5-c7"]
 LEMMA_PRESETS = [
@@ -53,7 +54,7 @@ def test_an_enumerated_root_holds_its_rows_and_few_perms(monkeypatch):
     """heisenberg27 x c5 x c7 x c11, |G| = 10,395: enumeration makes no Perm per element, and
     the root then holds its rows (0.6 MB), its generators' translates and its tree (1.1 MB in
     all); it made 12,829 Perms and held 4.5 MB while a sorted Perm list was kept beside the rows."""
-    product = product_group([get_block(name).group() for name in ("heisenberg27", "c5", "c7", "c11")])[0]
+    product = product_group([block_group(name) for name in ("heisenberg27", "c5", "c7", "c11")])
     made = []
     raw, init = Perm._raw.__func__, Perm.__init__
 
@@ -181,20 +182,42 @@ def test_generated_in_keeps_to_the_ambient_group():
     assert H.generators == (outside,) and H.contains(outside) and H.is_subgroup_of(setup.G)
 
 
+def test_a_perm_of_another_degree_lies_outside_the_group_at_every_entry_point():
+    """positions gives -1 for a Perm of another degree, so generated_in, normal_closure and
+    Automorphism.apply refuse it, like an element of the right degree outside the group,
+    with ContainmentError."""
+    rotate, flip = Perm([1, 2, 0]), Perm([1, 0, 2])
+    C3 = group_from_generators(3, [rotate])
+    index = C3.row_index()
+    longer, shorter = Perm([1, 0, 2, 3]), Perm([1, 0])
+    at = int(index.gens[0])
+    assert index.positions([rotate, longer, flip, shorter, rotate]).tolist() == [at, -1, -1, -1, at]
+    assert index.positions([]).tolist() == []
+    square = Automorphism(C3, {rotate: rotate * rotate})
+    assert square.apply(rotate) == rotate * rotate
+    for stranger in (longer, shorter, flip):
+        with pytest.raises(ContainmentError):
+            generated_in(C3, [rotate, stranger])
+        with pytest.raises(ContainmentError):
+            normal_closure([stranger], C3)
+        with pytest.raises(ContainmentError):
+            square.apply(stranger)
+
+
 @pytest.mark.parametrize("instance_id", SMOKE + LEMMA_PRESETS)
 def test_generated_in_keeps_an_irredundant_subsequence_of_orbit_unions(instance_id, monkeypatch):
-    """The unions of A-orbits that random_invariant_subgroups hands to generated_in,
-    redundant elements and all: the subgroup is the brute closure of every given
-    element, and each kept generator lies outside the closure of those before it."""
+    """The unions of A-orbits that random_invariant_subgroups hands, as sorted indices,
+    to the index-level routine behind generated_in, redundant elements and all: the
+    subgroup is the brute closure of every given element, and each kept generator lies
+    outside the closure of those before it."""
     setup = preset_setup(instance_id)
     calls = []
 
-    def recorded(ambient, gens):
-        gens = list(gens)
-        calls.append((gens, generated_in(ambient, gens)))
+    def recorded(ambient, at):
+        calls.append((ambient.row_index().perms(at), groups._generated(ambient, at)))
         return calls[-1][1]
 
-    monkeypatch.setattr(harness, "generated_in", recorded)
+    monkeypatch.setattr(harness, "_generated", recorded)
     for seed in range(4):
         harness.random_invariant_subgroups(setup, seed=seed)
     table = CayleyTable(list(setup.G.generators))
@@ -222,7 +245,7 @@ def test_a_set_that_is_not_closed_raises():
 
 def mask_of(index, elements):
     mask = np.zeros(len(index), dtype=bool)
-    mask[index.index_of(list(elements))] = True
+    mask[index.positions(list(elements))] = True
     return mask
 
 
@@ -254,7 +277,7 @@ def test_extend_from_the_trivial_subgroup_is_the_cyclic_subgroup():
     for x in G.sorted_elements():
         if x.order() >= 7:
             cyclic = mask_of(index, mulclose([x]))
-            assert np.array_equal(groups._extend(index, index.unit(), [], int(index.index_of([x])[0])), cyclic)
+            assert np.array_equal(groups._extend(index, index.unit(), [], int(index.positions([x])[0])), cyclic)
     assert max(x.order() for x in G.sorted_elements()) == 91
 
 
@@ -271,7 +294,7 @@ def test_extend_over_many_cosets_of_a_small_subgroup():
     g = v * cyclic
     expected = mask_of(index, mulclose([t, g]))
     assert np.count_nonzero(expected) == len(index) == 27 * 5 * 7 * 11
-    assert np.array_equal(groups._extend(index, S, index.index_of([t]).tolist(), int(index.index_of([g])[0])), expected)
+    assert np.array_equal(groups._extend(index, S, index.positions([t]).tolist(), int(index.positions([g])[0])), expected)
 
 
 def test_is_subgroup_of_reads_the_masks_unless_the_other_group_is_the_root():

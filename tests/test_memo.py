@@ -9,7 +9,7 @@ import weakref
 import pytest
 
 from coprime_lab import groups
-from coprime_lab.action import ASubgroupDescriptor, _fixed_mask, all_subspaces, fixed_subgroup, maximal_subgroups
+from coprime_lab.action import ASubgroupDescriptor, all_subspaces, fixed_subgroup, maximal_subgroups
 from coprime_lab.groups import commutator_subgroup, generated_in
 from coprime_lab.harness import verify_derived_theorem, verify_gamma_theorem
 from coprime_lab.instances import PRESETS, build_setup, preset_entries
@@ -127,11 +127,10 @@ def test_each_commutator_closure_is_computed_once_per_root(monkeypatch):
 def test_cached_masks_are_read_only():
     setup = preset_setup("smoke-02-heis-diag-c5")
     A_j = maximal_subgroups(setup)[0]
-    fixed = _fixed_mask(setup, A_j)
-    assert _fixed_mask(setup, A_j) is fixed
     C = fixed_subgroup(setup, A_j)
+    assert fixed_subgroup(setup, A_j) is C
     comm = commutator_subgroup(setup.G, setup.G, setup.G)
-    for mask in (fixed, C.mask_over(setup.G), comm.mask_over(setup.G)):
+    for mask in (C.mask_over(setup.G), comm.mask_over(setup.G)):
         with pytest.raises(ValueError):
             mask[0] = not mask[0]
 

@@ -21,7 +21,6 @@ from coprime_lab.fastset import RowIndex, rows_of
 from coprime_lab.groups import (
     Group,
     abelian_section,
-    center,
     commutator_subgroup,
     group_from_generators,
     intersection,
@@ -37,6 +36,7 @@ from bruteforce import (
     brute_commutator_subgroup,
     mulclose,
 )
+from support import center
 
 
 def heisenberg27_gens():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from coprime_lab.groups import center, group_from_generators
+from coprime_lab.groups import group_from_generators
 from coprime_lab.instances import build_setup, preset_entries
 from coprime_lab.perms import Perm
 from coprime_lab.series import (
@@ -23,6 +23,7 @@ from bruteforce import (
     brute_nilpotency_class,
     brute_upper_central_series,
 )
+from support import center
 
 
 def heisenberg27():

@@ -8,7 +8,7 @@ import pytest
 
 from coprime_lab.action import ActionSetup, Automorphism, fixed_subgroup, maximal_subgroups
 from coprime_lab.errors import CapacityError, PreconditionError
-from coprime_lab.groups import center, group_from_generators
+from coprime_lab.groups import group_from_generators
 from coprime_lab.harness import CheckReport, _Recorder
 from coprime_lab.instances import build_setup, preset_entries
 from coprime_lab.perms import Perm
@@ -27,6 +27,7 @@ from coprime_lab.special import (
 )
 
 from bruteforce import brute_action_tables, brute_fixed_elements, brute_span, brute_special_lattice
+from support import center
 
 
 def heisenberg27():
