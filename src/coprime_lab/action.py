@@ -267,9 +267,6 @@ class ActionSetup:
         self._fixed_cache: dict[tuple[tuple[int, ...], ...], Group] = {}
         self._coset_cache: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
 
-    def zero_vector(self) -> tuple[int, ...]:
-        return tuple(0 for _ in range(self.k))
-
     def basis_vectors(self) -> list[tuple[int, ...]]:
         return [tuple(1 if i == j else 0 for i in range(self.k)) for j in range(self.k)]
 

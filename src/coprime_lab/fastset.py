@@ -15,7 +15,19 @@ gathers in those translates, left cosets and setwise products of subgroups
 follow from them as masks, and automorphism tables are evaluated along the
 tree one round at a time.  ``RowIndex.power(d)`` is the column x -> x^d,
 built once per d: a composite d is a gather of two smaller columns and a
-prime d is one row product, x^(d-1) x.  ``RowIndex.memo`` keeps the subgroup
+prime d is one row product, x^(d-1) x.
+
+Every element the index builds from others, a power, an inverse or a product
+in an abelian section, is found by its images of a base, a set of points whose
+images determine each element (Seress 2003, ch. 4): the points at which two
+neighbouring sorted rows first differ, found on the first such lookup.  Their
+images sort in index order, so one ``searchsorted`` of an integer key finds
+the element, and a product gathers only the base columns of its factors.  That
+lookup cannot give a wrong index for a product that is computed correctly, but
+it trusts that the images are an element's: a row outside the group is refused
+only when no element has its base images.  Rows given from outside (element
+positions, the identity and generators at set-up, another root's rows) are
+still looked up and confirmed whole.  ``RowIndex.memo`` keeps the subgroup
 algebra done over the index, such as generators, commutator subgroups and
 series terms, keyed by the masks it was computed from; its values are
 arrays, never groups, so the index holds no reference back to a group and a
@@ -61,6 +73,18 @@ def row_keys(rows: np.ndarray) -> np.ndarray:
     return rows.view(f"V{rows.dtype.itemsize * rows.shape[1]}").ravel()
 
 
+def _base_points(rows: np.ndarray) -> np.ndarray:
+    """The points at which two neighbouring ``rows`` first differ, ascending.  Two rows i < j
+    first differ where some neighbours between them first differ, at the least such point,
+    so for sorted rows the images of these points sort as the rows do."""
+    on = np.zeros(rows.shape[1], dtype=bool)
+    block = max(1, (1 << 20) // rows.shape[1])
+    for at in range(0, len(rows) - 1, block):
+        chunk = rows[at:at + block + 1]
+        on[(chunk[1:] != chunk[:-1]).argmax(axis=1)] = True
+    return np.flatnonzero(on)
+
+
 class RowIndex:
     """Row i of ``rows`` is element i of a sorted element list, generated by the
     elements whose rows are ``generators``.
@@ -78,11 +102,19 @@ class RowIndex:
     raised, and every other translate is composed from the generators'
     along ``tree`` by gathers alone.  Other translates, inverses and power
     columns are built on first use and kept; the columns are read-only.
+    ``base`` is built on the first lookup by base images (``lookup_base``),
+    with each row's key over it; the keys must strictly increase with the
+    index, or InternalCheckError is raised.  Such a lookup confirms only the
+    base images, so it is for elements the index composes, while ``lookup``
+    and ``positions`` confirm whole rows.
     ``memo`` maps a key built from subgroup masks (``mask_key``) to the
     arrays computed from them, for whoever computes over this index.
     """
 
-    __slots__ = ("rows", "_keys", "identity", "gens", "tree", "_right", "_inverse", "_powers", "memo", "_mask_keys")
+    __slots__ = (
+        "rows", "_keys", "identity", "gens", "tree", "_right", "_inverse", "_powers", "memo", "_mask_keys",
+        "_base", "_base_keys",
+    )
 
     def __init__(self, rows: np.ndarray, generators: np.ndarray, translates: np.ndarray, tree: SpanningTree):
         self.rows = rows
@@ -97,6 +129,8 @@ class RowIndex:
                     raise InternalCheckError("a recorded translate is not the right translate by its generator")
         self.tree = tree
         self._inverse: np.ndarray | None = None
+        self._base: np.ndarray | None = None
+        self._base_keys: np.ndarray | None = None
         self._powers: dict[int, np.ndarray] = {}
         self.memo: dict[tuple, object] = {}
         self._mask_keys: dict[bytes, bytes] = {}
@@ -121,6 +155,43 @@ class RowIndex:
         found = self._find(rows)
         if (found < 0).any():
             raise InternalCheckError("a row is not an element of the indexed group")
+        return found
+
+    @property
+    def base(self) -> np.ndarray:
+        """The base points (``_base_points`` of the rows), read-only, with every row's key
+        over them; InternalCheckError if the keys do not strictly increase."""
+        if self._base is None:
+            base = _base_points(self.rows)
+            keys = self._base_key(self.rows[:, base])
+            ordered = keys if keys.dtype.kind == "i" else keys.view(f"S{keys.dtype.itemsize}")
+            if not (ordered[1:] > ordered[:-1]).all():
+                raise InternalCheckError("the sorted rows' base images do not strictly increase")
+            base.flags.writeable = False
+            self._base, self._base_keys = base, keys
+        return self._base
+
+    def _base_key(self, images: np.ndarray) -> np.ndarray:
+        """One key per row of base images, ordered as the images: the images as digits of a
+        base-degree int64 while degree^|base| < 2^63, else their big-endian bytes."""
+        degree, width = self.rows.shape[1], images.shape[1]
+        if degree ** width >= 1 << 63:
+            return row_keys(np.ascontiguousarray(images, dtype=self.rows.dtype))
+        key = np.zeros(len(images), dtype=np.int64)
+        for column in images.T:
+            key *= degree
+            key += column
+        return key
+
+    def lookup_base(self, images: np.ndarray) -> np.ndarray:
+        """Index of the element with each row of ``images`` as its images of ``base``, in
+        order; raises if no element has them, but a row outside the group that has an
+        element's base images gets that element's index."""
+        self.base  # built with every row's key on first use
+        keys, key = self._base_keys, self._base_key(images)
+        found = np.minimum(np.searchsorted(keys, key), len(keys) - 1)
+        if (keys[found] != key).any():
+            raise InternalCheckError("no element has these base images")
         return found
 
     def positions(self, elements: Iterable[Perm]) -> np.ndarray:
@@ -160,9 +231,16 @@ class RowIndex:
 
     @property
     def inverse(self) -> np.ndarray:
-        """Index of the inverse of every element."""
+        """Index of the inverse of every element: x^-1 takes each base point to its position
+        in x's row, found a block of rows at a time."""
         if self._inverse is None:
-            self._inverse = self.lookup(np.argsort(self.rows, axis=1))
+            rows, base = self.rows, self.base
+            images = np.empty((len(rows), len(base)), dtype=rows.dtype)
+            block = max(1, (1 << 20) // rows.shape[1])
+            for at in range(0, len(rows), block):
+                for j, b in enumerate(base.tolist()):
+                    images[at:at + block, j] = (rows[at:at + block] == b).argmax(axis=1)
+            self._inverse = self.lookup_base(images)
         return self._inverse
 
     def power(self, d: int) -> np.ndarray:
@@ -171,7 +249,7 @@ class RowIndex:
 
         (x^a)^b = x^(ab), so a composite d gathers the column of d / q at the
         column of its least prime factor q.  A prime d takes one row product,
-        x^d = x^(d-1) x, where d - 1 is 1 or composite.
+        x^d = x^(d-1) x, where d - 1 is 1 or composite, at the base points alone.
         """
         column = self._powers.get(d)
         if column is None:
@@ -184,7 +262,8 @@ class RowIndex:
                 if q < d:
                     column = self.power(d // q)[self.power(q)]
                 else:
-                    column = self.lookup(np.take_along_axis(self.rows, self.rows[self.power(d - 1)], axis=1))
+                    at = self.rows[self.power(d - 1)[:, None], self.base]
+                    column = self.lookup_base(np.take_along_axis(self.rows, at, axis=1))
             column = column.astype(np.min_scalar_type(len(self.rows) - 1), copy=False)
             column.flags.writeable = False
             self._powers[d] = column

@@ -18,7 +18,10 @@ mask holds H's generators, mapped by ``Group._gens_over``, the one place that ma
 a group onto another root.  Sylow subgroups and abelian sections read the index's
 power columns, x -> x^d at divisors d of the root's order, so an abelian section
 runs over the root's index, restricted to its numerator's mask, and keeps one code
-per element of that index.
+per element of that index.  A section's products (a representative's powers, its
+corrected choice, the cosets it adds and the decomposition of every element) are
+gathered at the index's base points alone and found by ``RowIndex.lookup_base``:
+they are products of elements, so their base images name them.
 """
 
 from __future__ import annotations
@@ -548,12 +551,13 @@ def _divisors(n: int) -> list[int]:
 
 
 def _powers_of(index: RowIndex, x: int, m: int) -> np.ndarray:
-    """Index of x^j for j < m.  The rows of x^0 ... x^(k-1) and x^k give those of x^k ... x^(2k-1)
-    in one gather, so the chain doubles until it is m long and is looked up at once."""
-    chain, step = index.rows[[index.identity]], index.rows[x]
+    """Index of x^j for j < m.  The base images of x^0 ... x^(k-1) and the row of x^k give those
+    of x^k ... x^(2k-1) in one gather, so the chain doubles until it is m long and is looked up
+    at once by its base images."""
+    chain, step = index.base[None, :], index.rows[x]
     while len(chain) < m:
         chain, step = np.concatenate([chain, step[chain]]), step[step]
-    return index.lookup(chain[:m])
+    return index.lookup_base(chain[:m])
 
 
 def _section_basis(index: RowIndex, num: np.ndarray, in_den: np.ndarray, power=None) -> list[np.ndarray]:
@@ -563,7 +567,7 @@ def _section_basis(index: RowIndex, num: np.ndarray, in_den: np.ndarray, power=N
     unless given.  Raises InternalCheckError, never loops on or returns a section, when a
     power or a product leaves the numerator or a chosen representative adds no element."""
     power = power or index.power
-    rows, degree = index.rows, index.rows.shape[1]
+    rows, base = index.rows, index.base
     total = int(np.count_nonzero(num))
     current = in_den.copy()
     chains: list[np.ndarray] = []
@@ -591,18 +595,19 @@ def _section_basis(index: RowIndex, num: np.ndarray, in_den: np.ndarray, power=N
         best_m = int(rel.max())
         # correct the representative so its class has the same order in the
         # full quotient: (best * d)^m must fall into the denominator, for the
-        # first d of current in sort order
+        # first d of current in sort order; products are gathered at the base alone
+        at = np.flatnonzero(current)[:, None]
         if in_den[power(best_m)[best]]:
             chosen = best
         else:
-            corrected = index.lookup(rows[current][:, rows[best]])
+            corrected = index.lookup_base(rows[at, rows[best, base]])
             ok = np.flatnonzero(in_den[power(best_m)[corrected]])
             if not ok.size:
                 raise InternalCheckError("direct-sum correction step found no representative")
             chosen = int(corrected[ok[0]])
         chain = _powers_of(index, chosen, best_m)
         # current * <chosen>: x * chosen^j for x in current and j < m
-        products = index.lookup(rows[chain][:, rows[current]].reshape(-1, degree))
+        products = index.lookup_base(rows[chain[:, None, None], rows[at, base]].reshape(-1, len(base)))
         if not num[products].all():
             raise InternalCheckError("a product of numerator elements lies outside the numerator")
         grown = np.zeros(len(index), dtype=bool)
@@ -620,7 +625,8 @@ def abelian_section(numerator: Group, denominator: Group) -> AbelianSection:
     Uses greedy order-maximal picks with a correction step so that the chosen
     representatives give an honest direct-sum decomposition; the construction
     ends with an exhaustive bijection check.  It runs over the index of the
-    numerator's root, on that index's power columns.
+    numerator's root, on that index's power columns, and finds every product
+    by its base images.
     """
     if not denominator.is_subgroup_of(numerator):
         raise PreconditionError("denominator is not a subgroup of the numerator")
@@ -635,17 +641,17 @@ def abelian_section(numerator: Group, denominator: Group) -> AbelianSection:
             if not in_den[index.commutator(a, b)]:
                 raise PreconditionError("quotient is not abelian")
 
-    rows, degree = index.rows, numerator.degree
+    rows, base = index.rows, index.base
     chains = _section_basis(index, num, in_den)
     orders = [len(chain) for chain in chains]
 
-    # the representative b_1^e_1 ... b_r^e_r of every exponent vector, in
-    # itertools.product order, then rep * d for every d in the denominator
-    reps = rows[[index.identity]]
+    # the base images of the representative b_1^e_1 ... b_r^e_r of every exponent
+    # vector, in itertools.product order, then of rep * d for every d in the denominator
+    reps = base[None, :]
     for chain in chains:
-        reps = rows[chain][:, reps].transpose(1, 0, 2).reshape(-1, degree)
+        reps = rows[chain[:, None, None], reps].transpose(1, 0, 2).reshape(-1, len(base))
     den_idx = np.flatnonzero(in_den)
-    keys = index.lookup(rows[den_idx][:, reps].transpose(1, 0, 2).reshape(-1, degree))
+    keys = index.lookup_base(rows[den_idx[:, None, None], reps].transpose(1, 0, 2).reshape(-1, len(base)))
     if not num[keys].all():
         raise InternalCheckError("a decomposed element lies outside the numerator")
     if np.bincount(keys).max() > 1:

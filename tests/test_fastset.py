@@ -1,11 +1,12 @@
 """The row index of an enumerated group, and what is built on it, against brute force."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from coprime_lab import groups
+from coprime_lab import fastset, groups, lie
 from coprime_lab.action import maximal_subgroups
 from coprime_lab.errors import ContainmentError, InternalCheckError, ValidationError
 from coprime_lab.fastset import coset_labels, setwise_product_covers
@@ -13,8 +14,10 @@ from coprime_lab.groups import (
     Group, _section_basis, abelian_section, generated_in, group_from_generators,
     sylow_subgroup,
 )
-from coprime_lab.harness import random_invariant_subgroups
-from coprime_lab.instances import build_setup, preset_entries
+from coprime_lab.harness import (
+    InstanceContext, lemma_report, random_invariant_subgroups, verify_derived_theorem, verify_gamma_theorem,
+)
+from coprime_lab.instances import PRESETS, build_setup, preset_entries
 from coprime_lab.perms import Perm
 from coprime_lab.series import lower_central_series
 
@@ -244,6 +247,16 @@ def test_abelian_section_correction_step_matches_brute_greedy():
     assert naive.order() == 4 and section.basis[1] != naive
 
 
+def test_abelian_section_correction_step_multiplies_as_brute_greedy():
+    """Z4 x| Z4, b inverting a, over its commutator subgroup <a^2>: the second basis element
+    comes from the correction step, as a product with an element that does not commute with
+    the pick, so the basis rests on the order of that product."""
+    G = group_from_generators(8, [Perm.from_cycles(8, (0, 1, 2, 3)), Perm.from_cycles(8, (1, 3), (4, 5, 6, 7))])
+    terms = lower_central_series(G).terms
+    assert [term.order for term in terms] == [16, 2, 1]
+    assert_section_matches_brute_greedy(terms[0], terms[1])
+
+
 def test_section_basis_raises_when_a_representative_adds_nothing():
     """Power columns that send every element to the identity make each element's relative
     order 1, so the chosen representative adds no element: the basis loop must raise, not
@@ -354,3 +367,116 @@ def test_from_mask_keeps_the_generators_of_each_closed_mask_once(monkeypatch):
         with pytest.raises(ValidationError, match="not closed"):
             Group.from_mask(G, not_closed)
     assert len(index.memo) == size + 1 and len(picked) == 3
+
+
+def full_row_power(index, d):
+    """x -> x^d for every x, by square-and-multiply on whole rows and the whole-row lookup."""
+    rows = index.rows.astype(np.intp)
+    acc, step = np.broadcast_to(np.arange(rows.shape[1]), rows.shape), rows
+    while d:
+        if d & 1:
+            acc = np.take_along_axis(step, acc, axis=1)
+        step, d = np.take_along_axis(step, step, axis=1), d >> 1
+    return index.lookup(acc)
+
+
+def full_row_codes(index, section):
+    """``root_codes`` of ``section`` from its basis and orders, by whole-row products and the
+    whole-row lookup: rep * d for the representative rep of every exponent vector, in
+    ``itertools.product`` order, and every d in the denominator."""
+    rows, degree = index.rows.astype(np.intp), index.rows.shape[1]
+    reps = rows[[index.identity]]
+    for b, m in zip(section.basis_at, section.orders):
+        chain = [rows[index.identity]]
+        for _ in range(m - 1):
+            chain.append(rows[b][chain[-1]])
+        reps = np.array(chain)[:, reps].transpose(1, 0, 2).reshape(-1, degree)
+    den = np.flatnonzero(section.denominator.mask_over(section.numerator))
+    keys = index.lookup(rows[den][:, reps].transpose(1, 0, 2).reshape(-1, degree))
+    codes = np.full(len(index), -1, dtype=np.int64)
+    codes[keys] = np.arange(len(keys)) // len(den)
+    return codes
+
+
+def assert_base_lookups_match_whole_rows(index, sections):
+    assert np.array_equal(index.inverse, index.lookup(np.argsort(index.rows, axis=1)))
+    for d, column in index._powers.items():
+        assert np.array_equal(column, full_row_power(index, d)), d
+    for section in sections:
+        assert np.array_equal(section.root_codes, full_row_codes(index, section))
+
+
+@pytest.mark.parametrize("instance_id", SMOKE + LEMMA_PRESETS)
+def test_base_lookups_match_the_whole_row_lookup_through_every_suite(instance_id, monkeypatch):
+    """After the lemma suite and both theorem suites, the inverse, every power column that
+    was built and every abelian section (those of the Lie ring, built for a nilpotent G, and
+    those of G's lower central series) equal what whole rows give."""
+    sections, section = [], lie.abelian_section
+    monkeypatch.setattr(lie, "abelian_section", lambda *args: sections.append(section(*args)) or sections[-1])
+    setup = preset_setup(instance_id)
+    ctx = InstanceContext(setup, instance_id)
+    assert lemma_report(ctx).status == "pass"
+    assert verify_derived_theorem(setup, PRESETS[instance_id.split("-")[0]].d, ctx=ctx).status == "pass"
+    assert verify_gamma_theorem(setup, ctx=ctx).status == "pass"
+    terms = lower_central_series(setup.G).terms
+    sections += [abelian_section(num, den) for num, den in zip(terms, terms[1:])]
+    index = setup.G.row_index()
+    assert sections and len(index._powers) > 2
+    assert_base_lookups_match_whole_rows(index, sections)
+
+
+def test_base_keys_past_int64_are_row_bytes_and_match_whole_rows():
+    """(C2)^14 on 28 points, by the transpositions (2i, 2i+1): the base is the 14 even points
+    and 28^14 >= 2^63, so the keys are the base columns' bytes.  The inverse, a square and a
+    section agree with whole rows, and the inverse's tracemalloc peak stays under 2.7 MB, where
+    a whole-row argsort and lookup peak at 5.4 MB."""
+    G = group_from_generators(28, [Perm.from_cycles(28, (2 * i, 2 * i + 1)) for i in range(14)])
+    index = G.row_index()
+    assert index._base is None
+    tracemalloc.start()
+    index.inverse
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert index.base.tolist() == list(range(0, 28, 2)) and index._base_keys.dtype.kind == "V"
+    assert peak < 2.7e6, peak
+    index.power(2)
+    half = generated_in(G, G.generators[:7])
+    assert_base_lookups_match_whole_rows(index, [abelian_section(G, half)])
+
+
+def test_base_lookup_trusts_the_base_images_and_raises_for_no_element():
+    """A row with an element's base images gets that element's index, even off the group,
+    where the whole-row lookup raises; base images that no element has raise."""
+    G = heisenberg27()
+    index = G.row_index()
+    base, x = index.base, len(index) // 2
+    off = [p for p in range(G.degree) if p not in base.tolist()][:2]
+    assert len(off) == 2
+    row = index.rows[x].copy()
+    row[off] = row[off[::-1]]
+    assert index.lookup_base(row[None, base]).tolist() == [x]
+    with pytest.raises(InternalCheckError, match="not an element"):
+        index.lookup(row[None, :])
+    with pytest.raises(InternalCheckError, match="no element has these base images"):
+        index.lookup_base(np.zeros((1, len(base)), dtype=np.intp))
+
+
+@pytest.mark.parametrize("build", [heisenberg27, s3, lambda: cycles(2, 3, 5, 7)], ids=["heis27", "s3", "c2c3c5c7"])
+def test_a_base_that_misses_a_point_is_refused(build, monkeypatch):
+    """Without any one of its points the base no longer orders the rows: the keys stop
+    increasing strictly and the first base lookup raises."""
+    points = fastset._base_points
+    full = points(build().row_index().rows)
+    assert len(full) > 1
+    for drop in range(len(full)):
+        monkeypatch.setattr(fastset, "_base_points", lambda rows: np.delete(points(rows), drop))
+        with pytest.raises(InternalCheckError, match="base images do not strictly increase"):
+            build().row_index().inverse
+
+
+@pytest.mark.parametrize("instance_id", SMOKE)
+def test_set_up_builds_no_base(instance_id):
+    index = preset_setup(instance_id).G.row_index()
+    assert index._base is None
+    index.power(2)
+    assert index._base is not None and not index.base.flags.writeable
