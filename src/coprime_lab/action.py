@@ -407,7 +407,7 @@ def _coset_index_map(setup: ActionSetup, N: Group) -> tuple[np.ndarray, np.ndarr
     """
     if not N.is_subgroup_of(setup.G):
         raise PreconditionError("N is not a subgroup of G")
-    mask, at = N._over(setup.G)
+    mask, at = N._over(setup.G)._frame()[1:]
     key = mask.tobytes()
     cached = setup._coset_cache.get(key)
     if cached is not None:
@@ -457,7 +457,7 @@ def invariant_sylow(setup: ActionSetup, H: Group, r: int) -> Group:
     """An A-invariant Sylow r-subgroup of the A-invariant subgroup H."""
     if not setup.is_invariant_subgroup(H):
         raise PreconditionError("H is not A-invariant")
-    H = Group._in(setup.G, *H._over(setup.G))  # H's masks over G's index, which the tables use
+    H = H._over(setup.G)  # H over G's index, which the tables use
     P = sylow_subgroup(H, r)
     if P.is_trivial or P.order == H.order:
         return P

@@ -111,12 +111,12 @@ class Group:
     and is then the root of its own row index.  A subgroup built inside an
     enumerated group is a bool mask over its root's index, with its
     generators' indices; its generators are made as ``Perm`` objects only
-    when asked for.  Its mask is read-only and its order counted once.  A
-    relation with another group reads that group's generator indices over
-    this group's root (``_gens_over``) and composes no ``Perm``.
+    when asked for.  Its mask is read-only, and its order and memo key are
+    made once.  A relation with another group reads that group's generator
+    indices over this group's root (``_gens_over``) and composes no ``Perm``.
     """
 
-    __slots__ = ("degree", "_generators", "cap", "_rows", "_root", "_mask", "_at", "_order", "__weakref__")
+    __slots__ = ("degree", "_generators", "cap", "_rows", "_root", "_mask", "_at", "_order", "_key", "__weakref__")
 
     def __init__(self, degree: int, generators: Iterable = (), cap: int | None = None):
         if not isinstance(degree, int) or degree < 1:
@@ -135,10 +135,11 @@ class Group:
             gens.append(g)
         self._fill(degree, cap, gens)
 
-    def _fill(self, degree: int, cap: int, generators, root=None, mask=None, at=None) -> "Group":
+    def _fill(self, degree: int, cap: int, generators, root=None, mask=None, at=None, key=None) -> "Group":
         """Sets every slot; the one place that does.  ``_mask`` and ``_at`` mark the elements and
-        generators over the index of ``_root``, or of the group itself when it is a root; with
-        ``generators`` None, the generators are made from ``_at`` when first asked for."""
+        generators over the index of ``_root``, or of the group itself when it is a root, and
+        ``_key`` is the mask's memo key, if known; with ``generators`` None, the generators
+        are made from ``_at`` when first asked for."""
         self.degree = degree
         self.cap = cap
         self._generators = None if generators is None else tuple(generators)
@@ -147,13 +148,14 @@ class Group:
         self._mask: np.ndarray | None = mask
         self._at: np.ndarray | None = at
         self._order: int | None = None
+        self._key: bytes | None = key
         if mask is not None:
             mask.setflags(write=False)
         return self
 
     @classmethod
-    def _in(cls, root: "Group", mask: np.ndarray, at) -> "Group":
-        return cls.__new__(cls)._fill(root.degree, root.cap, None, root, mask, np.asarray(at, dtype=np.intp))
+    def _in(cls, root: "Group", mask: np.ndarray, at, key: bytes | None = None) -> "Group":
+        return cls.__new__(cls)._fill(root.degree, root.cap, None, root, mask, np.asarray(at, dtype=np.intp), key)
 
     @classmethod
     def trivial(cls, degree: int, cap: int | None = None) -> "Group":
@@ -165,12 +167,13 @@ class Group:
         closed).  Its generators are found once per mask and kept in the index's memo."""
         root = ambient._frame()[0]
         index = root.row_index()
-        at = index.memo.get(("picks", mask.tobytes()))
+        key = index.mask_key(mask)
+        at = index.memo.get(("picks", key))
         if at is None:
             at = np.asarray(_picks(index, mask), dtype=np.intp)
             at.flags.writeable = False
-            index.memo[("picks", index.mask_key(mask))] = at
-        return cls._in(root, mask, at)
+            index.memo[("picks", key)] = at
+        return cls._in(root, mask, at, key)
 
     @property
     def generators(self) -> tuple[Perm, ...]:
@@ -192,14 +195,20 @@ class Group:
             return self._frame()[2]
         return root.row_index().positions(self.generators)
 
-    def _over(self, root: "Group") -> tuple[np.ndarray, np.ndarray]:
-        """Mask and generator indices over ``root``'s index, regenerated there for a group of another root."""
-        over = self if (self._root or self) is root else generated_subgroup(root, [self])
-        return over._frame()[1:]
+    def _over(self, root: "Group") -> "Group":
+        """This group over ``root``'s index: itself, or regenerated there for a group of another root."""
+        return self if (self._root or self) is root else generated_subgroup(root, [self])
+
+    def _mask_key(self) -> bytes:
+        """Its mask's key in its root's index memo (``RowIndex.mask_key``), kept once made or given."""
+        if self._key is None:
+            root, mask, _ = self._frame()
+            self._key = root.row_index().mask_key(mask)
+        return self._key
 
     def mask_over(self, ambient: "Group") -> np.ndarray:
         """This group's elements as a bool mask over the index of ambient's root."""
-        return self._over(ambient._frame()[0])[0]
+        return self._over(ambient._frame()[0])._frame()[1]
 
     @property
     def order(self) -> int:
@@ -257,7 +266,7 @@ class Group:
         if not self.is_subgroup_of(ambient):
             return False
         root, _, conjugators = ambient._frame()
-        mask, at = self._over(root)
+        mask, at = self._over(root)._frame()[1:]
         index = root.row_index()
         return all(mask[index.conjugates(at, g)].all() for g in conjugators.tolist())
 
@@ -369,23 +378,29 @@ def commutator_subgroup(H: Group, K: Group, ambient: Group) -> Group:
     Computed as the normal closure, inside <H, K>, of the generator-pair
     commutators; that closure equals the full commutator subgroup.  It is
     computed once per pair of masks over the root's index and kept in the
-    index's memo as read-only arrays.
+    index's memo as read-only arrays, one array per distinct mask.  Every
+    call checks that H and K lie in ``ambient``, a memo hit too; H's check,
+    mask and key serve K when K is H.
     """
-    for name, part in (("H", H), ("K", K)):
+    for name, part in (("H", H),) if K is H else (("H", H), ("K", K)):
         if not part.is_subgroup_of(ambient):
             raise ContainmentError(f"{name} is not a subgroup of the ambient group")
     root = ambient._frame()[0]
     index = root.row_index()
-    (h_mask, h_at), (k_mask, k_at) = H._over(root), K._over(root)
-    key = ("comm", index.mask_key(h_mask), index.mask_key(k_mask))
+    h = H._over(root)
+    k = h if K is H else K._over(root)
+    key = ("comm", h._mask_key(), k._mask_key())
     closed = index.memo.get(key)
     if closed is None:
-        hs, ks = h_at.tolist(), k_at.tolist()
+        hs, ks = h._at.tolist(), k._at.tolist()
         comms = {index.commutator(x, y) for x in hs for y in ks} - {index.identity}
         mask, at = _normal_closure(index, comms, list(dict.fromkeys(hs + ks)))
         at = np.asarray(at, dtype=np.intp)
         mask.flags.writeable = at.flags.writeable = False
-        closed = index.memo[key] = (mask, at)
+        m_key = index.mask_key(mask)
+        # equal masks share one array; each pair keeps its own generators
+        mask = index.memo.setdefault(("mask", m_key), mask)
+        closed = index.memo[key] = (mask, at, m_key)
     return Group._in(root, *closed)
 
 

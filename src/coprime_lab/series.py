@@ -41,9 +41,9 @@ def _descending_series(G: Group, kind: str, step) -> SeriesResult:
     The terms after G are computed once per mask of G over its root's index
     and kept in that index's memo as (mask, generator indices) pairs.
     """
-    root, mask, _ = G._frame()
+    root = G._frame()[0]
     index = root.row_index()
-    key = (kind, index.mask_key(mask))
+    key = (kind, G._mask_key())
     later = index.memo.get(key)
     if later is None:
         terms = [G]

@@ -8,8 +8,10 @@ Two recursive families are built over an action setup:
   member is [J, C_G(A_j)] intersect C_G(A_n) for a degree-(i-1) member J.
 
 Members are deduplicated by their element masks over G's index, and each
-keeps the first recipe that produced it: each step meets its M with the
-stacked centralizer masks in one AND and keys the meets by their packed bits.
+keeps the first recipe that produced it.  The centralizer masks are packed
+into bits once per lattice; each distinct M of a degree meets them once, in
+one AND of packed bits that keys the meets, and a later step with the same M
+is skipped, since it can add no member.
 """
 
 from __future__ import annotations
@@ -59,26 +61,37 @@ def _lattice(setup: ActionSetup, kind: str, base_degree: int, max_degree: int, m
 
     The base family is the C_G(A_j).  At each later degree, ``steps(prev,
     cents)`` yields (M, recipe) pairs built from the previous members ``prev``
-    and the centralizers ``cents``; each M meets every C_G(A_n) in one AND, and
-    each new element set, keyed by its packed bits, keeps the first recipe, with n appended.
+    and the centralizers ``cents``.  Each distinct M meets every C_G(A_n)
+    once, keyed by its mask's memo key (``Group._mask_key``, which the
+    commutator memo hands out with M): packbits(M) AND the packed centralizer
+    block is packbits(M & C_n) row by row, since the padding bits are zero.
+    Each new element set, keyed by those packed bits, keeps the first recipe,
+    with n appended, and only then is its bool mask M & C_n formed.  A
+    repeated M is skipped: each of its meets already has a recipe.
     """
     if setup.k < 2:
         raise PreconditionError("special families need rank k >= 2")
     G = setup.G
     cents = [fixed_subgroup(setup, A_j) for A_j in maximal_subgroups(setup)]
     cent_masks = np.stack([C.mask_over(G) for C in cents])
+    cent_keys = _packed_keys(cent_masks)  # the block is packed once, and read back from its keys
+    packed = np.frombuffer(b"".join(cent_keys), dtype=np.uint8).reshape(len(cents), -1)
     base: dict[bytes, tuple[Group, tuple]] = {}
-    for j, key in enumerate(_packed_keys(cent_masks)):
+    for j, key in enumerate(cent_keys):
         base.setdefault(key, (cents[j], ("cent", j)))
     members, recipes = zip(*base.values())
     families = [SpecialFamily(kind, base_degree, members, recipes)]
     for degree in range(base_degree + 1, max_degree + 1):
         candidates: dict[bytes, tuple] = {}
+        met: set[bytes] = set()
         for M, recipe in steps(families[-1].members, cents):
-            meets = M.mask_over(G) & cent_masks
-            for n, key in enumerate(_packed_keys(meets)):
+            if (m_key := M._mask_key()) in met:
+                continue
+            met.add(m_key)
+            mask = M.mask_over(G)
+            for n, key in enumerate(row_keys(np.packbits(mask) & packed).tolist()):
                 if key not in candidates:
-                    candidates[key] = (meets[n].copy(), (*recipe, n))  # a row, not the block
+                    candidates[key] = (mask & cent_masks[n], (*recipe, n))
         if len(candidates) > member_ceiling:
             raise CapacityError(
                 f"{kind} degree {degree} would have {len(candidates)} members (ceiling {member_ceiling})"

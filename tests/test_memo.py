@@ -8,9 +8,10 @@ import weakref
 
 import pytest
 
-from coprime_lab import groups
+from coprime_lab import fastset, groups
 from coprime_lab.action import ASubgroupDescriptor, all_subspaces, fixed_subgroup, maximal_subgroups
-from coprime_lab.groups import commutator_subgroup, generated_in
+from coprime_lab.errors import ContainmentError
+from coprime_lab.groups import commutator_subgroup, generated_in, group_from_generators
 from coprime_lab.harness import verify_derived_theorem, verify_gamma_theorem
 from coprime_lab.instances import PRESETS, build_setup, preset_entries
 from coprime_lab.series import derived_series, derived_term, lower_central_series
@@ -122,6 +123,67 @@ def test_each_commutator_closure_is_computed_once_per_root(monkeypatch):
     assert verify_derived_theorem(setup, PRESETS["p2k3"].d).status == "pass"
     assert verify_gamma_theorem(setup).status == "pass"
     assert len(computed) == len(set(computed)) == len(set(pairs)) < len(pairs)
+
+
+@pytest.mark.parametrize("instance_id", ["smoke-02-heis-diag-c5", "p2k3-08-wreath-c5"])
+def test_pairs_with_equal_commutator_subgroups_share_one_mask_and_keep_their_own_generators(instance_id):
+    setup = preset_setup(instance_id)
+    G, memo = setup.G, setup.G.row_index().memo
+    subgroups = subgroups_under_test(setup)
+    by_mask = {}
+    for a, H in enumerate(subgroups):
+        for K in subgroups[a:]:
+            by_mask.setdefault(commutator_subgroup(H, K, G).mask_over(G).tobytes(), []).append((H, K))
+    pairs = max(by_mask.values(), key=len)
+    assert len(pairs) > 1
+    results = [commutator_subgroup(H, K, G) for H, K in pairs]
+    for result in results:
+        assert result._mask is results[0]._mask
+        assert generated_in(G, result.generators).same_subgroup(result)
+    assert len({id(result._at) for result in results}) == len(results)
+    # and over both theorem suites: one array per distinct mask, one generator array per pair
+    assert verify_derived_theorem(setup, PRESETS[instance_id.split("-")[0]].d).status == "pass"
+    assert verify_gamma_theorem(setup).status == "pass"
+    closed = [entry for key, entry in memo.items() if key[0] == "comm"]
+    assert len({id(mask) for mask, _, _ in closed}) == len({mask.tobytes() for mask, _, _ in closed}) < len(closed)
+    assert len({id(at) for _, at, _ in closed}) == len(closed)
+
+
+def test_every_commutator_call_checks_containment_a_memo_hit_too():
+    setup = preset_setup("smoke-02-heis-diag-c5")
+    G = setup.G
+    C = fixed_subgroup(setup, maximal_subgroups(setup)[0])
+    fresh = group_from_generators(G.degree, G.generators)  # G again, as a root of its own
+    assert not G.is_subgroup_of(C)
+    for H, K in ((G, C), (C, G), (G, G), (fresh, fresh)):
+        for _ in range(2):  # a first call, then a hit
+            commutator_subgroup(H, K, G)
+        with pytest.raises(ContainmentError, match="H is not" if H is not C else "K is not"):
+            commutator_subgroup(H, K, C)
+
+
+def test_commutator_memo_hits_make_no_mask_key_and_every_key_is_the_mask_bytes(monkeypatch):
+    """A group keeps its mask's memo key once made, and a memo hit hands its result's key out
+    with it, so a second round of commutators over the same groups serializes no mask."""
+    setup = preset_setup("p2k3-08-wreath-c5")
+    G = setup.G
+    cents = [fixed_subgroup(setup, A_j) for A_j in maximal_subgroups(setup)]
+
+    def commutators():
+        firsts = [commutator_subgroup(H, K, G) for H in cents for K in cents]
+        return firsts + [commutator_subgroup(M, C, G) for M in firsts for C in cents]
+
+    for group in commutators() + cents + [G]:
+        assert group._mask_key() == group.mask_over(G).tobytes()
+    made, mask_key = [], fastset.RowIndex.mask_key
+
+    def counted(index, mask):
+        made.append(len(mask))
+        return mask_key(index, mask)
+
+    monkeypatch.setattr(fastset.RowIndex, "mask_key", counted)
+    commutators()
+    assert made == []
 
 
 def test_cached_masks_are_read_only():

@@ -6,9 +6,10 @@ import re
 import numpy as np
 import pytest
 
+from coprime_lab import special
 from coprime_lab.action import ActionSetup, Automorphism, fixed_subgroup, maximal_subgroups
 from coprime_lab.errors import CapacityError, PreconditionError
-from coprime_lab.groups import group_from_generators
+from coprime_lab.groups import commutator_subgroup, group_from_generators
 from coprime_lab.harness import CheckReport, _Recorder
 from coprime_lab.instances import build_setup, preset_entries
 from coprime_lab.perms import Perm
@@ -256,3 +257,43 @@ def test_packed_keys_tell_apart_masks_that_differ_in_one_element(size):
     keys = _packed_keys(masks)
     assert len(set(keys)) == size + 1
     assert _packed_keys(masks[::-1].copy()) == keys[::-1]
+
+
+@pytest.mark.parametrize(
+    "build, max_degree", [(a_special_lattice, 2), (gamma_a_special_lattice, 3)], ids=["a-special", "gamma"]
+)
+def test_each_distinct_commutator_subgroup_of_a_degree_meets_the_packed_centralizers_once(
+    monkeypatch, build, max_degree
+):
+    """Every packed block keyed is the centralizers' (once), or packbits(M & C_n) over all n,
+    whole, for each distinct M of a degree in the order the steps first give it."""
+    setup = build_setup(dict(preset_entries("p2k3"))["p2k3-08-wreath-c5"])
+    keyed, row_keys = [], special.row_keys
+
+    def recorded(rows):
+        keyed.append(rows.copy())
+        return row_keys(rows)
+
+    monkeypatch.setattr(special, "row_keys", recorded)
+    families = build(setup, max_degree)
+    monkeypatch.undo()
+    G = setup.G
+    cents = [fixed_subgroup(setup, A_j) for A_j in maximal_subgroups(setup)]
+    cent_masks = np.stack([C.mask_over(G) for C in cents])
+    expected, steps = [np.packbits(cent_masks, axis=1)], 0
+    for family in families[:-1]:
+        prev = family.members
+        if build is a_special_lattice:
+            pairs = [(prev[a], prev[b]) for a in range(len(prev)) for b in range(a, len(prev))]
+        else:
+            pairs = [(J, C) for J in prev for C in cents]
+        distinct = {}
+        for H, K in pairs:
+            M = commutator_subgroup(H, K, G).mask_over(G)
+            distinct.setdefault(M.tobytes(), M)
+        steps += len(pairs)
+        expected += [np.packbits(M & cent_masks, axis=1) for M in distinct.values()]
+    assert steps > len(expected) - 1  # some M repeats within a degree
+    assert len(keyed) == len(expected)
+    for block, want in zip(keyed, expected):
+        assert block.shape == want.shape and (block == want).all()
