@@ -243,10 +243,11 @@ class ActionSetup:
     built from generators, so that masks of its subgroups and the
     automorphism tables share one index.  The centralizer of each B <= A, with
     its fixed mask, is computed once per setup, keyed by B's basis; the maximal
-    subgroups of A, once per (p, k).
+    subgroups of A, once per (p, k).  ``_lattices`` keeps the special lattices
+    of ``special``: the packed centralizer block and each kind's families.
     """
 
-    __slots__ = ("G", "p", "k", "basis", "_phi_cache", "_fixed_cache", "_coset_cache")
+    __slots__ = ("G", "p", "k", "basis", "_phi_cache", "_fixed_cache", "_lattices", "_coset_cache")
 
     def __init__(self, G: Group, p: int, k: int, basis: Iterable[Automorphism]):
         basis = tuple(basis)
@@ -265,6 +266,7 @@ class ActionSetup:
         self.basis = basis
         self._phi_cache: dict[tuple[int, ...], Automorphism] = {}
         self._fixed_cache: dict[tuple[tuple[int, ...], ...], Group] = {}
+        self._lattices: dict[str, object] = {}
         self._coset_cache: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
 
     def basis_vectors(self) -> list[tuple[int, ...]]:

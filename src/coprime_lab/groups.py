@@ -217,10 +217,9 @@ class Group:
         return self._order
 
     def contains(self, x: Perm) -> bool:
+        """Whether x lies in the group; a Perm of another degree does not."""
         if not isinstance(x, Perm):
             raise ValidationError(f"expected a Perm, got {type(x).__name__}")
-        if x.degree != self.degree:
-            raise ValidationError(f"element degree {x.degree} != group degree {self.degree}")
         root, mask, _ = self._frame()
         at = int(root.row_index().positions([x])[0])
         return at >= 0 and bool(mask[at])

@@ -1,9 +1,11 @@
 """Verification harness: runs the lemma and theorem checks on instances.
 
 Each instance yields up to three reports (lemma suite, derived-theorem suite,
-gamma-theorem suite).  A report carries the instance parameters, the
-hypothesis class bound c, the conclusion class when established, and a
-per-check status map; any ``fail`` status marks the whole report failed.
+gamma-theorem suite); both theorem suites run one body, apart from their
+series term, lattice kind, parameter name and one check of their own.  A
+report carries the instance parameters, the hypothesis class bound c, the
+conclusion class when established, and a per-check status map; any ``fail``
+status marks the whole report failed.
 A check that hits a resource limit or crashes is an ``error``, not a
 failure.  Hypothesis failures (some centralizer term not nilpotent) classify
 the report as hypothesis-not-met, never as a failure.
@@ -160,13 +162,13 @@ def _coerce(value) -> CheckResult:
 
 
 class InstanceContext:
-    """Shared, lazily computed per-instance objects used by several reports."""
+    """Shared, lazily computed per-instance objects used by several reports.  The special
+    lattices are kept on the set-up instead, each kind grown by degree (see ``special``)."""
 
     def __init__(self, setup: ActionSetup, instance_id: str, seed: int = 0):
         self.setup = setup
         self.instance_id = instance_id
         self.seed = seed
-        self._families: dict = {}
 
     @cached_property
     def nilpotent(self) -> bool:
@@ -179,13 +181,6 @@ class InstanceContext:
     @cached_property
     def lie_action(self):
         return induced_a_action(self.lie_ring, self.setup)
-
-    def families(self, build, max_degree: int):
-        """``build(setup, max_degree)`` for a special-lattice builder, once per builder and degree."""
-        key = (build, max_degree)
-        if key not in self._families:
-            self._families[key] = build(self.setup, max_degree)
-        return self._families[key]
 
     def base_params(self) -> dict:
         return {"p": self.setup.p, "k": self.setup.k, "order": self.setup.G.order}
@@ -286,7 +281,7 @@ def lemma_report(ctx: InstanceContext) -> CheckReport:
 
         def span(mode):
             build, degree = (a_special_lattice, 0) if mode == "pairwise" else (gamma_a_special_lattice, 1)
-            members = family_at(ctx.families(build, degree), degree).members
+            members = family_at(build(setup, degree), degree).members
             subspaces = [
                 lie_subring_of_subgroup(ctx.lie_ring, setup.G, H) for H in members
             ]
@@ -309,37 +304,72 @@ def lemma_report(ctx: InstanceContext) -> CheckReport:
 # ------------------------------------------------------------ theorem suites
 
 
-def _hypothesis_and_conclusion(ctx: InstanceContext, rec: _Recorder, term, name: str):
-    """Records the centralizer hypothesis on ``term`` and the conclusion for ``term(G)``.
+def _sylow_generation(setup: ActionSetup, families, d: int, Gd: Group) -> bool:
+    """Every A-invariant Sylow subgroup of G^(d) is generated by its meets with the degree-d members."""
+    return Gd.is_trivial or all(
+        check_sylow_generation(setup, d, r, families=families) for r in _prime_factors(Gd.order)
+    )
 
-    The hypothesis holds with c = max class of term(C_G(a)) over a in A^#
-    (at least 1) when every such term is nilpotent; the conclusion holds when
-    term(G), called ``name`` in the report, is nilpotent.  Returns (c,
-    term(G)), or None when either does not hold and the suite stops.
+
+def _degree1_matches_aspecial0(setup: ActionSetup, families, _degree: int, _term: Group) -> bool:
+    """The gamma family of degree 1 has the element sets of the a-special family of degree 0."""
+    gamma_deg1, a_deg0 = family_at(families, 1).members, family_at(a_special_lattice(setup, 0), 0).members
+    return {m.mask_over(setup.G).tobytes() for m in gamma_deg1} == {m.mask_over(setup.G).tobytes() for m in a_deg0}
+
+
+def _theorem_report(ctx: InstanceContext, mode: str, degree: int) -> CheckReport:
+    """The body both theorem suites share, on the term w(H) of ``degree`` of ``mode``'s series.
+
+    The hypothesis holds with c = max class of w(C_G(a)) over a in A^# (at least 1) when
+    every such term is nilpotent, and the conclusion when w(G) is; if either fails, the
+    report stops there.  Else the containment, generation and degree-bound checks, the
+    suite's own check and the key commutator relation run on the lattice to max(degree, 1).
     """
+    # (params key, series term, conclusion name, lattice builder, check-name prefix, own check),
+    # looked up on each call, so that a wrapper put in this module's namespace sees the calls
+    key, term, name, build, prefix, (own_name, own_check) = {
+        "derived": ("d", derived_term, "G^(d)", a_special_lattice, "aspecial", ("sylow-generation", _sylow_generation)),
+        "gamma": (
+            "gamma-degree", lcs_term, "gamma_{k-2}(G)", gamma_a_special_lattice, "gamma",
+            ("gamma-degree1-matches-aspecial0", _degree1_matches_aspecial0),
+        ),
+    }[mode]
     setup = ctx.setup
+    report = CheckReport(instance=ctx.instance_id, mode=mode, params={**ctx.base_params(), key: degree})
+    rec = _Recorder(report)
     start = time.perf_counter()
     worst = 0
     for a in setup.nonzero_vectors():
         C = fixed_subgroup(setup, ASubgroupDescriptor.generated_by(setup.p, setup.k, a))
-        cls = nilpotency_class(term(C))
+        cls = nilpotency_class(term(C, degree))
         if cls is None:
             detail = f"centralizer term at a={a} is not nilpotent"
             rec.record("hypothesis-centralizers", CheckStatus.HYPOTHESIS_NOT_MET, detail, since=start)
-            return None
+            return report
         worst = max(worst, cls)
-    c = rec.report.hypothesis_c = max(worst, 1)
+    c = report.hypothesis_c = max(worst, 1)
     rec.record("hypothesis-centralizers", CheckStatus.PASS, f"c = {c}", since=start)
 
     start = time.perf_counter()
-    target = term(setup.G)
+    target = term(setup.G, degree)
     cls = nilpotency_class(target)
     if cls is None:
         rec.record("conclusion-nilpotent", CheckStatus.FAIL, f"{name} is not nilpotent", since=start)
-        return None
-    rec.report.conclusion_class = cls
+        return report
+    report.conclusion_class = cls
     rec.record("conclusion-nilpotent", CheckStatus.PASS, f"class {cls}", since=start)
-    return c, target
+
+    families = build(setup, max(degree, 1))
+    report.params["family-members"] = family_at(families, degree).member_count()
+    rec.run(f"{prefix}-containment", lambda: check_aspecial_containment(families))
+    rec.run(f"{prefix}-generation", lambda: check_aspecial_generation(setup, families))
+    rec.run(f"{prefix}-degree-bound", lambda: check_aspecial_degree_bound(setup, families))
+    rec.run(own_name, lambda: own_check(setup, families, degree, target))
+    rec.run(
+        "key-commutator-relation",
+        lambda: check_key_commutator_relation(setup, families, c, mode, d=degree),
+    )
+    return report
 
 
 def verify_derived_theorem(
@@ -354,39 +384,7 @@ def verify_derived_theorem(
         raise PreconditionError("the derived theorem needs k >= 3")
     if 2**d + 2 > setup.k:
         raise PreconditionError(f"hypothesis 2^d + 2 <= k fails for d = {d}, k = {setup.k}")
-    ctx = ctx or InstanceContext(setup, instance_id)
-    report = CheckReport(
-        instance=ctx.instance_id,
-        mode="derived",
-        params={**ctx.base_params(), "d": d},
-    )
-    rec = _Recorder(report)
-    established = _hypothesis_and_conclusion(ctx, rec, lambda H: derived_term(H, d), "G^(d)")
-    if established is None:
-        return report
-    c, Gd = established
-
-    families = ctx.families(a_special_lattice, max(d, 1))
-    report.params["family-members"] = family_at(families, d).member_count()
-
-    rec.run("aspecial-containment", lambda: check_aspecial_containment(families))
-    rec.run("aspecial-generation", lambda: check_aspecial_generation(setup, families))
-    rec.run("aspecial-degree-bound", lambda: check_aspecial_degree_bound(setup, families))
-
-    def sylow():
-        if Gd.is_trivial:
-            return True
-        for r in _prime_factors(Gd.order):
-            if not check_sylow_generation(setup, d, r, families=families):
-                return False
-        return True
-
-    rec.run("sylow-generation", sylow)
-    rec.run(
-        "key-commutator-relation",
-        lambda: check_key_commutator_relation(setup, families, c, "derived", d=d),
-    )
-    return report
+    return _theorem_report(ctx or InstanceContext(setup, instance_id), "derived", d)
 
 
 def verify_gamma_theorem(
@@ -399,36 +397,7 @@ def verify_gamma_theorem(
     """
     if setup.k < 3:
         raise PreconditionError("the gamma theorem needs k >= 3")
-    ctx = ctx or InstanceContext(setup, instance_id)
-    depth = setup.k - 2
-    report = CheckReport(
-        instance=ctx.instance_id,
-        mode="gamma",
-        params={**ctx.base_params(), "gamma-degree": depth},
-    )
-    rec = _Recorder(report)
-    established = _hypothesis_and_conclusion(ctx, rec, lambda H: lcs_term(H, depth), "gamma_{k-2}(G)")
-    if established is None:
-        return report
-    c, _ = established
-
-    families = ctx.families(gamma_a_special_lattice, max(depth, 1))
-    report.params["family-members"] = family_at(families, depth).member_count()
-
-    def degree1_matches():
-        gamma_deg1 = {m.mask_over(setup.G).tobytes() for m in family_at(families, 1).members}
-        a_deg0 = family_at(ctx.families(a_special_lattice, 0), 0).members
-        return gamma_deg1 == {m.mask_over(setup.G).tobytes() for m in a_deg0}
-
-    rec.run("gamma-degree1-matches-aspecial0", degree1_matches)
-    rec.run("gamma-containment", lambda: check_aspecial_containment(families))
-    rec.run("gamma-generation", lambda: check_aspecial_generation(setup, families))
-    rec.run("gamma-degree-bound", lambda: check_aspecial_degree_bound(setup, families))
-    rec.run(
-        "key-commutator-relation",
-        lambda: check_key_commutator_relation(setup, families, c, "gamma"),
-    )
-    return report
+    return _theorem_report(ctx or InstanceContext(setup, instance_id), "gamma", setup.k - 2)
 
 
 # ---------------------------------------------------------------- the suite

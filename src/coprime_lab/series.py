@@ -3,7 +3,9 @@
 The lower central and derived series of a subgroup are computed once per
 mask over its root's index: each descending series keeps the masks and
 generator indices of its terms in ``RowIndex.memo`` under its kind and the
-mask of its first term, and a later call rebuilds the terms from them.
+mask of its first term.  A later call makes groups of them again: all of
+them for a series, and only the one it reads for ``lcs_term``,
+``derived_term`` or ``nilpotency_class``.
 """
 
 from __future__ import annotations
@@ -35,12 +37,10 @@ class SeriesResult:
     class_or_length: int | None
 
 
-def _descending_series(G: Group, kind: str, step) -> SeriesResult:
-    """G, step(G), step(step(G)), ... until a term is trivial or repeats.
-
-    The terms after G are computed once per mask of G over its root's index
-    and kept in that index's memo as (mask, generator indices) pairs.
-    """
+def _later_terms(G: Group, kind: str) -> tuple[Group, tuple]:
+    """G's root, and the terms after G of its ``kind`` series (G, [G, G] or [G, G, G], ...
+    until a term is trivial or repeats) as (mask, generator indices) pairs, computed once
+    per mask of G over its root's index and kept in that index's memo."""
     root = G._frame()[0]
     index = root.row_index()
     key = (kind, G._mask_key())
@@ -53,27 +53,38 @@ def _descending_series(G: Group, kind: str, step) -> SeriesResult:
             current = terms[-1]
             if current.is_trivial:
                 break
-            nxt = step(current)
+            nxt = commutator_subgroup(current, G if kind == "lower-central" else current, G)
             if nxt.order == current.order:
                 break
             terms.append(nxt)
         later = index.memo[key] = tuple((term._mask, term._at) for term in terms[1:])
+    return root, later
+
+
+def _descending_series(G: Group, kind: str) -> SeriesResult:
+    root, later = _later_terms(G, kind)
     terms = (G, *(Group._in(root, *term) for term in later))
-    return SeriesResult(
-        kind=kind,
-        terms=terms,
-        class_or_length=len(terms) - 1 if terms[-1].is_trivial else None,
-    )
+    return SeriesResult(kind=kind, terms=terms, class_or_length=len(later) if terms[-1].is_trivial else None)
+
+
+def _term(G: Group, kind: str, i: int) -> Group:
+    """Term i of G's ``kind`` series, G being term 0, or its last term if the series stops
+    sooner.  Only the term returned is made a group."""
+    if i == 0:
+        return G
+    root, later = _later_terms(G, kind)
+    i = min(i, len(later))
+    return Group._in(root, *later[i - 1]) if i else G
 
 
 def lower_central_series(G: Group) -> SeriesResult:
     """terms[0] = G and terms[i] = [terms[i-1], G]; stops when stable."""
-    return _descending_series(G, "lower-central", lambda H: commutator_subgroup(H, G, G))
+    return _descending_series(G, "lower-central")
 
 
 def derived_series(G: Group) -> SeriesResult:
     """terms[0] = G and terms[i] = [terms[i-1], terms[i-1]]; stops when stable."""
-    return _descending_series(G, "derived", lambda H: commutator_subgroup(H, H, G))
+    return _descending_series(G, "derived")
 
 
 def upper_central_series(G: Group) -> SeriesResult:
@@ -107,8 +118,10 @@ def upper_central_series(G: Group) -> SeriesResult:
 
 
 def nilpotency_class(G: Group) -> int | None:
-    """Nilpotency class from the lower central series, or None."""
-    return lower_central_series(G).class_or_length
+    """Nilpotency class from the lower central series, or None; only its last term is made a group."""
+    root, later = _later_terms(G, "lower-central")
+    last = Group._in(root, *later[-1]) if later else G
+    return len(later) if last.is_trivial else None
 
 
 def is_nilpotent(G: Group) -> bool:
@@ -119,20 +132,14 @@ def lcs_term(G: Group, i: int) -> Group:
     """The term gamma_i (1-indexed: gamma_1 = G)."""
     if i < 1:
         raise ValueError("lower central series terms are 1-indexed")
-    series = lower_central_series(G)
-    idx = min(i - 1, len(series.terms) - 1)
-    return series.terms[idx]
+    return _term(G, "lower-central", i - 1)
 
 
 def derived_term(G: Group, d: int) -> Group:
     """The d-th derived group (0-indexed: G^(0) = G)."""
     if d < 0:
         raise ValueError("derived series terms are 0-indexed")
-    if d == 0:
-        return G
-    series = derived_series(G)
-    idx = min(d, len(series.terms) - 1)
-    return series.terms[idx]
+    return _term(G, "derived", d)
 
 
 def _prime_factors(n: int) -> list[int]:

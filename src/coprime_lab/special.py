@@ -8,10 +8,12 @@ Two recursive families are built over an action setup:
   member is [J, C_G(A_j)] intersect C_G(A_n) for a degree-(i-1) member J.
 
 Members are deduplicated by their element masks over G's index, and each
-keeps the first recipe that produced it.  The centralizer masks are packed
-into bits once per lattice; each distinct M of a degree meets them once, in
-one AND of packed bits that keys the meets, and a later step with the same M
-is skipped, since it can add no member.
+keeps the first recipe that produced it.  Both kinds share one base, the
+distinct C_G(A_j), and one block of their masks packed into bits, built once
+per set-up; each kind's families are kept on the set-up and grown degree by
+degree as calls ask for more.  Each distinct M of a degree meets the block
+once, in one AND of packed bits that keys the meets, and a later step with
+the same M is skipped, since it can add no member.
 """
 
 from __future__ import annotations
@@ -57,31 +59,31 @@ class SpecialFamily:
 
 
 def _lattice(setup: ActionSetup, kind: str, base_degree: int, max_degree: int, member_ceiling: int, steps):
-    """Families of degrees base_degree..max_degree of one recursion.
+    """Families of degrees base_degree..max_degree of one recursion, kept on ``setup``.
 
-    The base family is the C_G(A_j).  At each later degree, ``steps(prev,
-    cents)`` yields (M, recipe) pairs built from the previous members ``prev``
-    and the centralizers ``cents``.  Each distinct M meets every C_G(A_n)
-    once, keyed by its mask's memo key (``Group._mask_key``, which the
-    commutator memo hands out with M): packbits(M) AND the packed centralizer
-    block is packbits(M & C_n) row by row, since the padding bits are zero.
-    Each new element set, keyed by those packed bits, keeps the first recipe,
-    with n appended, and only then is its bool mask M & C_n formed.  A
-    repeated M is skipped: each of its meets already has a recipe.
+    The base family is the deduplicated C_G(A_j) of ``_centralizers``.  Each
+    kind's families live in ``setup._lattices`` and grow degree by degree
+    when a call asks for more; a call returns them up to ``max_degree`` and
+    checks ``member_ceiling`` on every degree above the base, built earlier
+    or now.  At a new degree, ``steps(prev, cents)`` yields (M, recipe) pairs
+    built from the previous members ``prev`` and the centralizers ``cents``.
+    Each distinct M meets every C_G(A_n) once, keyed by its mask's memo key
+    (``Group._mask_key``, which the commutator memo hands out with M):
+    packbits(M) AND the packed centralizer block is packbits(M & C_n) row by
+    row, since the padding bits are zero.  Each new element set, keyed by
+    those packed bits, keeps the first recipe, with n appended, and only then
+    is its bool mask M & C_n formed.  A repeated M is skipped: each of its
+    meets already has a recipe.
     """
     if setup.k < 2:
         raise PreconditionError("special families need rank k >= 2")
     G = setup.G
-    cents = [fixed_subgroup(setup, A_j) for A_j in maximal_subgroups(setup)]
-    cent_masks = np.stack([C.mask_over(G) for C in cents])
-    cent_keys = _packed_keys(cent_masks)  # the block is packed once, and read back from its keys
-    packed = np.frombuffer(b"".join(cent_keys), dtype=np.uint8).reshape(len(cents), -1)
-    base: dict[bytes, tuple[Group, tuple]] = {}
-    for j, key in enumerate(cent_keys):
-        base.setdefault(key, (cents[j], ("cent", j)))
-    members, recipes = zip(*base.values())
-    families = [SpecialFamily(kind, base_degree, members, recipes)]
-    for degree in range(base_degree + 1, max_degree + 1):
+    cents, cent_masks, packed, members, recipes = _centralizers(setup)
+    families = setup._lattices.setdefault(kind, [SpecialFamily(kind, base_degree, members, recipes)])
+    top = max(max_degree - base_degree, 0) + 1
+    for family in families[1:top]:
+        _check_ceiling(kind, family.degree, family.member_count(), member_ceiling)
+    for degree in range(base_degree + len(families), max_degree + 1):
         candidates: dict[bytes, tuple] = {}
         met: set[bytes] = set()
         for M, recipe in steps(families[-1].members, cents):
@@ -92,14 +94,32 @@ def _lattice(setup: ActionSetup, kind: str, base_degree: int, max_degree: int, m
             for n, key in enumerate(row_keys(np.packbits(mask) & packed).tolist()):
                 if key not in candidates:
                     candidates[key] = (mask & cent_masks[n], (*recipe, n))
-        if len(candidates) > member_ceiling:
-            raise CapacityError(
-                f"{kind} degree {degree} would have {len(candidates)} members (ceiling {member_ceiling})"
-            )
+        _check_ceiling(kind, degree, len(candidates), member_ceiling)
         members = tuple(Group.from_mask(G, meet) for meet, _ in candidates.values())
         recipes = tuple(recipe for _, recipe in candidates.values())
         families.append(SpecialFamily(kind, degree, members, recipes))
-    return families
+    return families[:top]
+
+
+def _centralizers(setup: ActionSetup):
+    """The C_G(A_j), their masks, those packed into bits, and the base: the distinct
+    C_G(A_j) and each one's first recipe.  Built once per set-up, for both kinds."""
+    block = setup._lattices.get("centralizers")
+    if block is None:
+        cents = [fixed_subgroup(setup, A_j) for A_j in maximal_subgroups(setup)]
+        cent_masks = [C.mask_over(setup.G) for C in cents]  # the groups' own arrays, no copy
+        cent_keys = _packed_keys(np.stack(cent_masks))  # the block is packed once, and read back from its keys
+        packed = np.frombuffer(b"".join(cent_keys), dtype=np.uint8).reshape(len(cents), -1)
+        base: dict[bytes, tuple[Group, tuple]] = {}
+        for j, key in enumerate(cent_keys):
+            base.setdefault(key, (cents[j], ("cent", j)))
+        block = setup._lattices["centralizers"] = (cents, cent_masks, packed, *zip(*base.values()))
+    return block
+
+
+def _check_ceiling(kind: str, degree: int, count: int, member_ceiling: int) -> None:
+    if count > member_ceiling:
+        raise CapacityError(f"{kind} degree {degree} would have {count} members (ceiling {member_ceiling})")
 
 
 def _packed_keys(masks: np.ndarray) -> list[bytes]:

@@ -4,7 +4,9 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines and the empirical (mode, c, k, p) class table.
 """
 
+import hashlib
 import json
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -53,6 +55,28 @@ def suite_data():
                 )
             )
     return items
+
+
+def _report_digest(report) -> str:
+    """SHA-256 of a report as canonical JSON without its wall-clock fields."""
+    data = report.to_dict()
+    for check in data["checks"].values():
+        check.pop("wall_ms", None)
+    return hashlib.sha256(json.dumps(data, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
+
+
+def test_reports_match_pinned_hashes(suite_data):
+    """Every report of the acceptance presets, without ``wall_ms``, hashes to the digest
+    pinned in data/report_sha256.json, so a refactor that changes a verdict, a detail or a
+    parameter shows here."""
+    pinned = json.loads((Path(__file__).parent / "data" / "report_sha256.json").read_text())
+    digests = {
+        f"{item.id}:{mode}": _report_digest(report)
+        for item in suite_data
+        for mode, report in item.reports.items()
+    }
+    assert len(digests) == 105
+    assert digests == pinned
 
 
 def test_criterion_1_axiom_suite():

@@ -414,3 +414,23 @@ def test_cli_rejects_a_negative_d_and_a_cap_below_one_before_any_report(flag, va
     assert exc.value.code == 2
     assert f"{flag}: must be at least" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_theorem_suites_reach_the_builders_and_series_terms_through_the_harness_namespace(monkeypatch):
+    """Both theorem suites look their lattice builders and series terms up in the harness
+    module on each call, so a wrapper put there sees every call."""
+    from coprime_lab import harness
+
+    setup = build_setup(dict(preset_entries("p2k4"))["p2k4-03-heis-diag-c5-c7"])
+    seen = []
+    for name in ("a_special_lattice", "gamma_a_special_lattice", "derived_term", "lcs_term"):
+        original = getattr(harness, name)
+
+        def wrapped(*args, _name=name, _original=original, **kwargs):
+            seen.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(harness, name, wrapped)
+    assert verify_derived_theorem(setup, 1).status == "pass"
+    assert verify_gamma_theorem(setup).status == "pass"
+    assert {"a_special_lattice", "gamma_a_special_lattice", "derived_term", "lcs_term"} <= set(seen)

@@ -11,7 +11,8 @@ from coprime_lab import groups, harness
 from coprime_lab.action import Automorphism, all_subspaces, fixed_subgroup, maximal_subgroups, validate_setup
 from coprime_lab.errors import ContainmentError, InternalCheckError, ValidationError
 from coprime_lab.groups import (
-    Group, commutator_subgroup, generated_in, generated_subgroup, group_from_generators, normal_closure, sylow_subgroup,
+    Group, commutator_subgroup, generated_in, generated_subgroup, group_from_generators, is_member, normal_closure,
+    sylow_subgroup,
 )
 from coprime_lab.harness import InstanceContext, lemma_report, verify_derived_theorem, verify_gamma_theorem
 from coprime_lab.instances import PRESETS, build_setup, preset_entries
@@ -112,11 +113,11 @@ def strangers(G, count, seed):
 
 
 def assert_contains_matches(H, expected, G):
-    """H.contains agrees with the element set ``expected`` on all of G and on permutations outside G."""
+    """H.contains agrees with the element set ``expected`` on all of G, on permutations outside
+    G, and on a permutation of another degree, which lies outside H."""
     for x in G.sorted_elements() + strangers(G, 20, H.order):
         assert H.contains(x) == (x in expected), x
-    with pytest.raises(ValidationError):
-        H.contains(Perm.identity(G.degree + 1))
+    assert not H.contains(Perm.identity(G.degree + 1))
 
 
 @pytest.mark.parametrize("instance_id", SMOKE)
@@ -183,9 +184,10 @@ def test_generated_in_keeps_to_the_ambient_group():
 
 
 def test_a_perm_of_another_degree_lies_outside_the_group_at_every_entry_point():
-    """positions gives -1 for a Perm of another degree, so generated_in, normal_closure and
-    Automorphism.apply refuse it, like an element of the right degree outside the group,
-    with ContainmentError."""
+    """positions gives -1 for a Perm of another degree, so Group.contains and is_member read
+    it as outside the group, and generated_in, normal_closure and Automorphism.apply refuse
+    it, like an element of the right degree outside the group, with ContainmentError.  What
+    is not a Perm at all is still a ValidationError."""
     rotate, flip = Perm([1, 2, 0]), Perm([1, 0, 2])
     C3 = group_from_generators(3, [rotate])
     index = C3.row_index()
@@ -195,6 +197,15 @@ def test_a_perm_of_another_degree_lies_outside_the_group_at_every_entry_point():
     assert index.positions([]).tolist() == []
     square = Automorphism(C3, {rotate: rotate * rotate})
     assert square.apply(rotate) == rotate * rotate
+    assert C3.contains(rotate) and is_member(C3, rotate)
+    for stranger in (longer, shorter, flip, Perm.identity(4), Perm.identity(2)):
+        assert not C3.contains(stranger)
+        assert not is_member(C3, stranger)
+    for not_a_perm in ((1, 2, 0), [1, 2, 0], None):
+        with pytest.raises(ValidationError):
+            C3.contains(not_a_perm)
+        with pytest.raises(ValidationError):
+            is_member(C3, not_a_perm)
     for stranger in (longer, shorter, flip):
         with pytest.raises(ContainmentError):
             generated_in(C3, [rotate, stranger])

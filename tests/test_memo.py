@@ -12,7 +12,7 @@ from coprime_lab import fastset, groups
 from coprime_lab.action import ASubgroupDescriptor, all_subspaces, fixed_subgroup, maximal_subgroups
 from coprime_lab.errors import ContainmentError
 from coprime_lab.groups import commutator_subgroup, generated_in, group_from_generators
-from coprime_lab.harness import verify_derived_theorem, verify_gamma_theorem
+from coprime_lab.harness import InstanceContext, lemma_report, verify_derived_theorem, verify_gamma_theorem
 from coprime_lab.instances import PRESETS, build_setup, preset_entries
 from coprime_lab.series import derived_series, derived_term, lower_central_series
 
@@ -85,14 +85,17 @@ def test_commutator_subgroups_match_brute_on_a_first_call_a_hit_and_twins(instan
 
 
 def test_a_setup_is_freed_without_the_cycle_collector():
-    """The memo holds arrays, never groups, so nothing it keeps refers back to G."""
+    """The memo holds arrays, never groups, so nothing it keeps refers back to G; the special
+    lattices kept on the set-up, and what the lemma suite builds, add no cycle either."""
     gc.collect()
     gc.disable()
     try:
         setup = preset_setup("p2k3-08-wreath-c5")
+        assert lemma_report(InstanceContext(setup, "p2k3-08-wreath-c5")).status == "pass"
         assert verify_derived_theorem(setup, PRESETS["p2k3"].d).status == "pass"
         assert verify_gamma_theorem(setup).status == "pass"
         assert setup.G.row_index().memo
+        assert {"a-special", "gamma-a-special"} <= setup._lattices.keys()
         G = weakref.ref(setup.G)
         del setup
         assert G() is None

@@ -11,7 +11,7 @@ from coprime_lab.action import ActionSetup, Automorphism, fixed_subgroup, maxima
 from coprime_lab.errors import CapacityError, PreconditionError
 from coprime_lab.groups import commutator_subgroup, group_from_generators
 from coprime_lab.harness import CheckReport, _Recorder
-from coprime_lab.instances import build_setup, preset_entries
+from coprime_lab.instances import PRESETS, build_setup, preset_entries
 from coprime_lab.perms import Perm
 from coprime_lab.series import derived_term, lcs_term
 from coprime_lab.special import (
@@ -297,3 +297,52 @@ def test_each_distinct_commutator_subgroup_of_a_degree_meets_the_packed_centrali
     assert len(keyed) == len(expected)
     for block, want in zip(keyed, expected):
         assert block.shape == want.shape and (block == want).all()
+
+
+@pytest.mark.parametrize("instance_id", ["p2k3-08-wreath-c5", "p2k4-03-heis-diag-c5-c7"])
+def test_a_set_up_packs_its_centralizers_once_and_builds_each_family_once(monkeypatch, instance_id):
+    """The builders, called in the order the lemma, derived and gamma suites call them, pack
+    the centralizer block once and run each (kind, degree) family's steps once; every call
+    returns the families a fresh set-up builds straight to the top degree, up to its own."""
+    preset = instance_id.split("-")[0]
+    spec = dict(preset_entries(preset))[instance_id]
+    setup = build_setup(spec)
+    d, top = max(PRESETS[preset].d, 1), max(setup.k - 2, 1)
+    packs, steps = [], []
+    packed_keys, commutator = special._packed_keys, special.commutator_subgroup
+
+    def counted(H, K, ambient):
+        steps[-1] += 1
+        return commutator(H, K, ambient)
+
+    monkeypatch.setattr(special, "_packed_keys", lambda masks: packs.append(len(masks)) or packed_keys(masks))
+    monkeypatch.setattr(special, "commutator_subgroup", counted)
+    calls = [(a_special_lattice, 0), (gamma_a_special_lattice, 1), (a_special_lattice, d),
+             (gamma_a_special_lattice, top), (a_special_lattice, 0)]
+    returned = []
+    for build, degree in calls:
+        steps.append(0)
+        returned.append(build(setup, degree))
+    monkeypatch.undo()
+    assert packs == [len(maximal_subgroups(setup))]
+
+    fresh = build_setup(spec)
+    straight = {a_special_lattice: a_special_lattice(fresh, d)}
+    straight[gamma_a_special_lattice] = gamma_a_special_lattice(fresh, top)
+
+    def shape(families, G):
+        return [(f.kind, f.degree, [m.mask_over(G).tobytes() for m in f.members], f.provenance) for f in families]
+
+    for (build, degree), families in zip(calls, returned):
+        first = 0 if build is a_special_lattice else 1
+        assert shape(families, setup.G) == shape(straight[build][: degree - first + 1], fresh.G)
+    # each degree above the base runs its steps once: n(n+1)/2 pairs, or n times every C_G(A_j)
+    cents = len(maximal_subgroups(setup))
+    a_steps = [f.member_count() * (f.member_count() + 1) // 2 for f in straight[a_special_lattice][:-1]]
+    gamma_steps = [f.member_count() * cents for f in straight[gamma_a_special_lattice][:-1]]
+    assert steps == [0, 0, sum(a_steps), sum(gamma_steps), 0]
+    assert sum(steps) > 0
+    # both kinds start from one base, and the families live on the set-up
+    assert returned[0][0].members == returned[1][0].members
+    assert all(x is y for x, y in zip(returned[0][0].members, returned[1][0].members))
+    assert setup._lattices["a-special"] == returned[2] and setup._lattices["gamma-a-special"] == returned[3]
